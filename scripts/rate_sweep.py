@@ -7,6 +7,7 @@ rate at which the reform stops being price-reducing for this structure.
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from gstio import (
@@ -29,12 +30,14 @@ def main() -> None:
 
     table, _ = load_io_table(DATA / "io_table.csv")
     bundle = derive_coefficients(table)
+    schedule, _ = load_rate_schedule(DATA / "rate_schedule.csv", table.sectors)
 
     print(f"{'rate':>6}  {'mean_change':>12}  {'risers':>6}  {'decliners':>9}  {'net_decline':>11}")
     for k in range(args.steps):
         rate = args.max_rate * k / (args.steps - 1)
-        schedule, _ = load_rate_schedule(DATA / "rate_schedule.csv", table.sectors, gst_rate=rate)
-        post = simulate_prices(bundle, schedule, masked_input_treatment=args.treatment)
+        post = simulate_prices(
+            bundle, replace(schedule, gst_rate=rate), masked_input_treatment=args.treatment
+        )
         summary = price_change_summary(post, output=table.x)
         print(
             f"{rate:6.3f}  {summary.weighted_mean:+12.3f}  {summary.riser_count:6d}  "

@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     EmptyGroup,
     GstioError,
+    InvalidSchedule,
     InvalidShare,
     LoadError,
     MissingArtifact,

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import productivity_check
+from .diagnostics import ProductivityReport, productivity_check
 from .errors import GstioError, MissingArtifact, NumericalError, UnknownBaseGroup
 from .incidence import (
     CategoryMap,
@@ -102,6 +102,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _print_productivity(label: str, check: ProductivityReport) -> None:
+    verdict = "pass" if check.passed else "FAIL"
+    if not check.converged:
+        verdict += f" (did not converge after {check.iterations} iterations)"
+    print(f"productivity ({label}): radius {check.spectral_radius:.6g} {verdict}")
+
+
 def cmd_validate(args) -> int:
     table, balance = load_io_table(args.table, allow_unbalanced=args.allow_unbalanced)
     print(
@@ -110,18 +117,12 @@ def cmd_validate(args) -> int:
     )
     bundle = derive_coefficients(table, check_balance=False)
     base_check = productivity_check(bundle.A)
-    print(
-        f"productivity (unmasked): radius {base_check.spectral_radius:.6g} "
-        f"{'pass' if base_check.passed else 'FAIL'}"
-    )
+    _print_productivity("unmasked", base_check)
     schedule, warnings = load_rate_schedule(args.schedule, table.sectors, gst_rate=args.gst_rate)
     for warning in warnings:
         print(f"warning: {warning}")
     masked_check = productivity_check(bundle.A, schedule.standard_share)
-    print(
-        f"productivity (masked): radius {masked_check.spectral_radius:.6g} "
-        f"{'pass' if masked_check.passed else 'FAIL'}"
-    )
+    _print_productivity("masked", masked_check)
     ok = base_check.passed and masked_check.passed
 
     if args.expenditure:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroValueAdded
 from .incidence import ExpenditureMatrix
-from .io_model import CoefficientBundle, _frozen, spectral_radius
+from .io_model import PRODUCTIVITY_EPSILON, CoefficientBundle, _frozen, _square, spectral_radius
 from .price_model import _mask_diagonal
 
 
@@ -77,9 +77,6 @@ def structure_drift(e1: ExpenditureMatrix, e2: ExpenditureMatrix) -> StructureDr
     )
 
 
-PRODUCTIVITY_THRESHOLD = 1.0 - 1e-9
-
-
 @dataclass(frozen=True)
 class ProductivityReport:
     """Power-iteration estimate of the spectral radius and the pass verdict."""
@@ -95,19 +92,16 @@ def productivity_check(A: np.ndarray, mask: np.ndarray | None = None) -> Product
 
     Power iteration with a deterministic all-ones start vector, capped at
     1000 iterations with 1e-12 convergence, so reports are reproducible.
-    Passes iff the radius stays below 1 − 1e-9.
+    For A >= 0 a converged estimate is the radius (Gelfand: ‖Mᵏ1‖∞ = ‖Mᵏ‖∞).
+    Passes iff it converged below 1 − 1e-9, so periodic matrices fail closed.
+    The solvers do not consult this report; they certify themselves.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"square matrix required, got shape {A.shape}")
-    if mask is None:
-        target = A
-    else:
-        target = A.T * _mask_diagonal(mask, A.shape[0])
+    A = _square(A)
+    target = A if mask is None else A.T * _mask_diagonal(mask, len(A))
     radius, iterations, converged = spectral_radius(target)
     return ProductivityReport(
         spectral_radius=radius,
-        passed=radius < PRODUCTIVITY_THRESHOLD,
+        passed=converged and radius < 1.0 - PRODUCTIVITY_EPSILON,
         iterations=iterations,
         converged=converged,
     )

@@ -23,6 +23,10 @@ class DimensionMismatch(GstioError):
     """Array shapes or index sets do not line up."""
 
 
+class InvalidSchedule(GstioError):
+    """Rate schedule with a statutory rate, share or category outside its domain."""
+
+
 class BasisMismatch(GstioError):
     """Expenditure matrix is keyed by item codes where sector codes are required (or vice versa)."""
 

@@ -52,6 +52,7 @@ Category map (``load_category_map``)::
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,9 +109,12 @@ def _read_rows(path) -> list[list[str]]:
 
 def _cell_float(cell: str, *, path, line: int, column: int) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ParseError(f"not a number: {cell!r}", path=path, line=line, column=column) from None
+    if not math.isfinite(value):
+        raise ParseError(f"not a finite number: {cell!r}", path=path, line=line, column=column)
+    return value
 
 
 def _require_width(row: list[str], width: int, *, path, line: int) -> None:

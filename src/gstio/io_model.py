@@ -231,12 +231,8 @@ def derive_coefficients(
 
     Raises :class:`Unbalanced` when the source table fails its accounting
     identities (skip with ``check_balance=False`` for tables with known
-    rounding) and :class:`ZeroOutput` if any x[j] <= 0.
+    rounding).
     """
-    if np.any(table.x <= 0):
-        bad = np.nonzero(table.x <= 0)[0]
-        ids = ", ".join(table.sectors.ids[i] for i in bad)
-        raise ZeroOutput(f"cannot derive coefficients; zero output in sectors: {ids}")
     if check_balance:
         table.check_balance(balance_tolerance)
     return CoefficientBundle(
@@ -249,6 +245,13 @@ def derive_coefficients(
     )
 
 
+def _square(M) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"square matrix required, got shape {M.shape}")
+    return M
+
+
 def spectral_radius(
     M: np.ndarray,
     *,
@@ -258,12 +261,11 @@ def spectral_radius(
     """Estimate the spectral radius of a square matrix by power iteration.
 
     Deterministic all-ones start vector, infinity-norm growth estimate.
-    Returns ``(radius, iterations, converged)``. Exact for the nonnegative
-    matrices this package feeds it (Perron root dominates).
+    Returns ``(radius, iterations, converged)``. For M >= 0 a converged
+    estimate is the Perron root; on periodic (e.g. bipartite) M the estimate
+    oscillates, and the unconverged last ratio can lie far below the radius.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"square matrix required, got shape {M.shape}")
+    M = _square(M)
     v = np.ones(M.shape[0])
     estimate = 0.0
     for iteration in range(1, max_iterations + 1):
@@ -278,24 +280,43 @@ def spectral_radius(
     return estimate, max_iterations, False
 
 
+def _solve_productive(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I − M) y = rhs, certifying ρ(M) < 1 − PRODUCTIVITY_EPSILON.
+
+    For M >= 0, I − M is a nonsingular M-matrix (ρ(M) < 1) iff
+    x = (I − M)⁻¹1 > 0 (Berman & Plemmons 1994, ch. 6); x is one more
+    right-hand side of the same factorization. By Collatz–Wielandt
+    ρ(M) <= 1 − 1/max(x), so max(x) < 1/ε proves ρ(M) < 1 − ε. Raises
+    :class:`NonProductive` otherwise, and :class:`DimensionMismatch` for a
+    non-square M or negative entries, for which x proves nothing.
+    """
+    M = _square(M)
+    if np.any(M < -1e-12):
+        raise DimensionMismatch("matrix entries must be nonnegative")
+    rhs = np.asarray(rhs, dtype=float)
+    n = M.shape[0]
+    try:
+        solution = np.linalg.solve(np.eye(n) - M, np.column_stack([rhs, np.ones(n)]))
+    except np.linalg.LinAlgError as exc:
+        raise NonProductive(f"(I - M) is singular: {exc}") from exc
+    certificate = solution[:, -1]
+    if not (np.all(certificate > 0) and certificate.max() < 1.0 / PRODUCTIVITY_EPSILON):
+        raise NonProductive(
+            f"spectral radius not provably < 1 - {PRODUCTIVITY_EPSILON:g}: (I - M)^-1 1 spans "
+            f"[{certificate.min():.6g}, {certificate.max():.6g}], outside (0, {1 / PRODUCTIVITY_EPSILON:g})"
+        )
+    return solution[:, :-1].reshape(rhs.shape)
+
+
 def leontief_inverse(A: np.ndarray) -> np.ndarray:
-    """(I − A)⁻¹ for a productive coefficient matrix.
+    """(I − A)⁻¹ for a productive coefficient matrix A >= 0.
 
     The result dominates the identity elementwise and is nonnegative.
-    Raises :class:`NonProductive` when the spectral radius reaches
-    1 − 1e-9 or the factorization fails.
+    Raises :class:`NonProductive` unless the certificate of
+    :func:`_solve_productive` proves a spectral radius below 1 − 1e-9.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"square matrix required, got shape {A.shape}")
-    radius, _, _ = spectral_radius(A)
-    if radius >= 1.0 - PRODUCTIVITY_EPSILON:
-        raise NonProductive(f"spectral radius {radius:.6g} >= 1; economy not productive")
-    try:
-        inverse = np.linalg.solve(np.eye(A.shape[0]) - A, np.eye(A.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise NonProductive(f"(I - A) is singular: {exc}") from exc
-    return inverse
+    A = _square(A)
+    return _solve_productive(A, np.eye(len(A)))
 
 
 def quantity_model(L: np.ndarray, f: np.ndarray, e: np.ndarray) -> np.ndarray:

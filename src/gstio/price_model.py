@@ -31,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonProductive
-from .io_model import (
-    PRODUCTIVITY_EPSILON,
-    CoefficientBundle,
-    SectorSet,
-    _frozen,
-    spectral_radius,
-)
+from .errors import DimensionMismatch, InvalidSchedule
+from .io_model import CoefficientBundle, SectorSet, _frozen, _solve_productive, _square
 
 
 class RateCategory(enum.Enum):
@@ -82,12 +76,12 @@ class RateSchedule:
         if len(self.categories) != n:
             raise DimensionMismatch(f"need {n} categories, got {len(self.categories)}")
         if any(not isinstance(c, RateCategory) for c in self.categories):
-            raise ValueError("categories must be RateCategory members")
+            raise InvalidSchedule("categories must be RateCategory members")
         object.__setattr__(self, "standard_share", _frozen(self.standard_share, (n,)))
         if np.any(self.standard_share < 0) or np.any(self.standard_share > 1):
-            raise ValueError("standard_share entries must lie in [0, 1]")
+            raise InvalidSchedule("standard_share entries must lie in [0, 1]")
         if not 0.0 <= self.gst_rate < 1.0:
-            raise ValueError(f"gst_rate must lie in [0, 1), got {self.gst_rate}")
+            raise InvalidSchedule(f"gst_rate must lie in [0, 1), got {self.gst_rate}")
 
     @classmethod
     def uniform_standard(cls, sectors: SectorSet, gst_rate: float) -> "RateSchedule":
@@ -107,19 +101,6 @@ def _exogenous_costs(bundle: CoefficientBundle, tax_row: np.ndarray) -> np.ndarr
     return bundle.labor + bundle.capital + bundle.imports + tax_row
 
 
-def _solve_price_system(masked_transpose: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    radius, _, _ = spectral_radius(masked_transpose)
-    if radius >= 1.0 - PRODUCTIVITY_EPSILON:
-        raise NonProductive(
-            f"masked coefficient matrix has spectral radius {radius:.6g} >= 1"
-        )
-    n = masked_transpose.shape[0]
-    try:
-        return np.linalg.solve(np.eye(n) - masked_transpose, costs)
-    except np.linalg.LinAlgError as exc:
-        raise NonProductive(f"price system is singular: {exc}") from exc
-
-
 def baseline_prices(bundle: CoefficientBundle) -> np.ndarray:
     """Normalized price level implied by the bundle's own cost structure.
 
@@ -127,7 +108,7 @@ def baseline_prices(bundle: CoefficientBundle) -> np.ndarray:
     all-ones vector whenever the bundle came from a balanced table.
     """
     costs = _exogenous_costs(bundle, bundle.indirect_tax)
-    return _solve_price_system(bundle.A.T, costs)
+    return _solve_productive(bundle.A.T, costs)
 
 
 def rate_mask(schedule: RateSchedule) -> np.ndarray:
@@ -154,20 +135,13 @@ def masked_inverse(A: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
     ``mask`` may be the diagonal matrix from :func:`rate_mask` or its
     diagonal as a vector. A sector with mask 0 feeds nothing back into
-    itself: its column of the result is the unit column.
+    itself: its column of the result is the unit column. Raises
+    :class:`NonProductive` unless the solve kernel's M-matrix certificate
+    proves the spectral radius of A'B̂ below 1 − 1e-9.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"square coefficient matrix required, got {A.shape}")
-    diag = _mask_diagonal(mask, A.shape[0])
-    masked = A.T * diag  # scales column i of A' by mask_i
-    radius, _, _ = spectral_radius(masked)
-    if radius >= 1.0 - PRODUCTIVITY_EPSILON:
-        raise NonProductive(f"masked matrix has spectral radius {radius:.6g} >= 1")
-    try:
-        return np.linalg.solve(np.eye(A.shape[0]) - masked, np.eye(A.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise NonProductive(f"masked system is singular: {exc}") from exc
+    A = _square(A)
+    masked = A.T * _mask_diagonal(mask, len(A))  # scales column i of A' by mask_i
+    return _solve_productive(masked, np.eye(len(A)))
 
 
 def gst_coefficients(bundle: CoefficientBundle, schedule: RateSchedule) -> np.ndarray:
@@ -220,7 +194,7 @@ def simulate_prices(
             # proportion to the sector's non-standard output share
             input_tax = schedule.gst_rate * masked.sum(axis=1)
             costs = costs + np.where(exempt, (1.0 - share) * input_tax, 0.0)
-    return _solve_price_system(masked, costs)
+    return _solve_productive(masked, costs)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,12 @@ APPENDIX_INVERSE_HALF = np.array(
     ]
 )
 
+# Bipartite (hence periodic) coefficient matrices with spectral radius
+# sqrt(1.15) ≈ 1.072 and sqrt(1.2) ≈ 1.095. Power iteration from the ones
+# vector oscillates on both and its last ratio (0.9 and 0.6) reads productive.
+BIPARTITE_A = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.5], [0.9, 0.5, 0.0]])
+BIPARTITE_2X2 = np.array([[0.0, 2.0], [0.6, 0.0]])
+
 APPENDIX_SECTORS = SectorSet(
     ids=("agr", "ind", "ser"), names=("Agriculture", "Industry", "Services")
 )

@@ -66,6 +66,34 @@ class TestValidate:
         assert code == 2
         assert err.startswith("ERROR UnknownSector:")
 
+    def test_out_of_range_gst_rate_exits_2(self, appendix_args, capsys):
+        code = main(["validate", *appendix_args, "--gst-rate", "1.5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ERROR InvalidSchedule:")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_periodic_table_fails_closed(self, tmp_path, data_dir, capsys):
+        # A = [[0, .2], [.3, 0]] is productive, but bipartite: power
+        # iteration oscillates, so validate cannot vouch for it
+        table = tmp_path / "bipartite.csv"
+        table.write_text(
+            "sector_id,sector_name,agr,ind,FINAL_DEMAND,EXPORTS,OUTPUT\n"
+            "agr,Agriculture,0,20,80,0,100\nind,Industry,30,0,70,0,100\n"
+            "VALUE_ADDED,,70,80,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n",
+            encoding="utf-8",
+        )
+        schedule = tmp_path / "s.csv"
+        schedule.write_text(
+            "sector_id,category,standard_share,note\nagr,standard,1,\nind,standard,1,\n",
+            encoding="utf-8",
+        )
+        code = main(["validate", "--table", str(table), "--schedule", str(schedule)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "FAIL (did not converge after 1000 iterations)" in out
+        assert "VALIDATION FAILED" in out
+
     def test_incomplete_category_map_fails_validation(self, tmp_path, data_dir, capsys):
         cmap = tmp_path / "partial.csv"
         cmap.write_text("code,category\nfood,food_nonalcoholic\n", encoding="utf-8")

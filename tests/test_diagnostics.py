@@ -120,6 +120,14 @@ class TestProductivityCheck:
         assert report.spectral_radius == pytest.approx(1.0)
         assert not report.passed
 
+    def test_periodic_matrix_fails_closed(self):
+        # the oscillating power iteration's last ratio is below 1, yet
+        # the true radius is not
+        for M in (helpers.BIPARTITE_2X2, helpers.BIPARTITE_A.T):
+            report = productivity_check(M)
+            assert report.spectral_radius < 1.0
+            assert report.passed is False and report.converged is False
+
     def test_masked_appendix_matches_eigenvalue_oracle(self):
         mask = np.array([0.0, 1.0, 1.0])
         report = productivity_check(helpers.APPENDIX_AT.T, mask)
@@ -143,6 +151,23 @@ class TestProductivityCheck:
         else:
             with pytest.raises(NonProductive):
                 leontief_inverse(M)
+        # Bipartite matrices are periodic, so power iteration need not
+        # converge: a pass must still imply a solve, and the solver must
+        # accept exactly what the dense eigenvalues call productive.
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            k = int(rng.integers(1, n))
+            B = np.zeros((n, n))
+            B[:k, k:] = rng.uniform(0.0, 1.0, size=(k, n - k))
+            B[k:, :k] = rng.uniform(0.0, 1.0, size=(n - k, k))
+            B *= target_radius
+            productive = float(np.abs(np.linalg.eigvals(B)).max()) < 1.0 - 1e-9
+            if productive:
+                leontief_inverse(B)
+            else:
+                assert not productivity_check(B).passed
+                with pytest.raises(NonProductive):
+                    leontief_inverse(B)
 
 
 class TestTaxToVaRatio:

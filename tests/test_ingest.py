@@ -70,16 +70,17 @@ class TestLoadIOTable:
             load_io_table(path)
 
     def test_bad_number_reports_position(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "t.csv",
-            IO_HEADER
-            + "a,A,0,zzz,1,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n",
-        )
-        with pytest.raises(ParseError) as info:
-            load_io_table(path)
-        assert info.value.line == 2
-        assert info.value.column == 4
+        for cell in ("zzz", "nan", "-inf", "1e999"):
+            path = _write(
+                tmp_path,
+                "t.csv",
+                IO_HEADER
+                + f"a,A,0,{cell},1,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n",
+            )
+            with pytest.raises(ParseError) as info:
+                load_io_table(path)
+            assert info.value.line == 2
+            assert info.value.column == 4
 
     def test_unbalanced_rejected_unless_allowed(self, tmp_path):
         text = (

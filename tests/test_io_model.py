@@ -172,10 +172,12 @@ class TestLeontiefInverse:
             assert np.all(L >= -1e-12)
 
     def test_nonproductive_rejected(self):
-        with pytest.raises(NonProductive):
-            leontief_inverse(np.diag([1.0, 0.5]))
-        with pytest.raises(NonProductive):
-            leontief_inverse(np.array([[1.2]]))
+        for A in (np.diag([1.0, 0.5]), np.array([[1.2]]), helpers.BIPARTITE_A.T, helpers.BIPARTITE_2X2):
+            with pytest.raises(NonProductive):
+                leontief_inverse(A)
+        # the M-matrix certificate proves nothing for negative entries
+        with pytest.raises(DimensionMismatch, match="nonnegative"):
+            leontief_inverse(np.array([[-2.0]]))
 
     def test_inverse_times_system_is_identity(self, appendix_bundle):
         A = appendix_bundle.A

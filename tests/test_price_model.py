@@ -62,17 +62,23 @@ class TestBaselinePrices:
         assert p[1] > p[0] and p[1] > p[2]
 
     def test_nonproductive_bundle_raises(self):
-        sectors = SectorSet.from_ids(("a",))
-        bundle = CoefficientBundle(
-            sectors=sectors,
-            A=np.array([[1.0]]),
-            labor=np.zeros(1),
-            capital=np.zeros(1),
-            imports=np.zeros(1),
-            indirect_tax=np.zeros(1),
-        )
-        with pytest.raises(NonProductive):
-            baseline_prices(bundle)
+        for A in (np.array([[1.0]]), helpers.BIPARTITE_A):
+            n = len(A)
+            sectors = SectorSet.from_ids(tuple("abc"[:n]))
+            bundle = CoefficientBundle(
+                sectors=sectors,
+                A=A,
+                labor=np.zeros(n),
+                capital=np.zeros(n),
+                imports=np.zeros(n),
+                indirect_tax=np.zeros(n),
+            )
+            with pytest.raises(NonProductive):
+                baseline_prices(bundle)
+            with pytest.raises(NonProductive):
+                simulate_prices(bundle, RateSchedule.uniform_standard(sectors, 0.06))
+            with pytest.raises(NonProductive):
+                masked_inverse(A, np.ones(n))
 
 
 class TestRateMask:
