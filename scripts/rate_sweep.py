@@ -27,6 +27,8 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=11)
     parser.add_argument("--treatment", choices=["drop", "baseline"], default="drop")
     args = parser.parse_args()
+    if args.steps < 2:
+        parser.error("--steps must be at least 2")
 
     table, _ = load_io_table(DATA / "io_table.csv")
     bundle = derive_coefficients(table)

@@ -8,38 +8,27 @@ which is the easier starting point for custom experiments.
 
 from pathlib import Path
 
-import numpy as np
-
 from gstio import (
-    baseline_prices,
-    derive_coefficients,
+    GroupDimension,
+    balance_report,
     gap_ratios,
-    load_concordance,
-    load_expenditure,
-    load_io_table,
-    load_rate_schedule,
-    map_expenditure,
-    price_change_summary,
+    load_scenario,
     purchasing_power_change,
-    simulate_prices,
+    run_scenario,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "appendix3"
 
 
 def main() -> None:
-    table, balance = load_io_table(DATA / "io_table.csv")
+    result = run_scenario(load_scenario(DATA / "scenario.cfg"))
+    table = result.table
+    balance = balance_report(table)
     print(f"loaded {table.n} sectors, worst balance residual {balance.max_row_residual:.2e}")
-
-    schedule, warnings = load_rate_schedule(DATA / "rate_schedule.csv", table.sectors, gst_rate=0.06)
-    for w in warnings:
+    for w in result.schedule_warnings:
         print("warning:", w)
 
-    bundle = derive_coefficients(table)
-    base = baseline_prices(bundle)
-    post = simulate_prices(bundle, schedule)
-    summary = price_change_summary(post, output=table.x)
-
+    base, post, summary = result.baseline, result.price_level, result.summary
     print("\nsector price levels (baseline -> post-reform):")
     for i, sector_id in enumerate(table.sectors.ids):
         print(f"  {sector_id:4s} {base[i]:8.4f} -> {post[i]:8.4f}  ({summary.pct_change[i]:+.2f}%)")
@@ -49,10 +38,7 @@ def main() -> None:
         f"net decline: {summary.net_decline:.2f}%   weighted mean: {summary.weighted_mean:+.2f}%"
     )
 
-    expenditure = map_expenditure(
-        load_expenditure(DATA / "expenditure.csv"),
-        load_concordance(DATA / "concordance.csv", table.sectors),
-    )
+    expenditure = result.expenditure
     totals_before = expenditure.totals()
     totals_after = expenditure.values @ post
 
@@ -64,12 +50,14 @@ def main() -> None:
             f"{totals_before[h]:8.2f} -> {totals_after[h]:8.2f}  ({change:+.2f}%)"
         )
 
-    income_ids = [g.group_id for g in expenditure.groups if g.dimension.value == "income"]
-    totals = dict(zip(expenditure.group_ids, map(float, totals_after)))
-    ratios = gap_ratios({g: totals[g] for g in income_ids}, "inc1")
-    print("\npost-reform consumption gaps vs inc1:", {g: round(r, 3) for g, r in ratios.items()})
-
-    assert np.all(post > 0)
+    base_id = result.base_groups[GroupDimension.INCOME_CLASS]
+    income = {
+        group.group_id: float(totals_after[h])
+        for h, group in enumerate(expenditure.groups)
+        if group.dimension is GroupDimension.INCOME_CLASS
+    }
+    ratios = gap_ratios(income, base_id)
+    print(f"\npost-reform consumption gaps vs {base_id}:", {g: round(r, 3) for g, r in ratios.items()})
 
 
 if __name__ == "__main__":

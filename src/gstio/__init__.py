@@ -47,6 +47,7 @@ from .incidence import (
     HouseholdGroup,
     category_report,
     expenditure_change,
+    expenditure_change_on_items,
     gap_change_report,
     gap_ratios,
     purchasing_power_change,
@@ -58,6 +59,7 @@ from .ingest import (
     load_category_map,
     load_concordance,
     load_expenditure,
+    load_household,
     load_io_table,
     load_rate_schedule,
     map_expenditure,
@@ -91,6 +93,6 @@ from .price_model import (
     rate_mask,
     simulate_prices,
 )
-from .scenario import ScenarioConfig, load_scenario
+from .scenario import ScenarioConfig, ScenarioResult, load_scenario, run_scenario
 
 __version__ = "0.1.0"

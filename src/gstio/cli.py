@@ -24,50 +24,30 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import ProductivityReport, productivity_check
-from .errors import GstioError, MissingArtifact, NumericalError, UnknownBaseGroup
+from .errors import GstioError, MissingArtifact, NumericalError
 from .incidence import (
-    CategoryMap,
-    ExpenditureBasis,
     ExpenditureMatrix,
     GroupDimension,
     category_report,
-    expenditure_change,
-    gap_change_report,
+    expenditure_change_on_items,  # noqa: F401  (kept importable from gstio.cli)
     gap_ratios,
     purchasing_power_change,
 )
-from .ingest import (
-    align_expenditure,
-    load_category_map,
-    load_concordance,
-    load_expenditure,
-    load_io_table,
-    load_rate_schedule,
-    map_expenditure,
-)
-from .io_model import CoefficientBundle, IOTable, derive_coefficients
-from .price_model import (
-    MaskedInputTreatment,
-    PriceChangeSummary,
-    RateSchedule,
-    baseline_prices,
-    price_change_summary,
-    simulate_prices,
-)
-from .scenario import ScenarioConfig, load_scenario
+from .ingest import load_category_map, load_household, load_io_table, load_rate_schedule
+from .io_model import derive_coefficients
+from .price_model import MaskedInputTreatment
+from .scenario import ScenarioResult, load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-_DIMENSION_ORDER = tuple(GroupDimension)
 
 PRICE_TABLE = "price_changes"
 SUMMARY_TABLE = "summary"
@@ -126,25 +106,21 @@ def cmd_validate(args) -> int:
     ok = base_check.passed and masked_check.passed
 
     if args.expenditure:
-        if args.concordance:
-            matrix = load_expenditure(args.expenditure, basis=ExpenditureBasis.ITEM_CODES)
-            concordance = load_concordance(args.concordance, table.sectors)
-            mapped = map_expenditure(matrix, concordance)
-            before = matrix.totals()
-            err = float(np.max(np.abs(mapped.totals() - before) / before))
+        by_sector, by_category, weights = load_household(
+            args.expenditure, args.concordance, table.sectors
+        )
+        if weights is None:
+            print(f"expenditure: {len(by_sector.groups)} groups on sector codes")
+        else:
+            before = by_category.totals()
+            err = float(np.max(np.abs(by_sector.totals() - before) / before))
             print(
-                f"expenditure: {len(matrix.groups)} groups, {len(matrix.items)} items, "
+                f"expenditure: {len(by_category.groups)} groups, {len(by_category.items)} items, "
                 f"concordance conserves totals to {err:.3e}"
             )
-            items_for_categories = matrix.items
-        else:
-            matrix = load_expenditure(args.expenditure, basis=ExpenditureBasis.SECTOR_CODES)
-            align_expenditure(matrix, table.sectors)
-            print(f"expenditure: {len(matrix.groups)} groups on sector codes")
-            items_for_categories = matrix.items
         if args.category_map:
             cmap = load_category_map(args.category_map)
-            missing = [c for c in items_for_categories if c not in cmap.assignments]
+            missing = [c for c in by_category.items if c not in cmap.assignments]
             if missing:
                 print(f"category map: MISSING codes {', '.join(missing)}")
                 ok = False
@@ -161,110 +137,6 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Everything a report writer needs from one scenario execution."""
-
-    config: ScenarioConfig
-    table: IOTable
-    schedule: RateSchedule
-    schedule_warnings: tuple[str, ...]
-    bundle: CoefficientBundle
-    baseline: np.ndarray
-    price_level: np.ndarray
-    summary: PriceChangeSummary
-    expenditure: ExpenditureMatrix | None
-    delta: np.ndarray | None
-    category_expenditure: ExpenditureMatrix | None
-    category_delta: np.ndarray | None
-    category_map: CategoryMap | None
-    base_groups: dict[GroupDimension, str]
-
-
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Execute the price and incidence pipeline for one scenario."""
-    table, _ = load_io_table(config.io_table, allow_unbalanced=config.allow_unbalanced)
-    schedule, warnings = load_rate_schedule(
-        config.rate_schedule, table.sectors, gst_rate=config.gst_rate
-    )
-    bundle = derive_coefficients(table, check_balance=False)
-    baseline = baseline_prices(bundle)
-    price_level = simulate_prices(
-        bundle,
-        schedule,
-        masked_input_treatment=config.masked_input_treatment,
-        exempt_retains_input_tax=config.exempt_retains_input_tax,
-    )
-    summary = price_change_summary(price_level, output=table.x)
-
-    expenditure = delta = None
-    category_expenditure = category_delta = None
-    cmap = None
-    base_groups: dict[GroupDimension, str] = {}
-    if config.expenditure:
-        if config.concordance:
-            items_matrix = load_expenditure(config.expenditure, basis=ExpenditureBasis.ITEM_CODES)
-            concordance = load_concordance(config.concordance, table.sectors)
-            expenditure = map_expenditure(items_matrix, concordance)
-            # item-level price index: concordance-weighted sector prices
-            weights = concordance.weight_matrix(items_matrix.items)
-            item_prices = weights @ price_level
-            category_expenditure = items_matrix
-            category_delta = expenditure_change_on_items(items_matrix, item_prices)
-        else:
-            sector_matrix = load_expenditure(config.expenditure, basis=ExpenditureBasis.SECTOR_CODES)
-            expenditure = align_expenditure(sector_matrix, table.sectors)
-            category_expenditure = expenditure
-        delta = expenditure_change(expenditure, price_level)
-        if category_delta is None:
-            category_delta = delta
-        if config.category_map:
-            cmap = load_category_map(config.category_map)
-        base_groups = _resolve_base_groups(expenditure, config.base_groups)
-
-    return ScenarioResult(
-        config=config,
-        table=table,
-        schedule=schedule,
-        schedule_warnings=tuple(warnings),
-        bundle=bundle,
-        baseline=baseline,
-        price_level=price_level,
-        summary=summary,
-        expenditure=expenditure,
-        delta=delta,
-        category_expenditure=category_expenditure,
-        category_delta=category_delta,
-        category_map=cmap,
-        base_groups=base_groups,
-    )
-
-
-def expenditure_change_on_items(matrix: ExpenditureMatrix, item_prices: np.ndarray) -> np.ndarray:
-    """ΔE on the item basis, from concordance-weighted item price levels."""
-    return (np.asarray(item_prices, dtype=float) - 1.0) * matrix.values
-
-
-def _resolve_base_groups(
-    expenditure: ExpenditureMatrix, requested: dict[GroupDimension, str]
-) -> dict[GroupDimension, str]:
-    resolved: dict[GroupDimension, str] = {}
-    for dimension in _DIMENSION_ORDER:
-        ids = sorted(g.group_id for g in expenditure.groups if g.dimension is dimension)
-        if not ids:
-            continue
-        wanted = requested.get(dimension)
-        if wanted is not None:
-            if wanted not in ids:
-                raise UnknownBaseGroup(
-                    f"base group {wanted!r} not among {dimension.value} groups: {', '.join(ids)}"
-                )
-            resolved[dimension] = wanted
-        else:
-            resolved[dimension] = ids[0]
-    return resolved
 
 
 def _sorted_groups(expenditure: ExpenditureMatrix, dimension: GroupDimension):
@@ -314,9 +186,8 @@ def _write_run_outputs(result: ScenarioResult, target: Path, fmt) -> None:
     totals_before = expenditure.totals()
     totals_after = totals_before + delta.sum(axis=1)
 
-    incidence_rows = []
     gap_rows = []
-    for dimension in _DIMENSION_ORDER:
+    for dimension in GroupDimension:
         pairs = _sorted_groups(expenditure, dimension)
         if not pairs:
             continue
@@ -327,16 +198,6 @@ def _write_run_outputs(result: ScenarioResult, target: Path, fmt) -> None:
         ratios_after = gap_ratios(after, base_id)
         for h, group in pairs:
             pct = purchasing_power_change(totals_before[h], totals_after[h])
-            incidence_rows.append(
-                [
-                    dimension.value,
-                    group.group_id,
-                    group.label,
-                    fmt(totals_before[h]),
-                    fmt(totals_after[h]),
-                    fmt(pct),
-                ]
-            )
             gap_rows.append(
                 [
                     dimension.value,
@@ -352,7 +213,7 @@ def _write_run_outputs(result: ScenarioResult, target: Path, fmt) -> None:
     _write_csv(
         target / "incidence_by_group.csv",
         ["dimension", "group_id", "label", "total_before", "total_after", "pct_change"],
-        incidence_rows,
+        [row[:6] for row in gap_rows],
     )
     _write_csv(
         target / "gaps.csv",
@@ -373,7 +234,7 @@ def _write_run_outputs(result: ScenarioResult, target: Path, fmt) -> None:
         return
     report = category_report(result.category_expenditure, result.category_delta, result.category_map)
     by_group = {row.group.group_id: row for row in report.rows}
-    for dimension in _DIMENSION_ORDER:
+    for dimension in GroupDimension:
         pairs = _sorted_groups(result.category_expenditure, dimension)
         if not pairs:
             continue

@@ -134,6 +134,11 @@ def expenditure_change(expenditure: ExpenditureMatrix, price_level: np.ndarray) 
     return (p - 1.0) * expenditure.values
 
 
+def expenditure_change_on_items(matrix: ExpenditureMatrix, item_prices: np.ndarray) -> np.ndarray:
+    """ΔE on the item basis, from concordance-weighted item price levels."""
+    return (np.asarray(item_prices, dtype=float) - 1.0) * matrix.values
+
+
 @dataclass(frozen=True)
 class GroupCategoryBreakdown:
     """One group's row block of the category table.

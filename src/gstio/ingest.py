@@ -60,6 +60,7 @@ import numpy as np
 
 from .errors import (
     BasisMismatch,
+    DimensionMismatch,
     InvalidShare,
     ParseError,
     SchemaError,
@@ -387,11 +388,10 @@ def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CO
 
     if not groups:
         raise SchemaError("no expenditure rows", path=path, line=len(rows))
+    group_index = {group_id: h for h, group_id in enumerate(groups)}
     values = np.zeros((len(groups), len(items)))
-    for h, group_id in enumerate(groups):
-        for (gid, item), amount in amounts.items():
-            if gid == group_id:
-                values[h, item_index[item]] = amount
+    for (group_id, item), amount in amounts.items():
+        values[group_index[group_id], item_index[item]] = amount
     return ExpenditureMatrix(
         groups=tuple(groups.values()),
         items=tuple(items),
@@ -431,43 +431,42 @@ class Concordance:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
+        known = set(self.sectors.ids)
         sums: dict[str, float] = {}
         seen: set[tuple[str, str]] = set()
         for link in self.links:
             if not 0.0 < link.weight <= 1.0:
-                raise ValueError(
+                raise DimensionMismatch(
                     f"weight for ({link.item_code}, {link.sector_id}) must lie in (0, 1]"
                 )
-            if link.sector_id not in self.sectors.ids:
-                raise ValueError(f"link references unknown sector {link.sector_id!r}")
+            if link.sector_id not in known:
+                raise DimensionMismatch(f"link references unknown sector {link.sector_id!r}")
             key = (link.item_code, link.sector_id)
             if key in seen:
-                raise ValueError(f"duplicate link {key}")
+                raise DimensionMismatch(f"duplicate link {key}")
             seen.add(key)
             sums[link.item_code] = sums.get(link.item_code, 0.0) + link.weight
         bad = sorted(item for item, total in sums.items() if abs(total - 1.0) > 1e-9)
         if bad:
-            raise ValueError(f"weights do not sum to 1 for items: {', '.join(bad)}")
+            raise DimensionMismatch(f"weights do not sum to 1 for items: {', '.join(bad)}")
 
     @property
     def item_codes(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for link in self.links:
-            if link.item_code not in out:
-                out.append(link.item_code)
-        return tuple(out)
+        return tuple(dict.fromkeys(link.item_code for link in self.links))
 
     def weight_matrix(self, items: tuple[str, ...]) -> np.ndarray:
         """items × sectors weight matrix (rows sum to 1) for the given item order."""
-        missing = [item for item in items if item not in set(self.item_codes)]
+        mapped = set(self.item_codes)
+        missing = [item for item in items if item not in mapped]
         if missing:
             raise UnmappedItem(missing, context="concordance")
-        index = {item: j for j, item in enumerate(items)}
+        row = {item: j for j, item in enumerate(items)}
+        column = {sector_id: k for k, sector_id in enumerate(self.sectors.ids)}
         weights = np.zeros((len(items), len(self.sectors)))
         for link in self.links:
-            j = index.get(link.item_code)
+            j = row.get(link.item_code)
             if j is not None:
-                weights[j, self.sectors.index(link.sector_id)] = link.weight
+                weights[j, column[link.sector_id]] = link.weight
         return weights
 
 
@@ -477,6 +476,7 @@ def load_concordance(path, sectors: SectorSet) -> Concordance:
         raise SchemaError("empty file", path=path, line=1)
     if rows[0][:3] != ["item_code", "sector_id", "weight"]:
         raise SchemaError("header must be item_code,sector_id,weight", path=path, line=1, column=1)
+    known = set(sectors.ids)
     links = []
     for k, row in enumerate(rows[1:]):
         line = k + 2
@@ -484,7 +484,7 @@ def load_concordance(path, sectors: SectorSet) -> Concordance:
             continue
         _require_width(row, 3, path=path, line=line)
         item_code, sector_id, weight_cell = row
-        if sector_id not in sectors.ids:
+        if sector_id not in known:
             raise UnknownSector(f"unknown sector {sector_id!r}", path=path, line=line, column=2)
         weight = _cell_float(weight_cell, path=path, line=line, column=3)
         if not 0.0 < weight <= 1.0:
@@ -492,7 +492,7 @@ def load_concordance(path, sectors: SectorSet) -> Concordance:
         links.append(ConcordanceLink(item_code=item_code, sector_id=sector_id, weight=weight))
     try:
         return Concordance(sectors=sectors, links=tuple(links))
-    except ValueError as exc:
+    except DimensionMismatch as exc:
         raise SchemaError(str(exc), path=path) from exc
 
 
@@ -574,3 +574,23 @@ def align_expenditure(matrix: ExpenditureMatrix, sectors: SectorSet) -> Expendit
         values=values,
         basis=ExpenditureBasis.SECTOR_CODES,
     )
+
+
+def load_household(
+    expenditure, concordance, sectors: SectorSet
+) -> tuple[ExpenditureMatrix, ExpenditureMatrix, np.ndarray | None]:
+    """Load household spending on sectors and on the codes categories are reported in.
+
+    With a concordance the expenditure file is item-coded and mapped through
+    it: returns the mapped sector matrix, the item matrix and the items ×
+    sectors weights. Without one its item codes must be sector ids: returns
+    the matrix aligned to all sectors twice, and no weights.
+    """
+    if concordance is None:
+        aligned = align_expenditure(
+            load_expenditure(expenditure, basis=ExpenditureBasis.SECTOR_CODES), sectors
+        )
+        return aligned, aligned, None
+    items = load_expenditure(expenditure, basis=ExpenditureBasis.ITEM_CODES)
+    mapping = load_concordance(concordance, sectors)
+    return map_expenditure(items, mapping), items, mapping.weight_matrix(items.items)

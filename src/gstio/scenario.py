@@ -1,4 +1,5 @@
-"""Scenario configuration: one INI file describes one simulation run.
+"""Scenario configuration and execution: one INI file describes one simulation
+run, and ``run_scenario`` executes it from the IO table to household incidence.
 
 Frozen concrete syntax (paths are resolved relative to the config file)::
 
@@ -32,9 +33,26 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import SchemaError
-from .incidence import GroupDimension
-from .price_model import MaskedInputTreatment
+import numpy as np
+
+from .errors import SchemaError, UnknownBaseGroup
+from .incidence import (
+    CategoryMap,
+    ExpenditureMatrix,
+    GroupDimension,
+    expenditure_change,
+    expenditure_change_on_items,
+)
+from .ingest import load_category_map, load_household, load_io_table, load_rate_schedule
+from .io_model import CoefficientBundle, IOTable, derive_coefficients
+from .price_model import (
+    MaskedInputTreatment,
+    PriceChangeSummary,
+    RateSchedule,
+    baseline_prices,
+    price_change_summary,
+    simulate_prices,
+)
 
 _KNOWN_KEYS = {
     "inputs": {"io_table", "rate_schedule", "expenditure", "concordance", "category_map"},
@@ -168,3 +186,95 @@ def load_scenario(path) -> ScenarioConfig:
             parser["report"].get("allow_unbalanced", "false"), path=path, key="allow_unbalanced"
         ),
     )
+
+
+@dataclass(frozen=True)
+class ScenarioResult:
+    """Everything a report writer needs from one scenario execution."""
+
+    config: ScenarioConfig
+    table: IOTable
+    schedule: RateSchedule
+    schedule_warnings: tuple[str, ...]
+    bundle: CoefficientBundle
+    baseline: np.ndarray
+    price_level: np.ndarray
+    summary: PriceChangeSummary
+    expenditure: ExpenditureMatrix | None
+    delta: np.ndarray | None
+    category_expenditure: ExpenditureMatrix | None
+    category_delta: np.ndarray | None
+    category_map: CategoryMap | None
+    base_groups: dict[GroupDimension, str]
+
+
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """Execute the price and incidence pipeline for one scenario."""
+    table, _ = load_io_table(config.io_table, allow_unbalanced=config.allow_unbalanced)
+    schedule, warnings = load_rate_schedule(
+        config.rate_schedule, table.sectors, gst_rate=config.gst_rate
+    )
+    bundle = derive_coefficients(table, check_balance=False)
+    baseline = baseline_prices(bundle)
+    price_level = simulate_prices(
+        bundle,
+        schedule,
+        masked_input_treatment=config.masked_input_treatment,
+        exempt_retains_input_tax=config.exempt_retains_input_tax,
+    )
+    summary = price_change_summary(price_level, output=table.x)
+
+    expenditure = delta = None
+    category_expenditure = category_delta = None
+    cmap = None
+    base_groups: dict[GroupDimension, str] = {}
+    if config.expenditure:
+        expenditure, category_expenditure, weights = load_household(
+            config.expenditure, config.concordance, table.sectors
+        )
+        delta = expenditure_change(expenditure, price_level)
+        if weights is None:
+            category_delta = delta
+        else:
+            # item-level price index: concordance-weighted sector prices
+            category_delta = expenditure_change_on_items(category_expenditure, weights @ price_level)
+        if config.category_map:
+            cmap = load_category_map(config.category_map)
+        base_groups = _resolve_base_groups(expenditure, config.base_groups)
+
+    return ScenarioResult(
+        config=config,
+        table=table,
+        schedule=schedule,
+        schedule_warnings=tuple(warnings),
+        bundle=bundle,
+        baseline=baseline,
+        price_level=price_level,
+        summary=summary,
+        expenditure=expenditure,
+        delta=delta,
+        category_expenditure=category_expenditure,
+        category_delta=category_delta,
+        category_map=cmap,
+        base_groups=base_groups,
+    )
+
+
+def _resolve_base_groups(
+    expenditure: ExpenditureMatrix, requested: dict[GroupDimension, str]
+) -> dict[GroupDimension, str]:
+    resolved: dict[GroupDimension, str] = {}
+    for dimension in GroupDimension:
+        ids = sorted(g.group_id for g in expenditure.groups if g.dimension is dimension)
+        if not ids:
+            continue
+        wanted = requested.get(dimension)
+        if wanted is not None:
+            if wanted not in ids:
+                raise UnknownBaseGroup(
+                    f"base group {wanted!r} not among {dimension.value} groups: {', '.join(ids)}"
+                )
+            resolved[dimension] = wanted
+        else:
+            resolved[dimension] = ids[0]
+    return resolved

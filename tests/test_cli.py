@@ -117,6 +117,44 @@ class TestValidate:
         assert "VALIDATION FAILED" in captured.out
         assert captured.err.startswith("ERROR ValidationFailed:")
 
+    def test_category_map_checked_on_all_sectors(self, tmp_path, data_dir, capsys):
+        # sector-coded spending on agr and ind only: the category table runs
+        # over all three sectors, so a map without ser fails validate and run
+        (tmp_path / "spend.csv").write_text(
+            "group_id,dimension,label,item_code,amount\n"
+            "inc1,income,low,agr,60\ninc1,income,low,ind,40\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "map.csv").write_text(
+            "code,category\nagr,food_nonalcoholic\nind,misc_goods_services\n", encoding="utf-8"
+        )
+        (tmp_path / "s.cfg").write_text(
+            f"[inputs]\nio_table = {data_dir / 'io_table.csv'}\n"
+            f"rate_schedule = {data_dir / 'rate_schedule.csv'}\n"
+            "expenditure = spend.csv\ncategory_map = map.csv\n\n"
+            "[tax]\ngst_rate = 0.06\n\n[report]\noutput_dir = out\n",
+            encoding="utf-8",
+        )
+        code = main(
+            [
+                "validate",
+                "--table",
+                str(data_dir / "io_table.csv"),
+                "--schedule",
+                str(data_dir / "rate_schedule.csv"),
+                "--expenditure",
+                str(tmp_path / "spend.csv"),
+                "--category-map",
+                str(tmp_path / "map.csv"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "category map: MISSING codes ser" in out
+        assert main(["run", str(tmp_path / "s.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("ERROR UnmappedItem:")
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_appendix_scenario_outputs(self, data_dir, tmp_path, capsys):

@@ -8,6 +8,7 @@ from gstio import (
     Concordance,
     ConcordanceLink,
     ExpenditureBasis,
+    GstioError,
     InvalidShare,
     ParseError,
     RateCategory,
@@ -281,6 +282,19 @@ class TestConcordance:
         )
         with pytest.raises(SchemaError, match="sum to 1"):
             load_concordance(path, sectors)
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            (ConcordanceLink("x", "s1", 1.5),),
+            (ConcordanceLink("x", "nowhere", 1.0),),
+            (ConcordanceLink("x", "s1", 1.0), ConcordanceLink("x", "s1", 1.0)),
+            (ConcordanceLink("x", "s1", 0.5),),
+        ],
+    )
+    def test_constructor_raises_package_error(self, links):
+        with pytest.raises(GstioError):
+            Concordance(sectors=SectorSet.from_ids(("s1", "s2")), links=links)
 
     def test_unmapped_item_listed(self):
         sectors = SectorSet.from_ids(("s1",))
