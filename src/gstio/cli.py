@@ -39,7 +39,7 @@ from .incidence import (
     gap_ratios,
     purchasing_power_change,
 )
-from .ingest import load_category_map, load_household, load_io_table, load_rate_schedule
+from .ingest import _write_csv, load_category_map, load_household, load_io_table, load_rate_schedule
 from .io_model import derive_coefficients
 from .price_model import MaskedInputTreatment
 from .scenario import ScenarioResult, load_scenario, run_scenario
@@ -68,13 +68,6 @@ def _number_formatter(full_precision: bool):
     if full_precision:
         return lambda v: repr(float(v))
     return lambda v: format(float(v), ".6g")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,8 @@ def productivity_check(A: np.ndarray, mask: np.ndarray | None = None) -> Product
     """Estimate the spectral radius of A (or A'B̂ when a mask is given).
 
     Power iteration with a deterministic all-ones start vector, capped at
-    1000 iterations with 1e-12 convergence, so reports are reproducible.
+    POWER_MAX_ITERATIONS with POWER_TOLERANCE convergence (see
+    :func:`~gstio.io_model.spectral_radius`), so reports are reproducible.
     For A >= 0 a converged estimate is the radius (Gelfand: ‖Mᵏ1‖∞ = ‖Mᵏ‖∞).
     Passes iff it converged below 1 − 1e-9, so periodic matrices fail closed.
     The solvers do not consult this report; they certify themselves.

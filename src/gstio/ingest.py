@@ -1,8 +1,10 @@
 """CSV schemas, loading, validation and classification concordance.
 
 All files are UTF-8 CSV with a header row, '.' decimal separator and no
-thousands separators. Every load error names the file, line and column
-(1-based; the header is line 1).
+thousands separators. The header must start with the columns named below;
+further columns are ignored. Blank rows are skipped (except inside the IO
+table's sector block, which is positional). Every load error names the
+file, line and column, 1-based: the header is line 1.
 
 IO table (``load_io_table``)::
 
@@ -54,7 +56,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 
@@ -76,7 +78,6 @@ from .incidence import (
     HouseholdGroup,
 )
 from .io_model import (
-    BALANCE_TOLERANCE,
     BalanceReport,
     IOTable,
     SectorSet,
@@ -91,11 +92,7 @@ IMPORTS_ROW = "IMPORTS"
 INDIRECT_TAX_ROW = "INDIRECT_TAX"
 DEMAND_COLUMNS = ("FINAL_DEMAND", "EXPORTS", "OUTPUT")
 
-_CATEGORY_TOKENS = {
-    "standard": RateCategory.STANDARD_RATED,
-    "zero_rated": RateCategory.ZERO_RATED,
-    "exempt": RateCategory.EXEMPT,
-}
+_CATEGORY_TOKENS = {c.value: c for c in RateCategory}
 
 _DIMENSION_TOKENS = {d.value: d for d in GroupDimension}
 
@@ -103,9 +100,34 @@ _DIMENSION_TOKENS = {d.value: d for d in GroupDimension}
 def _read_rows(path) -> list[list[str]]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            return [row for row in csv.reader(handle)]
+            rows = list(csv.reader(handle))
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
+    if not rows:
+        raise SchemaError("empty file", path=path, line=1)
+    return rows
+
+
+def _records(path, header: tuple[str, ...]):
+    """Yield ``(line, row)`` for each non-blank data row of a CSV file.
+
+    The header row must start with ``header``; lines are 1-based, so the
+    first data row is line 2.
+    """
+    rows = iter(_read_rows(path))
+    if tuple(next(rows)[: len(header)]) != header:
+        raise SchemaError(f"header must start with {','.join(header)}", path=path, line=1, column=1)
+    for line, row in enumerate(rows, start=2):
+        if row not in ([], [""]):
+            yield line, row
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows`` as UTF-8 CSV with Unix line endings."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _cell_float(cell: str, *, path, line: int, column: int) -> float:
@@ -125,16 +147,13 @@ def _require_width(row: list[str], width: int, *, path, line: int) -> None:
         )
 
 
-def load_io_table(
-    path,
-    *,
-    allow_unbalanced: bool = False,
-    balance_tolerance: float = BALANCE_TOLERANCE,
-) -> tuple[IOTable, BalanceReport]:
-    """Load a flow table, validate it and return it with its balance report."""
+def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, BalanceReport]:
+    """Load a flow table, validate it and return it with its balance report.
+
+    Raises :class:`Unbalanced` beyond BALANCE_TOLERANCE unless
+    ``allow_unbalanced``; the report is returned either way.
+    """
     rows = _read_rows(path)
-    if not rows:
-        raise SchemaError("empty file", path=path, line=1)
     header = rows[0]
     if len(header) < 6 or header[0] != "sector_id" or header[1] != "sector_name":
         raise SchemaError(
@@ -228,34 +247,34 @@ def load_io_table(
     )
     report = balance_report(table)
     if not allow_unbalanced:
-        table.check_balance(balance_tolerance)
+        table.check_balance()
     return table, report
 
 
 def save_io_table(table: IOTable, path) -> None:
     """Serialize a table in the load_io_table schema, bit-exact on reload."""
     ids = table.sectors.ids
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["sector_id", "sector_name", *ids, *DEMAND_COLUMNS])
-        for i, sector_id in enumerate(ids):
-            writer.writerow(
-                [
-                    sector_id,
-                    table.sectors.names[i],
-                    *(repr(float(v)) for v in table.Z[i]),
-                    repr(float(table.f[i])),
-                    repr(float(table.e[i])),
-                    repr(float(table.x[i])),
-                ]
-            )
+    sector_rows = (
+        [
+            sector_id,
+            table.sectors.names[i],
+            *(repr(float(v)) for v in table.Z[i]),
+            repr(float(table.f[i])),
+            repr(float(table.e[i])),
+            repr(float(table.x[i])),
+        ]
+        for i, sector_id in enumerate(ids)
+    )
+    primary_rows = (
+        [label, "", *(repr(float(v)) for v in values), "", "", ""]
         for label, values in (
             (LABOR_ROW, table.labor),
             (CAPITAL_ROW, table.capital),
             (IMPORTS_ROW, table.imports),
             (INDIRECT_TAX_ROW, table.indirect_tax),
-        ):
-            writer.writerow([label, "", *(repr(float(v)) for v in values), "", "", ""])
+        )
+    )
+    _write_csv(path, ["sector_id", "sector_name", *ids, *DEMAND_COLUMNS], chain(sector_rows, primary_rows))
 
 
 def load_rate_schedule(
@@ -270,20 +289,10 @@ def load_rate_schedule(
     so it is passed in. Returns the schedule plus one warning per defaulted
     sector.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise SchemaError("empty file", path=path, line=1)
-    if rows[0][:3] != ["sector_id", "category", "standard_share"]:
-        raise SchemaError(
-            "header must be sector_id,category,standard_share,note", path=path, line=1, column=1
-        )
     n = len(sectors)
     categories: list[RateCategory | None] = [None] * n
     shares = np.ones(n)
-    for k, row in enumerate(rows[1:]):
-        line = k + 2
-        if not row or (len(row) == 1 and not row[0]):
-            continue
+    for line, row in _records(path, ("sector_id", "category", "standard_share")):
         if len(row) < 3:
             raise ParseError(f"expected at least 3 fields, got {len(row)}", path=path, line=line, column=len(row) + 1)
         sector_id, token, share_cell = row[0], row[1], row[2]
@@ -331,32 +340,23 @@ def load_rate_schedule(
 
 
 def save_rate_schedule(schedule: RateSchedule, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["sector_id", "category", "standard_share", "note"])
-        for i, sector_id in enumerate(schedule.sectors.ids):
-            writer.writerow(
-                [sector_id, schedule.categories[i].value, repr(float(schedule.standard_share[i])), ""]
-            )
+    _write_csv(
+        path,
+        ["sector_id", "category", "standard_share", "note"],
+        (
+            [sector_id, schedule.categories[i].value, repr(float(schedule.standard_share[i])), ""]
+            for i, sector_id in enumerate(schedule.sectors.ids)
+        ),
+    )
 
 
 def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CODES) -> ExpenditureMatrix:
     """Load long-format group expenditure rows into a matrix."""
-    rows = _read_rows(path)
-    if not rows:
-        raise SchemaError("empty file", path=path, line=1)
-    if rows[0][:5] != ["group_id", "dimension", "label", "item_code", "amount"]:
-        raise SchemaError(
-            "header must be group_id,dimension,label,item_code,amount", path=path, line=1, column=1
-        )
     groups: dict[str, HouseholdGroup] = {}
     items: list[str] = []
     item_index: dict[str, int] = {}
     amounts: dict[tuple[str, str], float] = {}
-    for k, row in enumerate(rows[1:]):
-        line = k + 2
-        if not row or (len(row) == 1 and not row[0]):
-            continue
+    for line, row in _records(path, ("group_id", "dimension", "label", "item_code", "amount")):
         _require_width(row, 5, path=path, line=line)
         group_id, dim_token, label, item_code, amount_cell = row
         try:
@@ -387,7 +387,7 @@ def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CO
         amounts[key] = amounts.get(key, 0.0) + amount
 
     if not groups:
-        raise SchemaError("no expenditure rows", path=path, line=len(rows))
+        raise SchemaError("no expenditure rows", path=path, line=1)
     group_index = {group_id: h for h, group_id in enumerate(groups)}
     values = np.zeros((len(groups), len(items)))
     for (group_id, item), amount in amounts.items():
@@ -401,14 +401,15 @@ def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CO
 
 
 def save_expenditure(matrix: ExpenditureMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["group_id", "dimension", "label", "item_code", "amount"])
-        for h, group in enumerate(matrix.groups):
-            for j, item in enumerate(matrix.items):
-                writer.writerow(
-                    [group.group_id, group.dimension.value, group.label, item, repr(float(matrix.values[h, j]))]
-                )
+    _write_csv(
+        path,
+        ["group_id", "dimension", "label", "item_code", "amount"],
+        (
+            [group.group_id, group.dimension.value, group.label, item, repr(float(matrix.values[h, j]))]
+            for h, group in enumerate(matrix.groups)
+            for j, item in enumerate(matrix.items)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -431,7 +432,6 @@ class Concordance:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
-        known = set(self.sectors.ids)
         sums: dict[str, float] = {}
         seen: set[tuple[str, str]] = set()
         for link in self.links:
@@ -439,7 +439,7 @@ class Concordance:
                 raise DimensionMismatch(
                     f"weight for ({link.item_code}, {link.sector_id}) must lie in (0, 1]"
                 )
-            if link.sector_id not in known:
+            if link.sector_id not in self.sectors:
                 raise DimensionMismatch(f"link references unknown sector {link.sector_id!r}")
             key = (link.item_code, link.sector_id)
             if key in seen:
@@ -461,30 +461,20 @@ class Concordance:
         if missing:
             raise UnmappedItem(missing, context="concordance")
         row = {item: j for j, item in enumerate(items)}
-        column = {sector_id: k for k, sector_id in enumerate(self.sectors.ids)}
         weights = np.zeros((len(items), len(self.sectors)))
         for link in self.links:
             j = row.get(link.item_code)
             if j is not None:
-                weights[j, column[link.sector_id]] = link.weight
+                weights[j, self.sectors.index(link.sector_id)] = link.weight
         return weights
 
 
 def load_concordance(path, sectors: SectorSet) -> Concordance:
-    rows = _read_rows(path)
-    if not rows:
-        raise SchemaError("empty file", path=path, line=1)
-    if rows[0][:3] != ["item_code", "sector_id", "weight"]:
-        raise SchemaError("header must be item_code,sector_id,weight", path=path, line=1, column=1)
-    known = set(sectors.ids)
     links = []
-    for k, row in enumerate(rows[1:]):
-        line = k + 2
-        if not row or (len(row) == 1 and not row[0]):
-            continue
+    for line, row in _records(path, ("item_code", "sector_id", "weight")):
         _require_width(row, 3, path=path, line=line)
         item_code, sector_id, weight_cell = row
-        if sector_id not in known:
+        if sector_id not in sectors:
             raise UnknownSector(f"unknown sector {sector_id!r}", path=path, line=line, column=2)
         weight = _cell_float(weight_cell, path=path, line=line, column=3)
         if not 0.0 < weight <= 1.0:
@@ -497,25 +487,17 @@ def load_concordance(path, sectors: SectorSet) -> Concordance:
 
 
 def save_concordance(concordance: Concordance, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["item_code", "sector_id", "weight"])
-        for link in concordance.links:
-            writer.writerow([link.item_code, link.sector_id, repr(float(link.weight))])
+    _write_csv(
+        path,
+        ["item_code", "sector_id", "weight"],
+        ([link.item_code, link.sector_id, repr(float(link.weight))] for link in concordance.links),
+    )
 
 
 def load_category_map(path) -> CategoryMap:
-    rows = _read_rows(path)
-    if not rows:
-        raise SchemaError("empty file", path=path, line=1)
-    if rows[0][:2] != ["code", "category"]:
-        raise SchemaError("header must be code,category", path=path, line=1, column=1)
     categories: list[str] = []
     assignments: dict[str, str] = {}
-    for k, row in enumerate(rows[1:]):
-        line = k + 2
-        if not row or (len(row) == 1 and not row[0]):
-            continue
+    for line, row in _records(path, ("code", "category")):
         _require_width(row, 2, path=path, line=line)
         code, category = row
         if code in assignments:
@@ -524,16 +506,12 @@ def load_category_map(path) -> CategoryMap:
             categories.append(category)
         assignments[code] = category
     if not assignments:
-        raise SchemaError("no category assignments", path=path, line=len(rows))
+        raise SchemaError("no category assignments", path=path, line=1)
     return CategoryMap(categories=tuple(categories), assignments=assignments)
 
 
 def save_category_map(category_map: CategoryMap, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["code", "category"])
-        for code, category in category_map.assignments.items():
-            writer.writerow([code, category])
+    _write_csv(path, ["code", "category"], category_map.assignments.items())
 
 
 def map_expenditure(matrix: ExpenditureMatrix, concordance: Concordance) -> ExpenditureMatrix:
@@ -562,7 +540,7 @@ def align_expenditure(matrix: ExpenditureMatrix, sectors: SectorSet) -> Expendit
     """
     if matrix.basis is not ExpenditureBasis.SECTOR_CODES:
         raise BasisMismatch("align_expenditure requires a sector-coded matrix")
-    unknown = [item for item in matrix.items if item not in sectors.ids]
+    unknown = [item for item in matrix.items if item not in sectors]
     if unknown:
         raise UnmappedItem(unknown, context="sector set")
     values = np.zeros((len(matrix.groups), len(sectors)))

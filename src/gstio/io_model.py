@@ -16,16 +16,22 @@ operation is a pure function and instances can be shared across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonProductive, Unbalanced, ZeroOutput
 
-# Published IO tables carry rounding; this is the default slack on the
-# accounting identities (relative to each sector's gross output).
+# Published IO tables carry rounding; this is the slack on the accounting
+# identities (relative to each sector's gross output).
 BALANCE_TOLERANCE = 1e-6
 
 PRODUCTIVITY_EPSILON = 1e-9
+
+# Power iteration stops once successive growth estimates agree to this
+# relative tolerance, or reports non-convergence after the iteration cap.
+POWER_TOLERANCE = 1e-12
+POWER_MAX_ITERATIONS = 1000
 
 
 def _frozen(values, shape=None) -> np.ndarray:
@@ -57,9 +63,13 @@ class SectorSet:
             raise DimensionMismatch("sector ids and names differ in length")
         if any(not s for s in self.ids):
             raise DimensionMismatch("sector ids must be non-empty strings")
-        if len(set(self.ids)) != len(self.ids):
-            dupes = sorted({s for s in self.ids if self.ids.count(s) > 1})
+        if len(self._positions) != len(self.ids):
+            dupes = sorted({s for i, s in enumerate(self.ids) if self._positions[s] != i})
             raise DimensionMismatch(f"duplicate sector ids: {', '.join(dupes)}")
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {sector_id: i for i, sector_id in enumerate(self.ids)}
 
     @classmethod
     def from_ids(cls, ids) -> "SectorSet":
@@ -69,11 +79,12 @@ class SectorSet:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def __contains__(self, sector_id) -> bool:
+        return sector_id in self._positions
+
     def index(self, sector_id: str) -> int:
-        try:
-            return self.ids.index(sector_id)
-        except ValueError:
-            raise KeyError(sector_id) from None
+        """Position of ``sector_id``; raises ``KeyError`` for an unknown id."""
+        return self._positions[sector_id]
 
 
 @dataclass(frozen=True)
@@ -120,13 +131,13 @@ class IOTable:
     def n(self) -> int:
         return len(self.sectors)
 
-    def check_balance(self, tolerance: float = BALANCE_TOLERANCE) -> None:
-        """Raise :class:`Unbalanced` if either accounting identity fails."""
+    def check_balance(self) -> None:
+        """Raise :class:`Unbalanced` if either identity fails by more than BALANCE_TOLERANCE."""
         report = balance_report(self)
-        if not report.within(tolerance):
+        if not report.within(BALANCE_TOLERANCE):
             raise Unbalanced(
                 "table violates balance at relative tolerance "
-                f"{tolerance:g} (worst row residual {report.max_row_residual:.3e} "
+                f"{BALANCE_TOLERANCE:g} (worst row residual {report.max_row_residual:.3e} "
                 f"at sector {self.sectors.ids[report.worst_row_sector]}, "
                 f"worst column residual {report.max_column_residual:.3e} "
                 f"at sector {self.sectors.ids[report.worst_column_sector]})"
@@ -221,20 +232,15 @@ def balance_report(table: IOTable) -> BalanceReport:
     )
 
 
-def derive_coefficients(
-    table: IOTable,
-    *,
-    check_balance: bool = True,
-    balance_tolerance: float = BALANCE_TOLERANCE,
-) -> CoefficientBundle:
+def derive_coefficients(table: IOTable, *, check_balance: bool = True) -> CoefficientBundle:
     """Divide flows by gross output: A = Z x̂⁻¹ and primary rows / x.
 
     Raises :class:`Unbalanced` when the source table fails its accounting
-    identities (skip with ``check_balance=False`` for tables with known
-    rounding).
+    identities by more than BALANCE_TOLERANCE (skip with
+    ``check_balance=False`` for tables with known rounding).
     """
     if check_balance:
-        table.check_balance(balance_tolerance)
+        table.check_balance()
     return CoefficientBundle(
         sectors=table.sectors,
         A=table.Z / table.x[np.newaxis, :],
@@ -252,15 +258,11 @@ def _square(M) -> np.ndarray:
     return M
 
 
-def spectral_radius(
-    M: np.ndarray,
-    *,
-    tolerance: float = 1e-12,
-    max_iterations: int = 1000,
-) -> tuple[float, int, bool]:
+def spectral_radius(M: np.ndarray) -> tuple[float, int, bool]:
     """Estimate the spectral radius of a square matrix by power iteration.
 
-    Deterministic all-ones start vector, infinity-norm growth estimate.
+    Deterministic all-ones start vector, infinity-norm growth estimate,
+    POWER_TOLERANCE convergence and at most POWER_MAX_ITERATIONS steps.
     Returns ``(radius, iterations, converged)``. For M >= 0 a converged
     estimate is the Perron root; on periodic (e.g. bipartite) M the estimate
     oscillates, and the unconverged last ratio can lie far below the radius.
@@ -268,16 +270,16 @@ def spectral_radius(
     M = _square(M)
     v = np.ones(M.shape[0])
     estimate = 0.0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, POWER_MAX_ITERATIONS + 1):
         w = M @ v
         norm = float(np.linalg.norm(w, np.inf))
         if norm == 0.0:
             return 0.0, iteration, True
-        if abs(norm - estimate) <= tolerance * max(norm, 1.0):
+        if abs(norm - estimate) <= POWER_TOLERANCE * max(norm, 1.0):
             return norm, iteration, True
         estimate = norm
         v = w / norm
-    return estimate, max_iterations, False
+    return estimate, POWER_MAX_ITERATIONS, False
 
 
 def _solve_productive(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -132,8 +132,6 @@ def load_scenario(path) -> ScenarioConfig:
         gst_rate = float(rate_value)
     except ValueError:
         raise SchemaError(f"gst_rate is not a number: {rate_value!r}", path=path) from None
-    if not 0.0 <= gst_rate < 1.0:
-        raise SchemaError(f"gst_rate must lie in [0, 1), got {gst_rate}", path=path)
 
     treatment_value = parser["tax"].get("masked_input_treatment", "drop").strip().lower()
     try:

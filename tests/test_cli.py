@@ -224,6 +224,21 @@ class TestRun:
         rows = _read(tmp_path / "out" / "price_changes.csv").strip().splitlines()[1:]
         assert all(row.split(",")[4] == "0" for row in rows)
 
+    def test_out_of_range_scenario_gst_rate_exits_2(self, data_dir, tmp_path, capsys):
+        # the rate range is the schedule's rule, whichever input sets the rate
+        (tmp_path / "s.cfg").write_text(
+            f"[inputs]\nio_table = {data_dir / 'io_table.csv'}\n"
+            f"rate_schedule = {data_dir / 'rate_schedule.csv'}\n\n"
+            "[tax]\ngst_rate = 1.5\n\n[report]\noutput_dir = out\n",
+            encoding="utf-8",
+        )
+        code = main(["run", str(tmp_path / "s.cfg")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ERROR InvalidSchedule:")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_treatment_override_changes_result(self, data_dir, tmp_path):
         drop_dir, kept_dir = tmp_path / "drop", tmp_path / "kept"
         main(["run", str(data_dir / "scenario.cfg"), "-o", str(drop_dir)])

@@ -41,6 +41,53 @@ def _write(tmp_path, name, text):
     return path
 
 
+DIALECT_CASES = {
+    "rate_schedule": (
+        lambda path: load_rate_schedule(path, SectorSet.from_ids(("a", "b"))),
+        "sector_id,category,standard_share,note",
+        ("a,standard,1,", "b,exempt,0,"),
+        ("a,standard", 3),
+    ),
+    "expenditure": (
+        load_expenditure,
+        "group_id,dimension,label,item_code,amount",
+        ("g1,income,low,food,10", "g1,income,low,fuel,5"),
+        ("g1,income,low,food", 5),
+    ),
+    "concordance": (
+        lambda path: load_concordance(path, SectorSet.from_ids(("a", "b"))),
+        "item_code,sector_id,weight",
+        ("x,a,1", "y,b,1"),
+        ("x,a", 3),
+    ),
+    "category_map": (load_category_map, "code,category", ("x,c1", "y,c2"), ("x", 2)),
+}
+
+
+@pytest.mark.parametrize("name", DIALECT_CASES)
+def test_row_loaders_share_one_dialect(tmp_path, name):
+    load, header, (first, second), (short, column) = DIALECT_CASES[name]
+    path = tmp_path / f"{name}.csv"
+
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load(path)
+    assert info.value.line == 1
+
+    path.write_text(f"wrong,header\n{first}\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load(path)
+    assert (info.value.line, info.value.column) == (1, 1)
+
+    path.write_text(f"{header}\n{first}\n\n{second}\n", encoding="utf-8")
+    load(path)
+
+    path.write_text(f"{header}\n{first}\n\n{short}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert (info.value.line, info.value.column) == (4, column)
+
+
 class TestLoadIOTable:
     def test_bundled_fixture_matches_appendix_coefficients(self, data_dir):
         table, report = load_io_table(data_dir / "io_table.csv")

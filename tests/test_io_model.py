@@ -25,6 +25,8 @@ class TestSectorSet:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DimensionMismatch, match="duplicate"):
             SectorSet(ids=("a", "a"), names=("x", "y"))
+        with pytest.raises(DimensionMismatch, match="duplicate sector ids: a, b$"):
+            SectorSet.from_ids(("b", "a", "c", "b", "a", "a"))
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -35,6 +37,9 @@ class TestSectorSet:
         assert sectors.index("b") == 1
         with pytest.raises(KeyError):
             sectors.index("zzz")
+        assert "c" in sectors and "zzz" not in sectors
+        assert sectors == SectorSet.from_ids(("a", "b", "c"))
+        assert hash(sectors) == hash(SectorSet.from_ids(("a", "b", "c")))
 
 
 class TestIOTableValidation:
