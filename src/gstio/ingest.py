@@ -140,6 +140,23 @@ def _cell_float(cell: str, *, path, line: int, column: int) -> float:
     return value
 
 
+def _row_floats(cells: list[str], *, path, line: int) -> np.ndarray:
+    """Parse a row's numeric cells, which start at column 3, in one numpy call.
+
+    numpy converts each str with Python's ``float``. Only when a cell is not
+    a finite number is the row walked cell by cell, to raise the
+    ``ParseError`` at its column; if the walk finds no bad cell, its values
+    are returned, so a stricter numpy never changes a result.
+    """
+    try:
+        values = np.array(cells, dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array([_cell_float(cell, path=path, line=line, column=3 + j) for j, cell in enumerate(cells)])
+
+
 def _require_width(row: list[str], width: int, *, path, line: int) -> None:
     if len(row) != width:
         raise ParseError(
@@ -155,13 +172,13 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
     """
     rows = _read_rows(path)
     header = rows[0]
-    if len(header) < 6 or header[0] != "sector_id" or header[1] != "sector_name":
+    if header[:2] != ["sector_id", "sector_name"]:
         raise SchemaError(
             "header must start with sector_id,sector_name", path=path, line=1, column=1
         )
     if tuple(header[-3:]) != DEMAND_COLUMNS:
         raise SchemaError(
-            f"header must end with {','.join(DEMAND_COLUMNS)}", path=path, line=1, column=len(header) - 2
+            f"header must end with {','.join(DEMAND_COLUMNS)}", path=path, line=1, column=max(len(header) - 2, 3)
         )
     ids = tuple(header[2:-3])
     n = len(ids)
@@ -188,11 +205,9 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
                 column=1,
             )
         names.append(row[1])
-        for j in range(n):
-            Z[i, j] = _cell_float(row[2 + j], path=path, line=line, column=3 + j)
-        f[i] = _cell_float(row[2 + n], path=path, line=line, column=3 + n)
-        e[i] = _cell_float(row[3 + n], path=path, line=line, column=4 + n)
-        x[i] = _cell_float(row[4 + n], path=path, line=line, column=5 + n)
+        values = _row_floats(row[2:], path=path, line=line)
+        Z[i] = values[:n]
+        f[i], e[i], x[i] = values[n:]
 
     primary: dict[str, np.ndarray] = {}
     for k, row in enumerate(data_rows[n:]):
@@ -205,10 +220,7 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
             raise SchemaError(f"duplicate primary-input row {label}", path=path, line=line, column=1)
         if label not in (LABOR_ROW, CAPITAL_ROW, VALUE_ADDED_ROW, IMPORTS_ROW, INDIRECT_TAX_ROW):
             raise SchemaError(f"unknown row label {label!r}", path=path, line=line, column=1)
-        values = np.array(
-            [_cell_float(row[2 + j], path=path, line=line, column=3 + j) for j in range(n)]
-        )
-        primary[label] = values
+        primary[label] = _row_floats(row[2 : 2 + n], path=path, line=line)
 
     if VALUE_ADDED_ROW in primary and (LABOR_ROW in primary or CAPITAL_ROW in primary):
         raise SchemaError(
@@ -352,7 +364,7 @@ def save_rate_schedule(schedule: RateSchedule, path) -> None:
 
 def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CODES) -> ExpenditureMatrix:
     """Load long-format group expenditure rows into a matrix."""
-    groups: dict[str, HouseholdGroup] = {}
+    groups: dict[str, tuple[GroupDimension, str]] = {}
     items: list[str] = []
     item_index: dict[str, int] = {}
     amounts: dict[tuple[str, str], float] = {}
@@ -368,9 +380,7 @@ def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CO
                 line=line,
                 column=2,
             ) from None
-        group = HouseholdGroup(group_id=group_id, dimension=dimension, label=label)
-        seen = groups.setdefault(group_id, group)
-        if seen != group:
+        if groups.setdefault(group_id, (dimension, label)) != (dimension, label):
             raise SchemaError(
                 f"group {group_id!r} redefined with different dimension/label",
                 path=path,
@@ -393,7 +403,10 @@ def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CO
     for (group_id, item), amount in amounts.items():
         values[group_index[group_id], item_index[item]] = amount
     return ExpenditureMatrix(
-        groups=tuple(groups.values()),
+        groups=tuple(
+            HouseholdGroup(group_id=group_id, dimension=dimension, label=label)
+            for group_id, (dimension, label) in groups.items()
+        ),
         items=tuple(items),
         values=values,
         basis=basis,

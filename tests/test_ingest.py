@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from gstio import (
     Concordance,
     ConcordanceLink,
     ExpenditureBasis,
+    GroupDimension,
     GstioError,
+    HouseholdGroup,
     InvalidShare,
     ParseError,
     RateCategory,
@@ -33,6 +37,7 @@ from gstio import (
 )
 
 IO_HEADER = "sector_id,sector_name,a,b,FINAL_DEMAND,EXPORTS,OUTPUT\n"
+PRIMARY_LABELS = ("LABOR", "CAPITAL", "IMPORTS", "INDIRECT_TAX")
 
 
 def _write(tmp_path, name, text):
@@ -118,17 +123,113 @@ class TestLoadIOTable:
             load_io_table(path)
 
     def test_bad_number_reports_position(self, tmp_path):
-        for cell in ("zzz", "nan", "-inf", "1e999"):
-            path = _write(
-                tmp_path,
-                "t.csv",
-                IO_HEADER
-                + f"a,A,0,{cell},1,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n",
-            )
-            with pytest.raises(ParseError) as info:
-                load_io_table(path)
-            assert info.value.line == 2
-            assert info.value.column == 4
+        bodies = {
+            (2, 4): "a,A,0,{cell},1,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n",
+            (3, 7): "a,A,0,0,1,0,1\nb,B,0,0,1,0,{cell}\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n",
+            (5, 4): "a,A,0,0,1,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,{cell},,,\nINDIRECT_TAX,,0,0,,,\n",
+        }
+        for position, body in bodies.items():
+            for cell in ("zzz", "nan", "-inf", "1e999"):
+                path = _write(tmp_path, "t.csv", IO_HEADER + body.format(cell=cell))
+                with pytest.raises(ParseError) as info:
+                    load_io_table(path)
+                assert (info.value.line, info.value.column) == position, (position, cell)
+
+    def test_first_error_in_file_order_is_reported(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "t.csv",
+            IO_HEADER + "a,A,0,zzz,1,0,1\nb,B,0,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n",
+        )
+        with pytest.raises(ParseError) as info:
+            load_io_table(path)
+        assert (info.value.line, info.value.column) == (2, 4)
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from(("zzz", "nan", "1e999", "")),
+    )
+    def test_bad_token_anywhere_is_located(self, tmp_path, n, seed, token):
+        rng = np.random.default_rng(seed)
+        ids = [f"s{i}" for i in range(n)]
+        rows = [["sector_id", "sector_name", *ids, "FINAL_DEMAND", "EXPORTS", "OUTPUT"]]
+        rows += [[sector_id, "", *map(repr, rng.uniform(0, 10, n + 3).tolist())] for sector_id in ids]
+        rows += [[label, "", *map(repr, rng.uniform(0, 10, n).tolist()), "", "", ""] for label in PRIMARY_LABELS]
+        line = int(rng.integers(2, len(rows) + 1))
+        numeric_cells = n + 3 if line <= n + 1 else n
+        column = int(rng.integers(3, 3 + numeric_cells))
+        rows[line - 1][column - 1] = token
+        path = _write(tmp_path, "t.csv", "".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(ParseError) as info:
+            load_io_table(path, allow_unbalanced=True)
+        assert (info.value.line, info.value.column) == (line, column)
+
+    def test_numbers_parse_exactly_as_float(self, tmp_path):
+        rows = (
+            "a,A,4.9e-324,1_0, 2,-0.0,+3",
+            "b,B,-0.0, 2,4.9e-324,+3,1_0",
+            "VALUE_ADDED,,+3,-0.0,,,",
+            "IMPORTS,,1_0, 2,,,",
+            "INDIRECT_TAX,,4.9e-324,-0.0,,,",
+        )
+        path = _write(tmp_path, "t.csv", IO_HEADER + "\n".join(rows) + "\n")
+        table, _ = load_io_table(path, allow_unbalanced=True)
+        cells = [row.split(",")[2:] for row in rows]
+        loaded = [
+            [*table.Z[0], table.f[0], table.e[0], table.x[0]],
+            [*table.Z[1], table.f[1], table.e[1], table.x[1]],
+            table.capital,
+            table.imports,
+            table.indirect_tax,
+        ]
+        for row_cells, values in zip(cells, loaded):
+            expected = np.array([float(cell) for cell in row_cells[: len(values)]])
+            # Compared bit for bit, so the sign of zero counts.
+            np.testing.assert_array_equal(np.asarray(values).view(np.int64), expected.view(np.int64))
+
+    def test_numpy_rejection_falls_back_to_float(self, tmp_path, monkeypatch):
+        array = np.array
+
+        def strict_array(obj, *args, **kwargs):
+            if kwargs.get("dtype") is float and isinstance(obj, list) and any("_" in cell for cell in obj):
+                raise ValueError("strict parser")
+            return array(obj, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array", strict_array)
+        path = _write(
+            tmp_path,
+            "t.csv",
+            IO_HEADER + "a,A,0,0,1_0,0,1_0\nb,B,0,0,1,0,1\nVALUE_ADDED,,0,1,,,\nIMPORTS,,1_0,0,,,\nINDIRECT_TAX,,0,0,,,\n",
+        )
+        table, _ = load_io_table(path)
+        np.testing.assert_array_equal(table.f, [10.0, 1.0])
+        np.testing.assert_array_equal(table.x, [10.0, 1.0])
+        np.testing.assert_array_equal(table.imports, [10.0, 0.0])
+
+    @pytest.mark.parametrize(
+        ("header", "message", "column"),
+        [
+            ("sector_id,sector_name,FINAL_DEMAND,EXPORTS,OUTPUT", "no sector columns in header", 3),
+            ("sector_id,sector_name,a", "header must end with FINAL_DEMAND,EXPORTS,OUTPUT", 3),
+            ("sector_id,sector_name", "header must end with FINAL_DEMAND,EXPORTS,OUTPUT", 3),
+            ("sector_id,sector_name,a,b,FINAL_DEMAND,OUTPUT", "header must end with FINAL_DEMAND,EXPORTS,OUTPUT", 4),
+            ("sector_id", "header must start with sector_id,sector_name", 1),
+            ("sector,sector_name,a,FINAL_DEMAND,EXPORTS,OUTPUT", "header must start with sector_id,sector_name", 1),
+        ],
+    )
+    def test_header_error_names_its_cause(self, tmp_path, header, message, column):
+        path = _write(tmp_path, "t.csv", header + "\na,A,0,1,0,1\n")
+        with pytest.raises(SchemaError) as info:
+            load_io_table(path)
+        assert str(info.value).endswith(f": {message}")
+        assert (info.value.line, info.value.column) == (1, column)
 
     def test_unbalanced_rejected_unless_allowed(self, tmp_path):
         text = (
@@ -252,14 +353,30 @@ class TestLoadExpenditure:
         assert matrix.values[0, 0] == pytest.approx(15.0)
 
     def test_inconsistent_group_metadata_rejected(self, tmp_path):
+        for redefinition in ("g1,ethnicity,low,fuel,5", "g1,income,high,fuel,5"):
+            path = _write(
+                tmp_path,
+                "e.csv",
+                "group_id,dimension,label,item_code,amount\n"
+                f"g1,income,low,food,10\ng2,income,high,food,1\n{redefinition}\n",
+            )
+            with pytest.raises(SchemaError, match="redefined") as info:
+                load_expenditure(path)
+            assert (info.value.line, info.value.column) == (4, 1)
+
+    def test_groups_keep_first_appearance_order(self, tmp_path):
         path = _write(
             tmp_path,
             "e.csv",
             "group_id,dimension,label,item_code,amount\n"
-            "g1,income,low,food,10\ng1,ethnicity,low,fuel,5\n",
+            "g2,ethnicity,Malay,food,1\ng1,income,low,food,2\ng2,ethnicity,Malay,fuel,3\n",
         )
-        with pytest.raises(SchemaError, match="redefined"):
-            load_expenditure(path)
+        matrix = load_expenditure(path)
+        assert matrix.groups == (
+            HouseholdGroup("g2", GroupDimension.ETHNICITY, "Malay"),
+            HouseholdGroup("g1", GroupDimension.INCOME_CLASS, "low"),
+        )
+        np.testing.assert_array_equal(matrix.values, [[1.0, 3.0], [2.0, 0.0]])
 
     def test_unknown_dimension_rejected(self, tmp_path):
         path = _write(
