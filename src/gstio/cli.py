@@ -76,10 +76,10 @@ def _number_formatter(full_precision: bool):
 
 
 def _print_productivity(label: str, check: ProductivityReport) -> None:
-    verdict = "pass" if check.passed else "FAIL"
+    radius = f"radius {check.spectral_radius:.6g}"
     if not check.converged:
-        verdict += f" (did not converge after {check.iterations} iterations)"
-    print(f"productivity ({label}): radius {check.spectral_radius:.6g} {verdict}")
+        radius += f" (unconverged estimate after {check.iterations} iterations)"
+    print(f"productivity ({label}): {radius} {'pass' if check.passed else 'FAIL'}")
 
 
 def cmd_validate(args) -> int:

@@ -3,19 +3,20 @@
 Nothing here changes a result; these are the checks you run before trusting
 one: how much the coefficient structure moved between two benchmark tables
 (MAD), how much household budget shares drifted between two surveys, whether
-the (masked) coefficient matrix is actually invertible, and what effective
-tax rate on value added the baseline embeds.
+the solvers accept the (masked) coefficient matrix, and what effective tax
+rate on value added the baseline embeds.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroValueAdded
+from .errors import DimensionMismatch, NonProductive, ZeroValueAdded
 from .incidence import ExpenditureMatrix
-from .io_model import PRODUCTIVITY_EPSILON, CoefficientBundle, _frozen, _square, spectral_radius
+from .io_model import PRODUCTIVITY_EPSILON, CoefficientBundle, _frozen, _power_iteration, _solve_productive, _square
 from .price_model import _mask_diagonal
 
 
@@ -79,7 +80,7 @@ def structure_drift(e1: ExpenditureMatrix, e2: ExpenditureMatrix) -> StructureDr
 
 @dataclass(frozen=True)
 class ProductivityReport:
-    """Power-iteration estimate of the spectral radius and the pass verdict."""
+    """The solve kernel's productivity verdict and a power-iteration radius estimate."""
 
     spectral_radius: float
     passed: bool
@@ -88,24 +89,23 @@ class ProductivityReport:
 
 
 def productivity_check(A: np.ndarray, mask: np.ndarray | None = None) -> ProductivityReport:
-    """Estimate the spectral radius of A (or A'B̂ when a mask is given).
+    """Decide by the solve kernel's rule whether A (or A'B̂ with a mask) is productive.
 
-    Power iteration with a deterministic all-ones start vector, capped at
-    POWER_MAX_ITERATIONS with POWER_TOLERANCE convergence (see
-    :func:`~gstio.io_model.spectral_radius`), so reports are reproducible.
-    For A >= 0 a converged estimate is the radius (Gelfand: ‖Mᵏ1‖∞ = ‖Mᵏ‖∞).
-    Passes iff it converged below 1 − 1e-9, so periodic matrices fail closed.
-    The solvers do not consult this report; they certify themselves.
+    Passes at once when M >= 0 and ρ(M) <= ‖M‖∞ = max(M·1) < 1 − 1e-9;
+    otherwise asks :func:`~gstio.io_model._solve_productive` itself, which
+    raises :class:`DimensionMismatch` for entries below −1e-12. The radius,
+    iteration count and convergence flag are power iteration's (see
+    :func:`~gstio.io_model.spectral_radius`) and decide nothing.
     """
     A = _square(A)
     target = A if mask is None else A.T * _mask_diagonal(mask, len(A))
-    radius, iterations, converged = spectral_radius(target)
-    return ProductivityReport(
-        spectral_radius=radius,
-        passed=converged and radius < 1.0 - PRODUCTIVITY_EPSILON,
-        iterations=iterations,
-        converged=converged,
-    )
+    radius, iterations, converged, row_bound = _power_iteration(target)
+    passed = row_bound < 1.0 - PRODUCTIVITY_EPSILON and float(target.min()) >= 0.0
+    if not passed:
+        with suppress(NonProductive):
+            _solve_productive(target, np.empty((len(target), 0)))
+            passed = True
+    return ProductivityReport(radius, passed, iterations, converged)
 
 
 def tax_to_va_ratio(bundle: CoefficientBundle) -> np.ndarray:

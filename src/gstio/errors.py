@@ -32,7 +32,7 @@ class BasisMismatch(GstioError):
 
 
 class ZeroOutput(GstioError):
-    """Some sector has gross output <= 0, so per-unit coefficients are undefined."""
+    """Some sector's gross output is <= 0, or tiny beside its flows: per-unit coefficients are undefined."""
 
 
 class Unbalanced(GstioError):

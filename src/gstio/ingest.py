@@ -241,11 +241,7 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
         if required not in primary:
             raise SchemaError(f"missing required row {required}", path=path)
 
-    bad = np.nonzero(x <= 0)[0]
-    if bad.size:
-        names_bad = ", ".join(ids[i] for i in bad)
-        raise ZeroOutput(f"{path}: OUTPUT must be strictly positive; offending sectors: {names_bad}")
-
+    _check_output(x <= 0, ids, path, "must be strictly positive")
     table = IOTable(
         sectors=SectorSet(ids=ids, names=tuple(names)),
         Z=Z,
@@ -258,9 +254,19 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
         x=x,
     )
     report = balance_report(table)
+    # a residual overflows only where OUTPUT is tiny beside the sector's flows
+    overflowed = np.isinf(report.row_residuals) | np.isinf(report.column_residuals)
+    _check_output(overflowed, ids, path, "is too small for its flows")
     if not allow_unbalanced:
         table.check_balance()
     return table, report
+
+
+def _check_output(bad: np.ndarray, ids: tuple[str, ...], path, problem: str) -> None:
+    """Raise :class:`ZeroOutput` at the OUTPUT cell of the first sector flagged in ``bad``."""
+    if bad.any():
+        i = int(bad.argmax())
+        raise ZeroOutput(f"{path}:{i + 2}:{len(ids) + 5}: OUTPUT of sector {ids[i]} {problem}")
 
 
 def save_io_table(table: IOTable, path) -> None:

@@ -215,21 +215,22 @@ def balance_report(table: IOTable) -> BalanceReport:
     """Relative residuals of both balance identities, per sector.
 
     Residuals are relative to each sector's gross output (absolute where
-    output is zero, which structure validation normally rules out).
+    output is zero, which structure validation normally rules out). A
+    residual that overflows, as when output is tiny beside its flows, is inf.
     """
     denom = np.where(table.x != 0, np.abs(table.x), 1.0)
-    row_lhs = table.Z.sum(axis=1) + table.f + table.e
-    col_lhs = (
-        table.Z.sum(axis=0)
-        + table.labor
-        + table.capital
-        + table.imports
-        + table.indirect_tax
-    )
-    return BalanceReport(
-        row_residuals=_frozen(np.abs(row_lhs - table.x) / denom),
-        column_residuals=_frozen(np.abs(col_lhs - table.x) / denom),
-    )
+    with np.errstate(over="ignore"):
+        row_lhs = table.Z.sum(axis=1) + table.f + table.e
+        col_lhs = (
+            table.Z.sum(axis=0)
+            + table.labor
+            + table.capital
+            + table.imports
+            + table.indirect_tax
+        )
+        residuals = np.abs(np.stack([row_lhs, col_lhs]) - table.x) / denom
+    residuals.setflags(write=False)
+    return BalanceReport(row_residuals=residuals[0], column_residuals=residuals[1])
 
 
 def derive_coefficients(table: IOTable, *, check_balance: bool = True) -> CoefficientBundle:
@@ -266,20 +267,27 @@ def spectral_radius(M: np.ndarray) -> tuple[float, int, bool]:
     Returns ``(radius, iterations, converged)``. For M >= 0 a converged
     estimate is the Perron root; on periodic (e.g. bipartite) M the estimate
     oscillates, and the unconverged last ratio can lie far below the radius.
+    It is a reported estimate only: no productivity verdict reads it.
     """
-    M = _square(M)
+    return _power_iteration(_square(M))[:3]
+
+
+def _power_iteration(M: np.ndarray) -> tuple[float, int, bool, float]:
+    """:func:`spectral_radius`, plus its first growth ‖M1‖∞ (= ‖M‖∞ for M >= 0)."""
     v = np.ones(M.shape[0])
     estimate = 0.0
     for iteration in range(1, POWER_MAX_ITERATIONS + 1):
         w = M @ v
-        norm = float(np.linalg.norm(w, np.inf))
+        norm = float(np.abs(w).max())
+        if iteration == 1:
+            first = norm
         if norm == 0.0:
-            return 0.0, iteration, True
+            return 0.0, iteration, True, first
         if abs(norm - estimate) <= POWER_TOLERANCE * max(norm, 1.0):
-            return norm, iteration, True
+            return norm, iteration, True, first
         estimate = norm
         v = w / norm
-    return estimate, POWER_MAX_ITERATIONS, False
+    return estimate, POWER_MAX_ITERATIONS, False, first
 
 
 def _solve_productive(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:

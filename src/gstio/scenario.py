@@ -79,31 +79,56 @@ class ScenarioConfig:
     allow_unbalanced: bool = False
 
 
-def _parse_bool(value: str, *, path, key: str) -> bool:
-    token = value.strip().lower()
-    if token not in _BOOL_TOKENS:
-        raise SchemaError(f"{key} must be true or false, got {value!r}", path=path)
-    return _BOOL_TOKENS[token]
+def _line_numbers(parser: configparser.ConfigParser, text: str) -> dict[tuple[str, str | None], int]:
+    """First line of each ``[section]`` header (key None) and of each key in it.
+
+    Matches ``parser``'s own header and option patterns against a text it has
+    already read. Indented lines are skipped: they continue a value.
+    """
+    lines: dict[tuple[str, str | None], int] = {}
+    section = None
+    for number, line in enumerate(text.split("\n"), start=1):
+        if line[:1].isspace():
+            continue
+        header = parser.SECTCRE.match(line)
+        option = parser.OPTCRE.match(line)
+        if header:
+            section = header.group("header")
+            lines.setdefault((section, None), number)
+        elif option:
+            lines.setdefault((section, parser.optionxform(option.group("option"))), number)
+    return lines
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse and validate a scenario file."""
+    """Parse and validate a scenario file.
+
+    Errors about a section or key in the file name its line; errors about a
+    missing one name the file only.
+    """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
+            text = handle.read()
+        parser.read_string(text, source=str(path))
     except OSError as exc:
         raise SchemaError(f"cannot read scenario: {exc}", path=path) from exc
     except configparser.Error as exc:
-        raise SchemaError(f"bad scenario syntax: {exc}", path=path) from exc
+        message = " ".join(str(exc).split())  # configparser's own text spans lines
+        line = getattr(exc, "lineno", None)
+        raise SchemaError(f"bad scenario syntax: {message}", path=path, line=line) from exc
+    lines = _line_numbers(parser, text)
+
+    def error(message: str, section: str, key: str | None = None) -> SchemaError:
+        return SchemaError(message, path=path, line=lines.get((section, key)))
 
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
-            raise SchemaError(f"unknown section [{section}]", path=path)
+            raise error(f"unknown section [{section}]", section)
         for key in parser[section]:
             if key not in _KNOWN_KEYS[section]:
-                raise SchemaError(f"unknown key {key!r} in [{section}]", path=path)
+                raise error(f"unknown key {key!r} in [{section}]", section, key)
     for section in ("inputs", "tax", "report"):
         if section not in parser:
             raise SchemaError(f"missing section [{section}]", path=path)
@@ -118,6 +143,13 @@ def load_scenario(path) -> ScenarioConfig:
             return None
         return (base / value.strip()).resolve()
 
+    def boolean(section: str, key: str) -> bool:
+        value = parser[section].get(key, "false")
+        token = value.strip().lower()
+        if token not in _BOOL_TOKENS:
+            raise error(f"{key} must be true or false, got {value!r}", section, key)
+        return _BOOL_TOKENS[token]
+
     io_table = _path("inputs", "io_table", required=True)
     rate_schedule = _path("inputs", "rate_schedule", required=True)
     output_value = parser["report"].get("output_dir")
@@ -131,15 +163,16 @@ def load_scenario(path) -> ScenarioConfig:
     try:
         gst_rate = float(rate_value)
     except ValueError:
-        raise SchemaError(f"gst_rate is not a number: {rate_value!r}", path=path) from None
+        raise error(f"gst_rate is not a number: {rate_value!r}", "tax", "gst_rate") from None
 
     treatment_value = parser["tax"].get("masked_input_treatment", "drop").strip().lower()
     try:
         treatment = MaskedInputTreatment(treatment_value)
     except ValueError:
-        raise SchemaError(
+        raise error(
             f"masked_input_treatment must be drop or baseline, got {treatment_value!r}",
-            path=path,
+            "tax",
+            "masked_input_treatment",
         ) from None
 
     base_groups: dict[GroupDimension, str] = {}
@@ -150,16 +183,17 @@ def load_scenario(path) -> ScenarioConfig:
             if not chunk:
                 continue
             if ":" not in chunk:
-                raise SchemaError(
-                    f"base_groups entries must be dimension:group_id, got {chunk!r}", path=path
+                raise error(
+                    f"base_groups entries must be dimension:group_id, got {chunk!r}", "report", "base_groups"
                 )
             dim_token, group_id = (part.strip() for part in chunk.split(":", 1))
             try:
                 dimension = GroupDimension(dim_token.lower())
             except ValueError:
-                raise SchemaError(f"unknown dimension {dim_token!r} in base_groups", path=path) from None
+                message = f"unknown dimension {dim_token!r} in base_groups"
+                raise error(message, "report", "base_groups") from None
             if dimension in base_groups:
-                raise SchemaError(f"duplicate base group for dimension {dim_token!r}", path=path)
+                raise error(f"duplicate base group for dimension {dim_token!r}", "report", "base_groups")
             base_groups[dimension] = group_id
 
     return ScenarioConfig(
@@ -170,19 +204,11 @@ def load_scenario(path) -> ScenarioConfig:
         category_map=_path("inputs", "category_map", required=False),
         gst_rate=gst_rate,
         masked_input_treatment=treatment,
-        exempt_retains_input_tax=_parse_bool(
-            parser["tax"].get("exempt_retains_input_tax", "false"),
-            path=path,
-            key="exempt_retains_input_tax",
-        ),
+        exempt_retains_input_tax=boolean("tax", "exempt_retains_input_tax"),
         output_dir=output_dir,
         base_groups=base_groups,
-        full_precision=_parse_bool(
-            parser["report"].get("full_precision", "false"), path=path, key="full_precision"
-        ),
-        allow_unbalanced=_parse_bool(
-            parser["report"].get("allow_unbalanced", "false"), path=path, key="allow_unbalanced"
-        ),
+        full_precision=boolean("report", "full_precision"),
+        allow_unbalanced=boolean("report", "allow_unbalanced"),
     )
 
 

@@ -138,22 +138,25 @@ class TestProductivityCheck:
         assert exact == pytest.approx(float(np.abs(np.linalg.eigvals(block)).max()), abs=1e-12)
         assert report.passed
 
-    @settings(max_examples=30, deadline=None)
+    def test_negative_entries_never_pass_by_the_bound(self):
+        # row sums 0.1 and 0 would prove productivity for a nonnegative M;
+        # the kernel refuses negative entries, and so does the check
+        with pytest.raises(DimensionMismatch):
+            productivity_check(np.array([[0.5, -0.4], [0.0, 0.0]]))
+        # entries above the kernel's -1e-12 tolerance are its to decide
+        assert productivity_check(np.array([[0.5, -1e-13], [0.0, 0.0]])).passed
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=0.3, max_value=1.7))
     def test_verdict_agrees_with_inverse_behavior(self, seed, target_radius):
         rng = np.random.default_rng(seed)
         M = rng.uniform(0.1, 1.0, size=(4, 4))
         current = float(np.abs(np.linalg.eigvals(M)).max())
         M *= target_radius / current
-        report = productivity_check(M)
-        if report.passed:
-            leontief_inverse(M)
-        else:
-            with pytest.raises(NonProductive):
-                leontief_inverse(M)
+        self._assert_verdict_is_the_solvers(M)
         # Bipartite matrices are periodic, so power iteration need not
-        # converge: a pass must still imply a solve, and the solver must
-        # accept exactly what the dense eigenvalues call productive.
+        # converge: the verdict must still be the solver's, and the solver
+        # must accept exactly what the dense eigenvalues call productive.
         for _ in range(20):
             n = int(rng.integers(2, 6))
             k = int(rng.integers(1, n))
@@ -162,12 +165,17 @@ class TestProductivityCheck:
             B[k:, :k] = rng.uniform(0.0, 1.0, size=(n - k, k))
             B *= target_radius
             productive = float(np.abs(np.linalg.eigvals(B)).max()) < 1.0 - 1e-9
-            if productive:
-                leontief_inverse(B)
-            else:
-                assert not productivity_check(B).passed
-                with pytest.raises(NonProductive):
-                    leontief_inverse(B)
+            assert self._assert_verdict_is_the_solvers(B) == productive
+
+    @staticmethod
+    def _assert_verdict_is_the_solvers(M) -> bool:
+        try:
+            leontief_inverse(M)
+            accepted = True
+        except NonProductive:
+            accepted = False
+        assert productivity_check(M).passed == accepted
+        return accepted
 
 
 class TestTaxToVaRatio:

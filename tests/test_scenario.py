@@ -65,31 +65,36 @@ def test_explicit_values(tmp_path):
     assert config.full_precision is True
 
 
+SCHEMA_ERRORS = [
+    ("[report]", "[extra]\nx = 1\n\n[report]", "unknown section", 8),
+    ("gst_rate = 0.06", "gst_rate = 0.06\nvat_rate = 0.1", "unknown key 'vat_rate'", 7),
+    ("[tax]\ngst_rate = 0.06\n", "", "missing section [tax]", None),
+    ("io_table = io.csv\n", "", "missing required key 'io_table'", None),
+    ("rate_schedule = sched.csv", "rate_schedule = ", "missing required key 'rate_schedule'", None),
+    ("output_dir = out", "output_dir =", "missing required key 'output_dir'", None),
+    ("gst_rate = 0.06", "masked_input_treatment = drop", "missing required key 'gst_rate'", None),
+    ("gst_rate = 0.06", "gst_rate = six percent", "gst_rate is not a number", 6),
+    ("output_dir = out", "output_dir = out\nfull_precision = maybe", "full_precision must be true or false", 10),
+    ("gst_rate = 0.06", "gst_rate = 0.06\nmasked_input_treatment = keep", "masked_input_treatment", 7),
+    ("output_dir = out", "output_dir = out\nbase_groups = inc1", "must be dimension:group_id", 10),
+    ("output_dir = out", "output_dir = out\nbase_groups = income:inc1, income:inc2", "duplicate base group", 10),
+    ("output_dir = out", "output_dir = out\nbase_groups = region:r1", "unknown dimension 'region'", 10),
+    ("[inputs]", "[inputs]\n[inputs]", "bad scenario syntax", 2),
+]
+
+
 @pytest.mark.parametrize(
-    "old, new, message",
-    [
-        ("[report]", "[extra]\nx = 1\n\n[report]", "unknown section"),
-        ("gst_rate = 0.06", "gst_rate = 0.06\nvat_rate = 0.1", "unknown key 'vat_rate'"),
-        ("[tax]\ngst_rate = 0.06\n", "", "missing section [tax]"),
-        ("io_table = io.csv\n", "", "missing required key 'io_table'"),
-        ("rate_schedule = sched.csv", "rate_schedule = ", "missing required key 'rate_schedule'"),
-        ("output_dir = out", "output_dir =", "missing required key 'output_dir'"),
-        ("gst_rate = 0.06", "masked_input_treatment = drop", "missing required key 'gst_rate'"),
-        ("gst_rate = 0.06", "gst_rate = six percent", "gst_rate is not a number"),
-        ("output_dir = out", "output_dir = out\nfull_precision = maybe", "full_precision must be true or false"),
-        ("gst_rate = 0.06", "gst_rate = 0.06\nmasked_input_treatment = keep", "masked_input_treatment"),
-        ("output_dir = out", "output_dir = out\nbase_groups = inc1", "must be dimension:group_id"),
-        ("output_dir = out", "output_dir = out\nbase_groups = income:inc1, income:inc2", "duplicate base group"),
-        ("output_dir = out", "output_dir = out\nbase_groups = region:r1", "unknown dimension 'region'"),
-        ("[inputs]", "[inputs]\n[inputs]", "bad scenario syntax"),
-    ],
+    "old, new, message, line",
+    SCHEMA_ERRORS,
+    ids=["-".join(case[:3]) for case in SCHEMA_ERRORS],  # the line is left out of the id
 )
-def test_schema_errors(tmp_path, old, new, message):
+def test_schema_errors(tmp_path, old, new, message, line):
     assert old in MINIMAL
     path = _scenario(tmp_path, MINIMAL.replace(old, new))
     with pytest.raises(SchemaError, match=re.escape(message)) as info:
         load_scenario(path)
     assert info.value.path == str(path)
+    assert info.value.line == line
 
 
 def test_unreadable_scenario(tmp_path):
