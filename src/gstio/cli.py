@@ -24,7 +24,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -203,25 +203,9 @@ def _write_run_outputs(result: ScenarioResult, target: Path, fmt) -> None:
                     fmt(ratios_after[group.group_id]),
                 ]
             )
-    _write_csv(
-        target / "incidence_by_group.csv",
-        ["dimension", "group_id", "label", "total_before", "total_after", "pct_change"],
-        [row[:6] for row in gap_rows],
-    )
-    _write_csv(
-        target / "gaps.csv",
-        [
-            "dimension",
-            "group_id",
-            "label",
-            "total_before",
-            "total_after",
-            "pct_change",
-            "ratio_before",
-            "ratio_after",
-        ],
-        gap_rows,
-    )
+    incidence_header = ["dimension", "group_id", "label", "total_before", "total_after", "pct_change"]
+    _write_csv(target / "incidence_by_group.csv", incidence_header, [row[:6] for row in gap_rows])
+    _write_csv(target / "gaps.csv", [*incidence_header, "ratio_before", "ratio_after"], gap_rows)
 
     if result.category_map is None:
         return
@@ -274,20 +258,14 @@ def _write_run_outputs(result: ScenarioResult, target: Path, fmt) -> None:
 
 def cmd_run(args) -> int:
     config = load_scenario(args.scenario)
-    overrides = {}
-    if args.output_dir is not None:
-        overrides["output_dir"] = Path(args.output_dir).resolve()
-    if args.treatment is not None:
-        overrides["masked_input_treatment"] = MaskedInputTreatment(args.treatment)
-    if args.exempt_retains_input_tax:
-        overrides["exempt_retains_input_tax"] = True
-    if args.allow_unbalanced:
-        overrides["allow_unbalanced"] = True
-    if args.full_precision:
-        overrides["full_precision"] = True
-    if overrides:
-        config = replace(config, **overrides)
-
+    # A flag whose dest names a ScenarioConfig field overrides it when given: its
+    # value (a switch stores "true") is parsed as that key's, paths from the cwd.
+    overrides = {
+        spec.name: spec.metadata["parse"](getattr(args, spec.name), spec.name, Path.cwd())
+        for spec in fields(config)
+        if getattr(args, spec.name, None) is not None
+    }
+    config = replace(config, **overrides)
     result = run_scenario(config)
     for warning in result.schedule_warnings:
         print(f"warning: {warning}")
@@ -452,10 +430,10 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="execute a scenario and write report CSVs")
     run.add_argument("scenario", help="scenario config file")
     run.add_argument("--output-dir", "-o", help="override the scenario's output directory")
-    run.add_argument("--treatment", choices=[t.value for t in MaskedInputTreatment])
-    run.add_argument("--exempt-retains-input-tax", action="store_true")
-    run.add_argument("--allow-unbalanced", action="store_true")
-    run.add_argument("--full-precision", action="store_true")
+    run.add_argument("--treatment", dest="masked_input_treatment", choices=[t.value for t in MaskedInputTreatment])
+    run.add_argument("--exempt-retains-input-tax", action="store_const", const="true")
+    run.add_argument("--allow-unbalanced", action="store_const", const="true")
+    run.add_argument("--full-precision", action="store_const", const="true")
     run.add_argument("--force", action="store_true", help="replace an existing output directory")
     run.set_defaults(func=cmd_run)
 
@@ -476,15 +454,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NumericalError as exc:
+    except (GstioError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except GstioError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

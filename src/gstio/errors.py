@@ -32,7 +32,7 @@ class BasisMismatch(GstioError):
 
 
 class ZeroOutput(GstioError):
-    """Some sector's gross output is <= 0, or tiny beside its flows: per-unit coefficients are undefined."""
+    """Some sector's gross output is <= 0, below one of its input cells or tiny beside its flows."""
 
 
 class Unbalanced(GstioError):

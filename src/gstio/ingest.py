@@ -4,7 +4,8 @@ All files are UTF-8 CSV with a header row, '.' decimal separator and no
 thousands separators. The header must start with the columns named below;
 further columns are ignored. Blank rows are skipped (except inside the IO
 table's sector block, which is positional). Every load error names the
-file, line and column, 1-based: the header is line 1.
+file, line and column, 1-based: the header is line 1. A byte that is not
+UTF-8 is reported at its line.
 
 IO table (``load_io_table``)::
 
@@ -57,6 +58,7 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +66,7 @@ from .errors import (
     BasisMismatch,
     DimensionMismatch,
     InvalidShare,
+    LoadError,
     ParseError,
     SchemaError,
     UnknownSector,
@@ -103,9 +106,27 @@ def _read_rows(path) -> list[list[str]]:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(ParseError, path) from None
     if not rows:
         raise SchemaError("empty file", path=path, line=1)
     return rows
+
+
+def _not_utf8(error: type[LoadError], path) -> LoadError:
+    """``error`` at the line of the first byte of ``path`` that is not UTF-8.
+
+    Called only after a read of the file has failed, so a good file is read
+    once. The failed read's offset counts from its own buffer, so the bytes
+    are decoded again from the start of the file to find the line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return error(f"not UTF-8: byte 0x{data[exc.start]:02x}", path=path, line=line)
+    return error("not UTF-8", path=path)  # the file changed after the failed read
 
 
 def _records(path, header: tuple[str, ...]):
@@ -254,9 +275,11 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
         x=x,
     )
     report = balance_report(table)
-    # a residual overflows only where OUTPUT is tiny beside the sector's flows
-    overflowed = np.isinf(report.row_residuals) | np.isinf(report.column_residuals)
-    _check_output(overflowed, ids, path, "is too small for its flows")
+    # OUTPUT below one of the sector's own input cells gives a coefficient
+    # above 1, and a residual overflows where OUTPUT is tiny beside its flows
+    largest_input = np.max([Z.max(axis=0), labor, capital, table.imports, table.indirect_tax], axis=0)
+    too_small = (x < largest_input) | np.isinf(report.row_residuals) | np.isinf(report.column_residuals)
+    _check_output(too_small, ids, path, "is too small for its flows")
     if not allow_unbalanced:
         table.check_balance()
     return table, report

@@ -7,10 +7,7 @@ Frozen concrete syntax (paths are resolved relative to the config file)::
     io_table = io_table.csv
     rate_schedule = rate_schedule.csv
     expenditure = expenditure.csv        ; optional
-    concordance = concordance.csv        ; optional; when present the
-                                         ; expenditure file is item-coded
-                                         ; and mapped through it, otherwise
-                                         ; item codes must be sector ids
+    concordance = concordance.csv        ; optional: item-coded expenditure
     category_map = category_map.csv      ; optional
 
     [tax]
@@ -24,13 +21,17 @@ Frozen concrete syntax (paths are resolved relative to the config file)::
     full_precision = false
     allow_unbalanced = false
 
-Unknown sections, keys or enum values are hard errors.
+``;`` after whitespace starts a comment. A key with an empty value counts as
+absent: it takes its default, or is missing if it has none. Without a
+concordance, expenditure item codes must be sector ids. Unknown sections,
+keys or enum values are hard errors. Every error names the line of the
+offending section or key, except a missing section.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .incidence import (
     expenditure_change,
     expenditure_change_on_items,
 )
-from .ingest import load_category_map, load_household, load_io_table, load_rate_schedule
+from .ingest import _not_utf8, load_category_map, load_household, load_io_table, load_rate_schedule
 from .io_model import CoefficientBundle, IOTable, derive_coefficients
 from .price_model import (
     MaskedInputTreatment,
@@ -54,29 +55,86 @@ from .price_model import (
     simulate_prices,
 )
 
-_KNOWN_KEYS = {
-    "inputs": {"io_table", "rate_schedule", "expenditure", "concordance", "category_map"},
-    "tax": {"gst_rate", "masked_input_treatment", "exempt_retains_input_tax"},
-    "report": {"output_dir", "base_groups", "full_precision", "allow_unbalanced"},
+_TREATMENT_TOKENS = {t.value: t for t in MaskedInputTreatment}
+_BOOL_TOKENS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+
+_SYNTAX_ERRORS = {
+    configparser.DuplicateSectionError: "a section header appears twice",
+    configparser.DuplicateOptionError: "a key appears twice in its section",
+    configparser.MissingSectionHeaderError: "a key before the first [section] header",
 }
 
-_BOOL_TOKENS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+# Each parser takes a key's non-empty value, the key and the directory that a
+# relative path starts from; it raises ValueError with the message to report.
+def _path(value: str, key: str, base: Path) -> Path:
+    return (base / value).resolve()
+
+
+def _rate(value: str, key: str, base: Path) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"{key} is not a number: {value!r}") from None
+
+
+def _treatment(value: str, key: str, base: Path) -> MaskedInputTreatment:
+    if value.lower() not in _TREATMENT_TOKENS:
+        raise ValueError(f"{key} must be drop or baseline, got {value.lower()!r}")
+    return _TREATMENT_TOKENS[value.lower()]
+
+
+def _boolean(value: str, key: str, base: Path) -> bool:
+    if value.lower() not in _BOOL_TOKENS:
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return _BOOL_TOKENS[value.lower()]
+
+
+def _base_groups(value: str, key: str, base: Path) -> dict[GroupDimension, str]:
+    groups: dict[GroupDimension, str] = {}
+    for chunk in value.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if ":" not in chunk:
+            raise ValueError(f"{key} entries must be dimension:group_id, got {chunk!r}")
+        dim_token, group_id = (part.strip() for part in chunk.split(":", 1))
+        try:
+            dimension = GroupDimension(dim_token.lower())
+        except ValueError:
+            raise ValueError(f"unknown dimension {dim_token!r} in {key}") from None
+        if dimension in groups:
+            raise ValueError(f"duplicate base group for dimension {dim_token!r}")
+        groups[dimension] = group_id
+    return groups
+
+
+def _key(section: str, parse, **default):
+    """A scenario key: its ``[section]``, its value's parser and, when optional, its default."""
+    return field(metadata={"section": section, "parse": parse}, **default)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    io_table: Path
-    rate_schedule: Path
-    gst_rate: float
-    output_dir: Path
-    expenditure: Path | None = None
-    concordance: Path | None = None
-    category_map: Path | None = None
-    masked_input_treatment: MaskedInputTreatment = MaskedInputTreatment.DROP
-    exempt_retains_input_tax: bool = False
-    base_groups: dict[GroupDimension, str] = field(default_factory=dict)
-    full_precision: bool = False
-    allow_unbalanced: bool = False
+    """One run's settings. Each field is the scenario key of the same name."""
+
+    io_table: Path = _key("inputs", _path)
+    rate_schedule: Path = _key("inputs", _path)
+    gst_rate: float = _key("tax", _rate)
+    output_dir: Path = _key("report", _path)
+    expenditure: Path | None = _key("inputs", _path, default=None)
+    concordance: Path | None = _key("inputs", _path, default=None)
+    category_map: Path | None = _key("inputs", _path, default=None)
+    masked_input_treatment: MaskedInputTreatment = _key("tax", _treatment, default=MaskedInputTreatment.DROP)
+    exempt_retains_input_tax: bool = _key("tax", _boolean, default=False)
+    base_groups: dict[GroupDimension, str] = _key("report", _base_groups, default_factory=dict)
+    full_precision: bool = _key("report", _boolean, default=False)
+    allow_unbalanced: bool = _key("report", _boolean, default=False)
+
+
+# section -> key -> field, in field order: [inputs], [tax], [report]
+_SECTIONS: dict[str, dict[str, Field]] = {}
+for _field in fields(ScenarioConfig):
+    _SECTIONS.setdefault(_field.metadata["section"], {})[_field.name] = _field
 
 
 def _line_numbers(parser: configparser.ConfigParser, text: str) -> dict[tuple[str, str | None], int]:
@@ -101,115 +159,49 @@ def _line_numbers(parser: configparser.ConfigParser, text: str) -> dict[tuple[st
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse and validate a scenario file.
-
-    Errors about a section or key in the file name its line; errors about a
-    missing one name the file only.
-    """
+    """Parse and validate a scenario file; see the module docstring for its syntax."""
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         parser.read_string(text, source=str(path))
     except OSError as exc:
         raise SchemaError(f"cannot read scenario: {exc}", path=path) from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(SchemaError, path) from None
     except configparser.Error as exc:
-        message = " ".join(str(exc).split())  # configparser's own text spans lines
-        line = getattr(exc, "lineno", None)
-        raise SchemaError(f"bad scenario syntax: {message}", path=path, line=line) from exc
+        # words of our own: configparser's message differs between Python versions
+        problem = _SYNTAX_ERRORS.get(type(exc), "a line that is neither [section] nor key = value")
+        line = getattr(exc, "lineno", None) or exc.errors[0][0]  # a ParsingError lists its lines
+        raise SchemaError(f"bad scenario syntax: {problem}", path=path, line=line) from exc
     lines = _line_numbers(parser, text)
 
     def error(message: str, section: str, key: str | None = None) -> SchemaError:
         return SchemaError(message, path=path, line=lines.get((section, key)))
 
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise error(f"unknown section [{section}]", section)
         for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if key not in _SECTIONS[section]:
                 raise error(f"unknown key {key!r} in [{section}]", section, key)
-    for section in ("inputs", "tax", "report"):
+
+    values = {}
+    for section, keys in _SECTIONS.items():
         if section not in parser:
             raise SchemaError(f"missing section [{section}]", path=path)
-
-    base = path.parent
-
-    def _path(section: str, key: str, required: bool) -> Path | None:
-        value = parser[section].get(key)
-        if value is None or not value.strip():
-            if required:
-                raise SchemaError(f"missing required key {key!r} in [{section}]", path=path)
-            return None
-        return (base / value.strip()).resolve()
-
-    def boolean(section: str, key: str) -> bool:
-        value = parser[section].get(key, "false")
-        token = value.strip().lower()
-        if token not in _BOOL_TOKENS:
-            raise error(f"{key} must be true or false, got {value!r}", section, key)
-        return _BOOL_TOKENS[token]
-
-    io_table = _path("inputs", "io_table", required=True)
-    rate_schedule = _path("inputs", "rate_schedule", required=True)
-    output_value = parser["report"].get("output_dir")
-    if output_value is None or not output_value.strip():
-        raise SchemaError("missing required key 'output_dir' in [report]", path=path)
-    output_dir = (base / output_value.strip()).resolve()
-
-    rate_value = parser["tax"].get("gst_rate")
-    if rate_value is None:
-        raise SchemaError("missing required key 'gst_rate' in [tax]", path=path)
-    try:
-        gst_rate = float(rate_value)
-    except ValueError:
-        raise error(f"gst_rate is not a number: {rate_value!r}", "tax", "gst_rate") from None
-
-    treatment_value = parser["tax"].get("masked_input_treatment", "drop").strip().lower()
-    try:
-        treatment = MaskedInputTreatment(treatment_value)
-    except ValueError:
-        raise error(
-            f"masked_input_treatment must be drop or baseline, got {treatment_value!r}",
-            "tax",
-            "masked_input_treatment",
-        ) from None
-
-    base_groups: dict[GroupDimension, str] = {}
-    raw_bases = parser["report"].get("base_groups", "").strip()
-    if raw_bases:
-        for chunk in raw_bases.split(","):
-            chunk = chunk.strip()
-            if not chunk:
+        for key, spec in keys.items():
+            value = parser[section].get(key, "")  # configparser strips values
+            if not value:
+                if spec.default is MISSING and spec.default_factory is MISSING:
+                    raise error(f"missing required key {key!r} in [{section}]", section)
                 continue
-            if ":" not in chunk:
-                raise error(
-                    f"base_groups entries must be dimension:group_id, got {chunk!r}", "report", "base_groups"
-                )
-            dim_token, group_id = (part.strip() for part in chunk.split(":", 1))
             try:
-                dimension = GroupDimension(dim_token.lower())
-            except ValueError:
-                message = f"unknown dimension {dim_token!r} in base_groups"
-                raise error(message, "report", "base_groups") from None
-            if dimension in base_groups:
-                raise error(f"duplicate base group for dimension {dim_token!r}", "report", "base_groups")
-            base_groups[dimension] = group_id
-
-    return ScenarioConfig(
-        io_table=io_table,
-        rate_schedule=rate_schedule,
-        expenditure=_path("inputs", "expenditure", required=False),
-        concordance=_path("inputs", "concordance", required=False),
-        category_map=_path("inputs", "category_map", required=False),
-        gst_rate=gst_rate,
-        masked_input_treatment=treatment,
-        exempt_retains_input_tax=boolean("tax", "exempt_retains_input_tax"),
-        output_dir=output_dir,
-        base_groups=base_groups,
-        full_precision=boolean("report", "full_precision"),
-        allow_unbalanced=boolean("report", "allow_unbalanced"),
-    )
+                values[key] = spec.metadata["parse"](value, key, path.parent)
+            except ValueError as exc:
+                raise error(str(exc), section, key) from None
+    return ScenarioConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -292,13 +284,9 @@ def _resolve_base_groups(
         ids = sorted(g.group_id for g in expenditure.groups if g.dimension is dimension)
         if not ids:
             continue
-        wanted = requested.get(dimension)
-        if wanted is not None:
-            if wanted not in ids:
-                raise UnknownBaseGroup(
-                    f"base group {wanted!r} not among {dimension.value} groups: {', '.join(ids)}"
-                )
-            resolved[dimension] = wanted
-        else:
-            resolved[dimension] = ids[0]
+        resolved[dimension] = requested.get(dimension, ids[0])
+        if resolved[dimension] not in ids:
+            raise UnknownBaseGroup(
+                f"base group {resolved[dimension]!r} not among {dimension.value} groups: {', '.join(ids)}"
+            )
     return resolved

@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gstio import GstioError, MaskedInputTreatment, cli, load_scenario
 from gstio.cli import main
 
 EXPECTED_DP = np.array([0.920366, 0.914612, 0.997991])
@@ -85,13 +87,27 @@ class TestValidate:
 
     @pytest.mark.parametrize("flags", [[], ["--allow-unbalanced"]])
     def test_tiny_output_rejected_at_its_cell(self, tmp_path, capsys, flags):
-        # 1 / 1e-320 overflows, so the balance residual of sector a would too
-        table, schedule = _write_table(tmp_path, "a,A,0,0,1,0,1e-320\nb,B,0,0,1,0,1\n", "1,1")
-        code = main(["validate", "--table", str(table), "--schedule", str(schedule), *flags])
+        cases = [
+            # 1 / 1e-320 overflows, so the balance residual of sector a would too
+            ("a,A,0,0,1,0,1e-320\nb,B,0,0,1,0,1\n", "2:7: OUTPUT of sector a "),
+            # b buys 5 from a on an OUTPUT of 1, a coefficient of 5
+            ("a,A,0,5,1,0,1\nb,B,0,0,1,0,1\n", "3:7: OUTPUT of sector b "),
+        ]
+        for rows, cell in cases:
+            table, schedule = _write_table(tmp_path, rows, "1,1")
+            code = main(["validate", "--table", str(table), "--schedule", str(schedule), *flags])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith(f"ERROR ZeroOutput: {table}:{cell}")
+            assert len(err.splitlines()) == 1
+
+    def test_non_utf8_input_exits_2_at_its_line(self, tmp_path, data_dir, capsys):
+        table = tmp_path / "t.csv"
+        table.write_bytes((data_dir / "io_table.csv").read_bytes().replace(b"OUTPUT", b"OUT\xffPUT"))
+        code = main(["validate", "--table", str(table), "--schedule", str(data_dir / "rate_schedule.csv")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"ERROR ZeroOutput: {table}:2:7: OUTPUT of sector a ")
-        assert len(err.splitlines()) == 1
+        assert err == f"ERROR ParseError: {table}:1: not UTF-8: byte 0xff\n"
 
     def test_out_of_range_gst_rate_exits_2(self, appendix_args, capsys):
         code = main(["validate", *appendix_args, "--gst-rate", "1.5"])
@@ -292,6 +308,28 @@ class TestRun:
         main(["run", str(data_dir / "scenario.cfg"), "-o", str(drop_dir)])
         main(["run", str(data_dir / "scenario.cfg"), "-o", str(kept_dir), "--treatment", "baseline"])
         assert _read(drop_dir / "price_changes.csv") != _read(kept_dir / "price_changes.csv")
+
+    def test_flags_override_their_scenario_fields(self, data_dir, tmp_path, monkeypatch):
+        seen = []
+
+        def record(config):
+            seen.append(config)
+            raise GstioError("recorded")
+
+        monkeypatch.setattr(cli, "run_scenario", record)
+        scenario = data_dir / "scenario.cfg"
+        flags = ["--treatment", "baseline", "--exempt-retains-input-tax", "--allow-unbalanced", "--full-precision"]
+        assert main(["run", str(scenario)]) == 2
+        assert main(["run", str(scenario), "-o", str(tmp_path / "x"), *flags]) == 2
+        assert seen[0] == load_scenario(scenario)
+        assert seen[1] == replace(
+            seen[0],
+            output_dir=tmp_path / "x",
+            masked_input_treatment=MaskedInputTreatment.BASELINE,
+            exempt_retains_input_tax=True,
+            allow_unbalanced=True,
+            full_precision=True,
+        )
 
     def test_full_precision_widens_but_agrees(self, data_dir, tmp_path):
         short_dir, full_dir = tmp_path / "short", tmp_path / "full"

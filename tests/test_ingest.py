@@ -93,6 +93,29 @@ def test_row_loaders_share_one_dialect(tmp_path, name):
     assert (info.value.line, info.value.column) == (4, column)
 
 
+NON_UTF8_CASES = {
+    "io_table_header": (load_io_table, IO_HEADER.encode().replace(b"OUTPUT", b"OUT\xffPUT"), 1),
+    # far enough down that the bad byte is not in the reader's first buffer
+    "expenditure_row": (
+        load_expenditure,
+        b"group_id,dimension,label,item_code,amount\n"
+        + b"g1,income,low,food,10\n" * 3000
+        + b"g1,income,l\xffow,fuel,5\ng1,income,low,fuel,5\n",
+        3002,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NON_UTF8_CASES)
+def test_non_utf8_byte_reported_at_its_line(tmp_path, name):
+    load, data, line = NON_UTF8_CASES[name]
+    path = tmp_path / "f.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="not UTF-8: byte 0xff") as info:
+        load(path)
+    assert (info.value.line, info.value.column) == (line, None)
+
+
 class TestLoadIOTable:
     def test_bundled_fixture_matches_appendix_coefficients(self, data_dir):
         table, report = load_io_table(data_dir / "io_table.csv")
@@ -172,11 +195,12 @@ class TestLoadIOTable:
         assert (info.value.line, info.value.column) == (line, column)
 
     def test_numbers_parse_exactly_as_float(self, tmp_path):
+        # unbalanced, but no OUTPUT is below one of its sector's input cells
         rows = (
             "a,A,4.9e-324,1_0, 2,-0.0,+3",
             "b,B,-0.0, 2,4.9e-324,+3,1_0",
             "VALUE_ADDED,,+3,-0.0,,,",
-            "IMPORTS,,1_0, 2,,,",
+            "IMPORTS,, 2,1_0,,,",
             "INDIRECT_TAX,,4.9e-324,-0.0,,,",
         )
         path = _write(tmp_path, "t.csv", IO_HEADER + "\n".join(rows) + "\n")

@@ -1,6 +1,7 @@
 """Tests for scenario file parsing: path resolution, defaults and every schema error."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -69,10 +70,10 @@ SCHEMA_ERRORS = [
     ("[report]", "[extra]\nx = 1\n\n[report]", "unknown section", 8),
     ("gst_rate = 0.06", "gst_rate = 0.06\nvat_rate = 0.1", "unknown key 'vat_rate'", 7),
     ("[tax]\ngst_rate = 0.06\n", "", "missing section [tax]", None),
-    ("io_table = io.csv\n", "", "missing required key 'io_table'", None),
-    ("rate_schedule = sched.csv", "rate_schedule = ", "missing required key 'rate_schedule'", None),
-    ("output_dir = out", "output_dir =", "missing required key 'output_dir'", None),
-    ("gst_rate = 0.06", "masked_input_treatment = drop", "missing required key 'gst_rate'", None),
+    ("io_table = io.csv\n", "", "missing required key 'io_table'", 1),
+    ("rate_schedule = sched.csv", "rate_schedule = ", "missing required key 'rate_schedule'", 1),
+    ("output_dir = out", "output_dir =", "missing required key 'output_dir'", 8),
+    ("gst_rate = 0.06", "masked_input_treatment = drop", "missing required key 'gst_rate'", 5),
     ("gst_rate = 0.06", "gst_rate = six percent", "gst_rate is not a number", 6),
     ("output_dir = out", "output_dir = out\nfull_precision = maybe", "full_precision must be true or false", 10),
     ("gst_rate = 0.06", "gst_rate = 0.06\nmasked_input_treatment = keep", "masked_input_treatment", 7),
@@ -80,6 +81,10 @@ SCHEMA_ERRORS = [
     ("output_dir = out", "output_dir = out\nbase_groups = income:inc1, income:inc2", "duplicate base group", 10),
     ("output_dir = out", "output_dir = out\nbase_groups = region:r1", "unknown dimension 'region'", 10),
     ("[inputs]", "[inputs]\n[inputs]", "bad scenario syntax", 2),
+    ("gst_rate = 0.06", "gst_rate =", "missing required key 'gst_rate'", 5),
+    ("[inputs]\n", "[inputs]\nio_table\n", "bad scenario syntax", 2),
+    ("[inputs]\n", "x = 1\n[inputs]\n", "bad scenario syntax", 1),
+    ("gst_rate = 0.06", "gst_rate = 0.06\ngst_rate = 0.07", "bad scenario syntax", 7),
 ]
 
 
@@ -95,6 +100,46 @@ def test_schema_errors(tmp_path, old, new, message, line):
         load_scenario(path)
     assert info.value.path == str(path)
     assert info.value.line == line
+
+
+def test_syntax_errors_use_their_own_words(tmp_path):
+    # configparser's text differs between Python versions; ours does not
+    path = _scenario(tmp_path, MINIMAL.replace("[inputs]\n", "[inputs]\nfoo\n"))
+    with pytest.raises(SchemaError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}:2: bad scenario syntax: a line that is neither [section] nor key = value"
+
+
+def test_empty_value_counts_as_absent(tmp_path):
+    empty = "masked_input_treatment =\nexempt_retains_input_tax = ; note\n"
+    text = MINIMAL.replace("[tax]\n", f"[tax]\n{empty}").replace(
+        "output_dir = out", "output_dir = out\nbase_groups =\nfull_precision =\nallow_unbalanced ="
+    )
+    assert load_scenario(_scenario(tmp_path, text)) == load_scenario(_scenario(tmp_path, MINIMAL))
+
+
+def test_semicolon_starts_an_inline_comment(tmp_path):
+    text = MINIMAL.replace("gst_rate = 0.06", "gst_rate = 0.1 ; ten percent\nmasked_input_treatment = baseline  ;x")
+    config = load_scenario(_scenario(tmp_path, text))
+    assert config.gst_rate == 0.1
+    assert config.masked_input_treatment is MaskedInputTreatment.BASELINE
+
+
+def test_readme_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = load_scenario(_scenario(tmp_path, block))
+    assert config.masked_input_treatment is MaskedInputTreatment.DROP
+    assert config.base_groups == {GroupDimension.INCOME_CLASS: "inc1", GroupDimension.ETHNICITY: "eth1"}
+    assert config.concordance == (tmp_path / "conf" / "concordance.csv").resolve()
+
+
+def test_non_utf8_scenario_names_its_line(tmp_path):
+    path = _scenario(tmp_path, MINIMAL)
+    path.write_bytes(MINIMAL.encode().replace(b"sched.csv", b"sched\xff.csv"))
+    with pytest.raises(SchemaError, match="not UTF-8: byte 0xff") as info:
+        load_scenario(path)
+    assert info.value.line == 3
 
 
 def test_unreadable_scenario(tmp_path):
