@@ -21,7 +21,15 @@ IO table (``load_io_table``)::
     single combined VALUE_ADDED row may replace LABOR + CAPITAL (it is
     stored as capital with labor = 0, which changes nothing downstream
     because the two only ever enter as their sum). Primary rows leave the
-    three demand-side cells empty.
+    three demand-side cells empty. No Z, EXPORTS or primary-input cell may
+    be negative; FINAL_DEMAND may (an inventory change), and OUTPUT must be
+    positive.
+
+    The sector block is parsed in one numpy pass. Only when numpy declines
+    it, for an error or for a cell such as ``1_000`` that Python's
+    ``float`` reads and numpy does not, are its rows walked one by one with
+    ``csv``: the walk locates the error at its cell, or reads the cell as
+    ``float`` does.
 
 Rate schedule (``load_rate_schedule``)::
 
@@ -55,7 +63,9 @@ Category map (``load_category_map``)::
 from __future__ import annotations
 
 import csv
+import io
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -100,17 +110,21 @@ _CATEGORY_TOKENS = {c.value: c for c in RateCategory}
 _DIMENSION_TOKENS = {d.value: d for d in GroupDimension}
 
 
-def _read_rows(path) -> list[list[str]]:
+def _read_text(path) -> str:
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+            text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
     except UnicodeDecodeError:
         raise _not_utf8(ParseError, path) from None
-    if not rows:
+    if not text:
         raise SchemaError("empty file", path=path, line=1)
-    return rows
+    return text
+
+
+def _read_rows(text: str) -> Iterator[list[str]]:
+    return csv.reader(io.StringIO(text, newline=""))
 
 
 def _not_utf8(error: type[LoadError], path) -> LoadError:
@@ -135,7 +149,7 @@ def _records(path, header: tuple[str, ...]):
     The header row must start with ``header``; lines are 1-based, so the
     first data row is line 2.
     """
-    rows = iter(_read_rows(path))
+    rows = _read_rows(_read_text(path))
     if tuple(next(rows)[: len(header)]) != header:
         raise SchemaError(f"header must start with {','.join(header)}", path=path, line=1, column=1)
     for line, row in enumerate(rows, start=2):
@@ -164,10 +178,12 @@ def _cell_float(cell: str, *, path, line: int, column: int) -> float:
 def _row_floats(cells: list[str], *, path, line: int) -> np.ndarray:
     """Parse a row's numeric cells, which start at column 3, in one numpy call.
 
-    numpy converts each str with Python's ``float``. Only when a cell is not
-    a finite number is the row walked cell by cell, to raise the
-    ``ParseError`` at its column; if the walk finds no bad cell, its values
-    are returned, so a stricter numpy never changes a result.
+    This parses the primary-input rows, and the sector rows when the walk
+    locates an error in the sector block. numpy converts each str with
+    Python's ``float``. Only when a cell is not a finite number is the row
+    walked cell by cell, to raise the ``ParseError`` at its column; if the
+    walk finds no bad cell, its values are returned, so a stricter numpy
+    never changes a result.
     """
     try:
         values = np.array(cells, dtype=float)
@@ -185,14 +201,83 @@ def _require_width(row: list[str], width: int, *, path, line: int) -> None:
         )
 
 
+def _parse_sector_block(lines: list[str], ids: tuple[str, ...]):
+    """Parse the sector rows, the first ``n`` of ``lines``, in one numpy pass.
+
+    ``lines`` are the table's lines after its header. Returns the sector
+    names, the ``n × (n + 3)`` numeric cells and a csv reader over the rows
+    after the block, or None when numpy cannot vouch for the block: then
+    ``_walk_sector_rows`` parses it again and raises its error. The block is
+    accepted only when it holds ``n`` rows of the header's width, in header
+    order, whose cells are all finite numbers; numpy reads a subset of what
+    ``float`` reads, so an accepted block has the walk's values.
+    """
+    n = len(ids)
+    block = lines[:n]
+    # numpy skips a blank line, which the walk rejects, and warns when every
+    # line is; it strips \x1c-\x1f around a number, which float rejects
+    if len(block) < n or not block[0].strip("\r\n"):
+        return None
+    if any(sep in line for line in block for sep in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        rows = np.loadtxt(
+            block,
+            dtype=[("id", object), ("name", object), ("cells", float, (n + 3,))],
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    if tuple(rows["id"]) != ids or not np.isfinite(rows["cells"]).all():
+        return None
+    # numpy ends the last row at the end of the block even inside an open
+    # quote, where csv reads on; so csv reads that row again to decide
+    rest = csv.reader(lines[n - 1 :])
+    next(rest)
+    if rest.line_num != 1:
+        return None
+    return list(rows["name"]), rows["cells"], rest
+
+
+def _walk_sector_rows(rows: list[list[str]], ids: tuple[str, ...], *, path) -> tuple[list[str], np.ndarray]:
+    """The sector names and cells of a table's csv ``rows``, header first, checked row by row.
+
+    Raises at the first error in file order, at its line and column.
+    """
+    n = len(ids)
+    names = []
+    cells = np.zeros((n, n + 3))
+    data_rows = rows[1:]
+    if len(data_rows) < n:
+        raise SchemaError(f"expected {n} sector rows, found {len(data_rows)}", path=path, line=len(rows))
+    for i in range(n):
+        line = i + 2
+        row = data_rows[i]
+        _require_width(row, n + 5, path=path, line=line)
+        if row[0] != ids[i]:
+            raise SchemaError(
+                f"sector rows must follow header order; expected {ids[i]!r}, got {row[0]!r}",
+                path=path,
+                line=line,
+                column=1,
+            )
+        names.append(row[1])
+        cells[i] = _row_floats(row[2:], path=path, line=line)
+    return names, cells
+
+
 def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, BalanceReport]:
     """Load a flow table, validate it and return it with its balance report.
 
     Raises :class:`Unbalanced` beyond BALANCE_TOLERANCE unless
     ``allow_unbalanced``; the report is returned either way.
     """
-    rows = _read_rows(path)
-    header = rows[0]
+    text = _read_text(path)
+    lines = io.StringIO(text, newline="")
+    header = next(csv.reader(lines))
     if header[:2] != ["sector_id", "sector_name"]:
         raise SchemaError(
             "header must start with sector_id,sector_name", path=path, line=1, column=1
@@ -206,33 +291,21 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
     if n == 0:
         raise SchemaError("no sector columns in header", path=path, line=1, column=3)
 
-    names = []
-    Z = np.zeros((n, n))
-    f = np.zeros(n)
-    e = np.zeros(n)
-    x = np.zeros(n)
-    data_rows = rows[1:]
-    if len(data_rows) < n:
-        raise SchemaError(f"expected {n} sector rows, found {len(data_rows)}", path=path, line=len(rows))
-    for i in range(n):
-        line = i + 2
-        row = data_rows[i]
-        _require_width(row, len(header), path=path, line=line)
-        if row[0] != ids[i]:
-            raise SchemaError(
-                f"sector rows must follow header order; expected {ids[i]!r}, got {row[0]!r}",
-                path=path,
-                line=line,
-                column=1,
-            )
-        names.append(row[1])
-        values = _row_floats(row[2:], path=path, line=line)
-        Z[i] = values[:n]
-        f[i], e[i], x[i] = values[n:]
+    # listing the lines after the header frees the stream's copy of the text
+    lines = list(lines)
+    block = _parse_sector_block(lines, ids)
+    if block is None:
+        rows = list(_read_rows(text))
+        names, cells = _walk_sector_rows(rows, ids, path=path)
+        primary_rows = rows[n + 1 :]
+    else:
+        names, cells, primary_rows = block
+    Z = cells[:, :n]
+    f, e, x = cells[:, n:].T
 
     primary: dict[str, np.ndarray] = {}
-    for k, row in enumerate(data_rows[n:]):
-        line = n + k + 2
+    primary_lines = []
+    for line, row in enumerate(primary_rows, start=n + 2):
         if not row or not row[0]:
             continue
         _require_width(row, len(header), path=path, line=line)
@@ -242,6 +315,23 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
         if label not in (LABOR_ROW, CAPITAL_ROW, VALUE_ADDED_ROW, IMPORTS_ROW, INDIRECT_TAX_ROW):
             raise SchemaError(f"unknown row label {label!r}", path=path, line=line, column=1)
         primary[label] = _row_floats(row[2 : 2 + n], path=path, line=line)
+        primary_lines.append(line)
+
+    # Z, EXPORTS and the primary inputs must not be negative; FINAL_DEMAND may
+    # be (an inventory change), and OUTPUT has its own check below
+    signed = np.zeros((n + len(primary), n + 3))
+    signed[:n] = cells
+    signed[:n, [n, n + 2]] = 0.0
+    signed[n:, :n] = np.reshape(list(primary.values()), (-1, n))
+    negative = signed < 0
+    if negative.any():
+        row, column = np.unravel_index(negative.argmax(), negative.shape)
+        raise ParseError(
+            f"must not be negative, got {float(signed[row, column])}",
+            path=path,
+            line=[*range(2, n + 2), *primary_lines][row],
+            column=int(column) + 3,
+        )
 
     if VALUE_ADDED_ROW in primary and (LABOR_ROW in primary or CAPITAL_ROW in primary):
         raise SchemaError(

@@ -55,6 +55,13 @@ class MaskedInputTreatment(enum.Enum):
     BASELINE = "baseline"
 
 
+def check_gst_rate(rate: float) -> float:
+    """Return the statutory rate ``rate``; raise ValueError unless it lies in [0, 1)."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"gst_rate must lie in [0, 1), got {rate}")
+    return rate
+
+
 @dataclass(frozen=True)
 class RateSchedule:
     """Per-sector tax treatment under the reform.
@@ -80,8 +87,10 @@ class RateSchedule:
         object.__setattr__(self, "standard_share", _frozen(self.standard_share, (n,)))
         if np.any(self.standard_share < 0) or np.any(self.standard_share > 1):
             raise InvalidSchedule("standard_share entries must lie in [0, 1]")
-        if not 0.0 <= self.gst_rate < 1.0:
-            raise InvalidSchedule(f"gst_rate must lie in [0, 1), got {self.gst_rate}")
+        try:
+            check_gst_rate(self.gst_rate)
+        except ValueError as exc:
+            raise InvalidSchedule(str(exc)) from None
 
     @classmethod
     def uniform_standard(cls, sectors: SectorSet, gst_rate: float) -> "RateSchedule":

@@ -51,6 +51,7 @@ from .price_model import (
     PriceChangeSummary,
     RateSchedule,
     baseline_prices,
+    check_gst_rate,
     price_change_summary,
     simulate_prices,
 )
@@ -67,14 +68,17 @@ _SYNTAX_ERRORS = {
 # Each parser takes a key's non-empty value, the key and the directory that a
 # relative path starts from; it raises ValueError with the message to report.
 def _path(value: str, key: str, base: Path) -> Path:
+    if "\n" in value:
+        raise ValueError(f"{key} continues on an indented line; a path is one line")
     return (base / value).resolve()
 
 
 def _rate(value: str, key: str, base: Path) -> float:
     try:
-        return float(value)
+        rate = float(value)
     except ValueError:
         raise ValueError(f"{key} is not a number: {value!r}") from None
+    return check_gst_rate(rate)
 
 
 def _treatment(value: str, key: str, base: Path) -> MaskedInputTreatment:
@@ -141,19 +145,25 @@ def _line_numbers(parser: configparser.ConfigParser, text: str) -> dict[tuple[st
     """First line of each ``[section]`` header (key None) and of each key in it.
 
     Matches ``parser``'s own header and option patterns against a text it has
-    already read. Indented lines are skipped: they continue a value.
+    already read, and skips what it skips: blank and comment lines, and a
+    line indented deeper than the section's last key, which continues that
+    key's value.
     """
     lines: dict[tuple[str, str | None], int] = {}
     section = None
+    key_indent = None  # indent of the section's last key; None before its first
     for number, line in enumerate(text.split("\n"), start=1):
-        if line[:1].isspace():
+        stripped = line.strip()
+        indent = len(line) - len(line.lstrip())
+        if not stripped or stripped[0] in "#;" or (key_indent is not None and indent > key_indent):
             continue
-        header = parser.SECTCRE.match(line)
-        option = parser.OPTCRE.match(line)
+        header = parser.SECTCRE.match(stripped)
+        option = parser.OPTCRE.match(stripped)
         if header:
-            section = header.group("header")
+            section, key_indent = header.group("header"), None
             lines.setdefault((section, None), number)
         elif option:
+            key_indent = indent
             lines.setdefault((section, parser.optionxform(option.group("option"))), number)
     return lines
 

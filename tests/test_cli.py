@@ -289,7 +289,8 @@ class TestRun:
         assert all(row.split(",")[4] == "0" for row in rows)
 
     def test_out_of_range_scenario_gst_rate_exits_2(self, data_dir, tmp_path, capsys):
-        # the rate range is the schedule's rule, whichever input sets the rate
+        # the rate range is the schedule's rule, whichever input sets the rate;
+        # a scenario reports it at its line
         (tmp_path / "s.cfg").write_text(
             f"[inputs]\nio_table = {data_dir / 'io_table.csv'}\n"
             f"rate_schedule = {data_dir / 'rate_schedule.csv'}\n\n"
@@ -299,7 +300,7 @@ class TestRun:
         code = main(["run", str(tmp_path / "s.cfg")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("ERROR InvalidSchedule:")
+        assert err.startswith(f"ERROR SchemaError: {tmp_path / 's.cfg'}:6: gst_rate must lie in [0, 1)")
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 

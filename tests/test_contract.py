@@ -22,7 +22,8 @@ TOKENS = [b"zzz", b"", b"1.5", b"-1", b"nan", b"yes", b"x ; note", b"\xff"]
 
 
 def mutate(kind: str, line: int, token: bytes, cut: int) -> bytes:
-    """Delete or duplicate ``line``, replace its value with ``token``, or cut the file at ``cut``."""
+    """Delete or duplicate ``line``, replace its value with ``token``, insert an
+    indented key ``token`` before it, or cut the file at ``cut``."""
     if kind == "truncate":
         return SCENARIO[:cut]
     lines = list(LINES)
@@ -30,6 +31,9 @@ def mutate(kind: str, line: int, token: bytes, cut: int) -> bytes:
         del lines[line]
     elif kind == "duplicate":
         lines.insert(line, lines[line])
+    elif kind == "insert":
+        # a key after a [section] header, a value's continuation after a key
+        lines.insert(line, b"  " + token + b" = 1\n")
     else:
         key, equals, _ = lines[line].partition(b"=")
         # a line that is no key = value is replaced as a whole
@@ -39,7 +43,7 @@ def mutate(kind: str, line: int, token: bytes, cut: int) -> bytes:
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(
-    kind=st.sampled_from(["delete", "duplicate", "replace", "truncate"]),
+    kind=st.sampled_from(["delete", "duplicate", "replace", "insert", "truncate"]),
     line=st.integers(0, len(LINES) - 1),
     token=st.sampled_from(TOKENS),
     cut=st.integers(0, len(SCENARIO)),
@@ -48,6 +52,8 @@ def mutate(kind: str, line: int, token: bytes, cut: int) -> bytes:
 @example(kind="replace", line=9, token=b"", cut=0)
 @example(kind="replace", line=14, token=b"x ; note", cut=0)
 @example(kind="delete", line=12, token=b"", cut=0)
+@example(kind="insert", line=1, token=b"zzz", cut=0)
+@example(kind="insert", line=2, token=b"zzz", cut=0)
 def test_scenario_mutants_run_or_fail_with_one_located_error(kind, line, token, cut):
     with tempfile.TemporaryDirectory() as tmp:
         # output_dir is ../../out/appendix3, so the run lands in tmp/out

@@ -1,11 +1,14 @@
 """Tests for CSV loading, validation errors with positions, and concordance mapping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from gstio import ingest
 from gstio import (
     Concordance,
     ConcordanceLink,
@@ -14,6 +17,7 @@ from gstio import (
     GstioError,
     HouseholdGroup,
     InvalidShare,
+    LoadError,
     ParseError,
     RateCategory,
     SchemaError,
@@ -37,6 +41,7 @@ from gstio import (
 )
 
 IO_HEADER = "sector_id,sector_name,a,b,FINAL_DEMAND,EXPORTS,OUTPUT\n"
+PRIMARY_ROWS = "VALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n"
 PRIMARY_LABELS = ("LABOR", "CAPITAL", "IMPORTS", "INDIRECT_TAX")
 
 
@@ -44,6 +49,46 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+NAME_PIECES = ("Farm", '"Farm, fish"', '"say ""hi"""', "#3", "a\tb", 'x"y', '"ab"c')
+CELL_PIECES = ("0", "1", "2.5", " 3 ", "\t4")
+# Python's float reads 1_000, numpy does not; "1,2" is an extra field and '"7' an open quote
+ODD_CELL_PIECES = ("1_000", "nan", "1e999", "", "1,2", '"7', "zzz")
+
+
+@st.composite
+def _sector_tables(draw):
+    """A 2-4-sector IO table whose sector rows mix odd names, cells and layouts."""
+    n = draw(st.integers(2, 4))
+    ids = [f"s{i}" for i in range(n)]
+    lines = [",".join(["sector_id", "sector_name", *ids, "FINAL_DEMAND", "EXPORTS", "OUTPUT"])]
+    for sector_id in ids:
+        cells = [draw(st.sampled_from(CELL_PIECES)) for _ in range(n + 2)] + ["10000"]
+        if draw(st.integers(0, 4)) == 0:
+            cells[draw(st.integers(0, n + 2))] = draw(st.sampled_from(ODD_CELL_PIECES))
+        if draw(st.integers(0, 7)) == 0:
+            cells = draw(st.sampled_from((cells + ["1"], cells[:-1])))
+        if draw(st.integers(0, 7)) == 0:
+            sector_id = draw(st.sampled_from((f" {sector_id}", "s9")))
+        lines.append(",".join([sector_id, draw(st.sampled_from(NAME_PIECES)), *cells]))
+    lines += [f"{label},,{','.join(['1'] * n)},,," for label in ("VALUE_ADDED", "IMPORTS", "INDIRECT_TAX")]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(1, n + 1)), "")
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + newline
+
+
+def _load_outcome(path):
+    """A loaded table's sectors and arrays bit for bit, or its error's class, location and message."""
+    try:
+        table, _ = load_io_table(path, allow_unbalanced=True)
+    except LoadError as exc:
+        return type(exc), exc.line, exc.column, str(exc)
+    except GstioError as exc:
+        return type(exc), str(exc)
+    arrays = (table.Z, table.f, table.e, table.labor, table.capital, table.imports, table.indirect_tax, table.x)
+    return table.sectors, [array.tobytes() for array in arrays]
 
 
 DIALECT_CASES = {
@@ -236,6 +281,74 @@ class TestLoadIOTable:
         np.testing.assert_array_equal(table.f, [10.0, 1.0])
         np.testing.assert_array_equal(table.x, [10.0, 1.0])
         np.testing.assert_array_equal(table.imports, [10.0, 0.0])
+
+    @pytest.mark.parametrize(
+        ("rows", "position"),
+        [
+            ("a,A,0,-1,1,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n", (2, 4)),
+            ("a,A,0,0,1,0,1\nb,B,0,0,1,-1,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n", (3, 6)),
+            ("a,A,0,0,1,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,-1e-9,,,\n", (6, 4)),
+            # the first in file order
+            ("a,A,0,0,1,0,1\nb,B,-2,0,1,-1,1\nVALUE_ADDED,,-1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n", (3, 3)),
+        ],
+    )
+    def test_negative_cell_reported_at_its_cell(self, tmp_path, rows, position):
+        path = _write(tmp_path, "t.csv", IO_HEADER + rows)
+        with pytest.raises(ParseError, match="must not be negative") as info:
+            load_io_table(path, allow_unbalanced=True)
+        assert (info.value.line, info.value.column) == position
+
+    def test_negative_final_demand_loads(self, tmp_path):
+        # an inventory change; OUTPUT still exceeds every input cell
+        path = _write(
+            tmp_path,
+            "t.csv",
+            IO_HEADER + "a,A,0,0,-1,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n",
+        )
+        table, _ = load_io_table(path, allow_unbalanced=True)
+        np.testing.assert_array_equal(table.f, [-1.0, 1.0])
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @pytest.mark.filterwarnings("error")
+    @given(text=_sector_tables())
+    # an open quote in the last sector cell, where csv reads on into the next line
+    @example(text=IO_HEADER + 'a,A,0,0,1,0,1\nb,B,0,0,1,0,"1\n' + PRIMARY_ROWS)
+    # \x1c after a number, which numpy strips and float rejects
+    @example(text=IO_HEADER + "a,A,0,0,1,0,1\x1c\nb,B,0,0,1,0,1\n" + PRIMARY_ROWS)
+    # only blank lines where the sector rows belong
+    @example(text=IO_HEADER + "\n\n" + PRIMARY_ROWS)
+    # lines that end in \r alone
+    @example(text=(IO_HEADER + "a,A,0,0,1,0,1\nb,B,0,0,1,0,1\n" + PRIMARY_ROWS).replace("\n", "\r"))
+    def test_one_pass_parse_agrees_with_the_row_walk(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_parse_sector_block", lambda lines, ids: None)
+            walked = _load_outcome(path)
+        assert _load_outcome(path) == walked
+
+    def test_one_pass_parse_runs_on_quoted_names(self, tmp_path, monkeypatch):
+        # a silent fallback to the row walk, e.g. on an older numpy, fails here
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the sector block was walked")
+
+        monkeypatch.setattr(ingest, "_walk_sector_rows", no_walk)
+        table = helpers.random_balanced_table(np.random.default_rng(7), 50)
+        names = tuple(f'Sector {i}, "grade" {i % 3}' for i in range(50))
+        table = dataclasses.replace(table, sectors=SectorSet(ids=table.sectors.ids, names=names))
+        path = tmp_path / "t.csv"
+        save_io_table(table, path)
+        assert '"Sector 0, ""grade"" 0"' in path.read_text(encoding="utf-8")
+        loaded, _ = load_io_table(path)
+        assert loaded.sectors == table.sectors
+        for name in ("Z", "f", "e", "labor", "capital", "imports", "indirect_tax", "x"):
+            np.testing.assert_array_equal(getattr(loaded, name).view(np.int64), getattr(table, name).view(np.int64))
 
     @pytest.mark.parametrize(
         ("header", "message", "column"),

@@ -75,6 +75,11 @@ SCHEMA_ERRORS = [
     ("output_dir = out", "output_dir =", "missing required key 'output_dir'", 8),
     ("gst_rate = 0.06", "masked_input_treatment = drop", "missing required key 'gst_rate'", 5),
     ("gst_rate = 0.06", "gst_rate = six percent", "gst_rate is not a number", 6),
+    ("io_table = io.csv\n", "io_table = io.csv\n  more.csv\n", "io_table continues on an indented line", 2),
+    ("[inputs]\n", "[inputs]\n  foo = 1\n", "unknown key 'foo' in [inputs]", 2),
+    ("gst_rate = 0.06", "gst_rate = nan", "gst_rate must lie in [0, 1), got nan", 6),
+    ("gst_rate = 0.06", "gst_rate = -1", "gst_rate must lie in [0, 1), got -1.0", 6),
+    ("gst_rate = 0.06", "gst_rate = 1.5", "gst_rate must lie in [0, 1), got 1.5", 6),
     ("output_dir = out", "output_dir = out\nfull_precision = maybe", "full_precision must be true or false", 10),
     ("gst_rate = 0.06", "gst_rate = 0.06\nmasked_input_treatment = keep", "masked_input_treatment", 7),
     ("output_dir = out", "output_dir = out\nbase_groups = inc1", "must be dimension:group_id", 10),
