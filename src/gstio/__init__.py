@@ -90,6 +90,7 @@ from .price_model import (
     gst_coefficients,
     masked_inverse,
     price_change_summary,
+    price_path,
     rate_mask,
     simulate_prices,
 )

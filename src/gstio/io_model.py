@@ -299,16 +299,40 @@ def _solve_productive(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ρ(M) <= 1 − 1/max(x), so max(x) < 1/ε proves ρ(M) < 1 − ε. Raises
     :class:`NonProductive` otherwise, and :class:`DimensionMismatch` for a
     non-square M or negative entries, for which x proves nothing.
+
+    Only the live block is factorised. Let S be the columns of M with a
+    nonzero entry and Z the rest (a zero-rated or exempt sector of A'B̂).
+    Unknown y_Z enters no equation, so (I − M_SS) y_S = rhs_S is solved alone
+    and y_Z = rhs_Z + M_ZS y_S follows by one product. The verdict is
+    unchanged: M is block triangular with a zero Z column block, so
+    ρ(M) = ρ(M_SS), and the certificate rows x_Z = 1 + M_ZS x_S >= 1 add
+    nothing the test on x_S does not already decide. With every column live
+    this is the plain solve of I − M.
     """
     M = _square(M)
     if np.any(M < -1e-12):
         raise DimensionMismatch("matrix entries must be nonnegative")
     rhs = np.asarray(rhs, dtype=float)
-    n = M.shape[0]
+    solution = np.column_stack([rhs, np.ones(M.shape[0])])
+    nonzero = M.any(axis=0)
+    live, dead = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
+    # I − M_SS in one new array. Gathered through M.T because the price
+    # solves pass A', a column-major view: the block comes out column-major,
+    # the layout LAPACK copies fastest. 0 − m rather than −m turns m = 0 into
+    # +0, so with every column live the block is I − M bit for bit.
+    block = M.T[np.ix_(live, live)].T
+    np.subtract(0.0, block, out=block)
+    block.flat[:: len(live) + 1] += 1.0
     try:
-        solution = np.linalg.solve(np.eye(n) - M, np.column_stack([rhs, np.ones(n)]))
+        solved = np.linalg.solve(block, solution[live])
     except np.linalg.LinAlgError as exc:
         raise NonProductive(f"(I - M) is singular: {exc}") from exc
+    solution[live] = solved
+    # One matrix-vector product per column: BLAS may round a column of a
+    # matrix product differently when other columns sit beside it, and a
+    # stacked right-hand side should get the rows Z it would get alone.
+    coupling = M[np.ix_(dead, live)]
+    solution[dead] += np.stack([coupling @ column for column in solved.T], axis=1)
     certificate = solution[:, -1]
     if not (np.all(certificate > 0) and certificate.max() < 1.0 / PRODUCTIVITY_EPSILON):
         raise NonProductive(

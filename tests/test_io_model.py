@@ -16,9 +16,11 @@ from gstio import (
     balance_report,
     derive_coefficients,
     leontief_inverse,
+    masked_inverse,
     quantity_model,
     spectral_radius,
 )
+from gstio.io_model import PRODUCTIVITY_EPSILON, _solve_productive
 
 
 class TestSectorSet:
@@ -188,6 +190,107 @@ class TestLeontiefInverse:
         A = appendix_bundle.A
         L = leontief_inverse(A)
         np.testing.assert_allclose(L @ (np.eye(3) - A), np.eye(3), atol=1e-10)
+
+
+def _productive(M) -> bool:
+    """The dense-eigenvalue oracle for the solve kernel's verdict."""
+    return float(np.abs(np.linalg.eigvals(M)).max()) < 1.0 - PRODUCTIVITY_EPSILON
+
+
+def _verdict(M) -> bool:
+    try:
+        _solve_productive(M, np.empty((len(M), 0)))
+    except NonProductive:
+        return False
+    return True
+
+
+class TestReducedSolve:
+    """The kernel factorises only the columns of M that hold a nonzero entry."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=0, max_value=2**31),
+        st.floats(min_value=0.3, max_value=1.7).filter(lambda t: abs(t - 1.0) > 1e-3),
+        st.booleans(),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_matches_full_solve_and_eigenvalue_verdict(self, n, seed, target_radius, bipartite, columns):
+        rng = np.random.default_rng(seed)
+        M = rng.uniform(0.0, 1.0, size=(n, n))
+        if bipartite:
+            k = int(rng.integers(0, n))
+            M[:k, :k] = 0.0
+            M[k:, k:] = 0.0
+        M[:, rng.random(n) < 0.4] = 0.0
+        radius = float(np.abs(np.linalg.eigvals(M)).max())
+        if radius > 0.0:
+            M *= target_radius / radius
+        rhs = rng.uniform(0.1, 1.0, size=(n, columns) if columns else n)
+        if _productive(M):
+            y = _solve_productive(M, rhs)
+            assert y.shape == rhs.shape
+            np.testing.assert_allclose(y, np.linalg.solve(np.eye(n) - M, rhs), rtol=1e-10)
+        else:
+            with pytest.raises(NonProductive):
+                _solve_productive(M, rhs)
+
+    def test_factorises_only_the_live_block(self, monkeypatch):
+        shapes = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            shapes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        M = np.full((4, 4), 0.1)
+        M[:, [0, 2]] = 0.0
+        _solve_productive(M, np.ones(4))
+        _solve_productive(np.full((4, 4), 0.1), np.ones(4))
+        assert shapes == [(2, 2), (4, 4)]
+
+    def test_all_columns_zero_returns_rhs(self):
+        rhs = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(_solve_productive(np.zeros((3, 3)), rhs), rhs)
+
+    def test_one_live_column(self):
+        M = np.zeros((4, 4))
+        M[:, 2] = [0.1, 0.2, 0.5, 0.3]
+        rhs = np.array([1.0, 2.0, 3.0, 4.0])
+        # y_2 = 3 / (1 - 0.5) = 6, and every other row adds M[i, 2] * 6
+        np.testing.assert_allclose(_solve_productive(M, rhs), rhs + M[:, 2] * 6.0, rtol=1e-15)
+        M[2, 2] = 1.0
+        with pytest.raises(NonProductive):
+            _solve_productive(M, rhs)
+
+    def test_one_sector(self):
+        np.testing.assert_array_equal(_solve_productive(np.array([[0.5]]), np.array([3.0])), [6.0])
+        np.testing.assert_array_equal(_solve_productive(np.zeros((1, 1)), np.array([[1.0, 2.0]])), [[1.0, 2.0]])
+        for m in (1.0, 1.5):
+            with pytest.raises(NonProductive):
+                _solve_productive(np.array([[m]]), np.array([1.0]))
+
+    def test_bipartite_with_a_zeroed_column(self):
+        verdicts = set()
+        for scale in (1.0, 2.5):
+            for j in range(3):
+                M = scale * helpers.BIPARTITE_A
+                M[:, j] = 0.0
+                assert _verdict(M) == _productive(M)
+                verdicts.add(_verdict(M))
+        assert verdicts == {True, False}
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
+    def test_masked_inverse_unit_columns_are_exact(self, n, seed):
+        rng = np.random.default_rng(seed)
+        A, *_ = helpers.random_coefficients(rng, n)
+        shares = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 1.0, size=n))
+        inverse = masked_inverse(A, shares)
+        for j in np.flatnonzero(shares == 0.0):
+            np.testing.assert_array_equal(inverse[:, j], np.eye(n)[:, j])
 
 
 class TestQuantityModel:

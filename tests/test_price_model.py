@@ -1,5 +1,7 @@
 """Tests for the masked cost-push price model against printed and oracle values."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import helpers
 from gstio import (
     CoefficientBundle,
+    InvalidSchedule,
     MaskedInputTreatment,
     NonProductive,
     RateCategory,
@@ -18,6 +21,7 @@ from gstio import (
     leontief_inverse,
     masked_inverse,
     price_change_summary,
+    price_path,
     rate_mask,
     simulate_prices,
 )
@@ -287,6 +291,62 @@ class TestSimulatePrices:
         assert np.all(higher >= lower - 1e-12)
         taxed = (schedule.standard_share > 0) & (bundle.value_added > 0)
         assert np.all(higher[taxed] > lower[taxed])
+
+
+class TestPricePath:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=0, max_value=2**31),
+        st.lists(st.floats(min_value=0.0, max_value=0.99), min_size=1, max_size=6),
+        st.sampled_from(list(MaskedInputTreatment)),
+        st.booleans(),
+    )
+    def test_rows_equal_per_rate_simulate_prices_bitwise(self, n, seed, rates, treatment, exempt_option):
+        rng = np.random.default_rng(seed)
+        bundle, schedule = helpers.random_bundle_and_schedule(rng, n)
+        # relabel some not fully standard sectors exempt, for the exempt option
+        categories = tuple(
+            RateCategory.EXEMPT if share < 1.0 and rng.random() < 0.5 else category
+            for share, category in zip(schedule.standard_share, schedule.categories)
+        )
+        schedule = replace(schedule, categories=categories)
+        options = dict(masked_input_treatment=treatment, exempt_retains_input_tax=exempt_option)
+        path = price_path(bundle, schedule, rates, **options)
+        assert path.shape == (len(rates), n)
+        for rate, row in zip(rates, path):
+            expected = simulate_prices(bundle, replace(schedule, gst_rate=rate), **options)
+            np.testing.assert_array_equal(row, expected)
+
+    def test_rows_match_per_rate_simulate_prices_on_a_large_system(self):
+        # a live block of 555 sectors and 26 stacked columns, enough for
+        # single-threaded OpenBLAS to round some columns by their place
+        rng = np.random.default_rng(18)
+        bundle, _ = helpers.random_bundle_and_schedule(rng, 600)
+        n = bundle.n
+        schedule = RateSchedule(
+            sectors=bundle.sectors,
+            categories=tuple(
+                RateCategory.EXEMPT if u < 0.3 else RateCategory.STANDARD_RATED for u in rng.random(n)
+            ),
+            standard_share=np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.5, 1.0, n)),
+            gst_rate=0.06,
+        )
+        rates = np.linspace(0.0, 0.3, 25)
+        options = dict(masked_input_treatment="baseline", exempt_retains_input_tax=True)
+        path = price_path(bundle, schedule, rates, **options)
+        for rate, row in zip(rates, path):
+            expected = simulate_prices(bundle, replace(schedule, gst_rate=rate), **options)
+            np.testing.assert_allclose(row, expected, rtol=1e-12, atol=0)
+
+    def test_schedule_rate_is_not_used(self, appendix_bundle, appendix_schedule):
+        path = price_path(appendix_bundle, replace(appendix_schedule, gst_rate=0.5), [0.06])
+        np.testing.assert_array_equal(path[0], simulate_prices(appendix_bundle, appendix_schedule))
+
+    @pytest.mark.parametrize("rates", [[0.1, 1.0], [-0.01], [float("nan")], [0.05, 1.5]])
+    def test_out_of_range_rate_rejected(self, appendix_bundle, appendix_schedule, rates):
+        with pytest.raises(InvalidSchedule, match=r"gst_rate must lie in \[0, 1\)"):
+            price_path(appendix_bundle, appendix_schedule, rates)
 
 
 class TestPriceChangeSummary:

@@ -1,11 +1,15 @@
 """The example scripts run as programs: clean exits, usage errors without tracebacks."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from gstio import derive_coefficients, load_io_table, load_rate_schedule, price_change_summary, simulate_prices
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +40,46 @@ def test_rate_sweep_rejects_too_few_steps(steps):
     assert proc.returncode == 2
     assert "--steps must be at least 2" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_rate_sweep_prints_the_break_even_rate():
+    lines = _script("rate_sweep.py").stdout.splitlines()
+    assert len(lines) == 13
+    assert lines[-1] == "break-even rate (output-weighted mean change crosses 0): 0.182067"
+    short = _script("rate_sweep.py", "--max-rate", "0.01", "--steps", "2", "--treatment", "baseline")
+    assert short.stdout.splitlines()[-1].endswith(": 0.033821")
+
+
+def test_rate_sweep_reports_no_break_even_rate_outside_the_range():
+    proc = _script("rate_sweep.py", "--max-rate", "0", "--steps", "2")
+    assert proc.stdout.splitlines()[-1].endswith(": none in [0, 1)")
+
+
+def _load_rate_sweep():
+    spec = importlib.util.spec_from_file_location("rate_sweep", ROOT / "scripts" / "rate_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("treatment", ["drop", "baseline"])
+def test_break_even_rate_matches_bisection(treatment):
+    rate_sweep = _load_rate_sweep()
+    rates, summaries = rate_sweep.sweep(treatment, 0.10, 11)
+    closed_form = rate_sweep.break_even_rate(rates, [s.weighted_mean for s in summaries])
+
+    data = ROOT / "data" / "appendix3"
+    table, _ = load_io_table(data / "io_table.csv")
+    bundle = derive_coefficients(table)
+    schedule, _ = load_rate_schedule(data / "rate_schedule.csv", table.sectors)
+
+    def mean_change(rate):
+        post = simulate_prices(bundle, replace(schedule, gst_rate=rate), masked_input_treatment=treatment)
+        return price_change_summary(post, output=table.x).weighted_mean
+
+    low, high = 0.0, 0.99
+    assert mean_change(low) < 0.0 < mean_change(high)
+    while high - low > 1e-13:
+        middle = 0.5 * (low + high)
+        low, high = (middle, high) if mean_change(middle) < 0.0 else (low, middle)
+    assert closed_form == pytest.approx(low, abs=1e-9)
