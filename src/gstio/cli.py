@@ -42,7 +42,7 @@ from .incidence import (
 from .ingest import _write_csv, load_category_map, load_household, load_io_table, load_rate_schedule
 from .io_model import derive_coefficients
 from .price_model import MaskedInputTreatment
-from .scenario import ScenarioResult, load_scenario, run_scenario
+from .scenario import ScenarioConfig, ScenarioResult, load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,6 +62,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"ERROR Usage: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+class _Override(argparse.Action):
+    """Store a flag's value parsed as the scenario key its dest names, paths from the cwd.
+
+    A value that key's parser rejects is a usage error that names the flag.
+    """
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        parse = {spec.name: spec for spec in fields(ScenarioConfig)}[self.dest].metadata["parse"]
+        try:
+            setattr(namespace, self.dest, parse(value, self.dest, Path.cwd()))
+        except ValueError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
 
 
 def _number_formatter(full_precision: bool):
@@ -258,10 +272,9 @@ def _write_run_outputs(result: ScenarioResult, target: Path, fmt) -> None:
 
 def cmd_run(args) -> int:
     config = load_scenario(args.scenario)
-    # A flag whose dest names a ScenarioConfig field overrides it when given: its
-    # value (a switch stores "true") is parsed as that key's, paths from the cwd.
+    # a flag whose dest names a ScenarioConfig field overrides it when given
     overrides = {
-        spec.name: spec.metadata["parse"](getattr(args, spec.name), spec.name, Path.cwd())
+        spec.name: getattr(args, spec.name)
         for spec in fields(config)
         if getattr(args, spec.name, None) is not None
     }
@@ -309,6 +322,12 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
     if not rows:
         raise MissingArtifact(f"{path} is empty")
     return rows[0], rows[1:]
+
+
+def _column(path: Path, header: list[str], column: str) -> int:
+    if column not in header:
+        raise MissingArtifact(f"{path} has no {column} column")
+    return header.index(column)
 
 
 def _is_number(cell: str) -> bool:
@@ -368,7 +387,7 @@ def cmd_report(args) -> int:
         for name in selected:
             header, rows = _read_table(tables[name])
             if name == PRICE_TABLE:
-                pct_index = header.index("pct_change")
+                pct_index = _column(tables[name], header, "pct_change")
                 header = ["sector", "pct_change", "direction"]
                 rows = [[row[0], row[pct_index], _price_direction(row[pct_index])] for row in rows]
             blocks.append(_render_text(name, header, rows))
@@ -379,8 +398,7 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out) if args.out else run_dir / "plotdata"
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in selected:
-        header, rows = _read_table(tables[name])
-        series = _series_for(name, header, rows)
+        series = _series_for(name, tables[name])
         if series is None:
             continue
         series_path = out_dir / f"{name}_series.csv"
@@ -389,9 +407,11 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _series_for(name: str, header: list[str], rows: list[list[str]]):
+def _series_for(name: str, path: Path):
+    header, rows = _read_table(path)
+
     def col(column: str) -> int:
-        return header.index(column)
+        return _column(path, header, column)
 
     if name == PRICE_TABLE:
         return [[row[col("sector_id")], row[col("pct_change")]] for row in rows]
@@ -429,11 +449,12 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="execute a scenario and write report CSVs")
     run.add_argument("scenario", help="scenario config file")
-    run.add_argument("--output-dir", "-o", help="override the scenario's output directory")
-    run.add_argument("--treatment", dest="masked_input_treatment", choices=[t.value for t in MaskedInputTreatment])
-    run.add_argument("--exempt-retains-input-tax", action="store_const", const="true")
-    run.add_argument("--allow-unbalanced", action="store_const", const="true")
-    run.add_argument("--full-precision", action="store_const", const="true")
+    run.add_argument("--output-dir", "-o", action=_Override, help="override the scenario's output directory")
+    treatments = [t.value for t in MaskedInputTreatment]
+    run.add_argument("--treatment", dest="masked_input_treatment", action=_Override, choices=treatments)
+    run.add_argument("--exempt-retains-input-tax", action="store_const", const=True)
+    run.add_argument("--allow-unbalanced", action="store_const", const=True)
+    run.add_argument("--full-precision", action="store_const", const=True)
     run.add_argument("--force", action="store_true", help="replace an existing output directory")
     run.set_defaults(func=cmd_run)
 

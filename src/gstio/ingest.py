@@ -3,8 +3,9 @@
 All files are UTF-8 CSV with a header row, '.' decimal separator and no
 thousands separators. The header must start with the columns named below;
 further columns are ignored. Blank rows are skipped (except inside the IO
-table's sector block, which is positional). Every load error names the
-file, line and column, 1-based: the header is line 1. A byte that is not
+table's sector block, which is positional). Each file is read once, into
+the list of its lines, and only that list is parsed. Every load error names
+the file, line and column, 1-based: the header is line 1. A byte that is not
 UTF-8 is reported at its line.
 
 IO table (``load_io_table``)::
@@ -29,7 +30,9 @@ IO table (``load_io_table``)::
     it, for an error or for a cell such as ``1_000`` that Python's
     ``float`` reads and numpy does not, are its rows walked one by one with
     ``csv``: the walk locates the error at its cell, or reads the cell as
-    ``float`` does.
+    ``float`` does. Either way the first error in file order is reported,
+    also when the block is short of rows: a bad cell before the end of the
+    file comes before the missing rows.
 
 Rate schedule (``load_rate_schedule``)::
 
@@ -63,9 +66,7 @@ Category map (``load_category_map``)::
 from __future__ import annotations
 
 import csv
-import io
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -110,21 +111,18 @@ _CATEGORY_TOKENS = {c.value: c for c in RateCategory}
 _DIMENSION_TOKENS = {d.value: d for d in GroupDimension}
 
 
-def _read_text(path) -> str:
+def _read_lines(path) -> list[str]:
+    """The lines of ``path`` with their endings, split at \\n, \\r and \\r\\n as ``csv`` splits them."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            text = handle.read()
+            lines = handle.readlines()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
     except UnicodeDecodeError:
         raise _not_utf8(ParseError, path) from None
-    if not text:
+    if not lines:
         raise SchemaError("empty file", path=path, line=1)
-    return text
-
-
-def _read_rows(text: str) -> Iterator[list[str]]:
-    return csv.reader(io.StringIO(text, newline=""))
+    return lines
 
 
 def _not_utf8(error: type[LoadError], path) -> LoadError:
@@ -149,7 +147,7 @@ def _records(path, header: tuple[str, ...]):
     The header row must start with ``header``; lines are 1-based, so the
     first data row is line 2.
     """
-    rows = _read_rows(_read_text(path))
+    rows = csv.reader(_read_lines(path))
     if tuple(next(rows)[: len(header)]) != header:
         raise SchemaError(f"header must start with {','.join(header)}", path=path, line=1, column=1)
     for line, row in enumerate(rows, start=2):
@@ -205,12 +203,12 @@ def _parse_sector_block(lines: list[str], ids: tuple[str, ...]):
     """Parse the sector rows, the first ``n`` of ``lines``, in one numpy pass.
 
     ``lines`` are the table's lines after its header. Returns the sector
-    names, the ``n × (n + 3)`` numeric cells and a csv reader over the rows
-    after the block, or None when numpy cannot vouch for the block: then
-    ``_walk_sector_rows`` parses it again and raises its error. The block is
-    accepted only when it holds ``n`` rows of the header's width, in header
-    order, whose cells are all finite numbers; numpy reads a subset of what
-    ``float`` reads, so an accepted block has the walk's values.
+    names and the ``n × (n + 3)`` numeric cells, or None when numpy cannot
+    vouch for the block: then ``_walk_sector_rows`` reads it as csv records
+    and raises its error. The block is accepted only when it holds ``n``
+    rows of the header's width, in header order, whose cells are all finite
+    numbers, and its last record ends on its own line; numpy reads a subset
+    of what ``float`` reads, so an accepted block has the walk's values.
     """
     n = len(ids)
     block = lines[:n]
@@ -235,27 +233,29 @@ def _parse_sector_block(lines: list[str], ids: tuple[str, ...]):
         return None
     # numpy ends the last row at the end of the block even inside an open
     # quote, where csv reads on; so csv reads that row again to decide
-    rest = csv.reader(lines[n - 1 :])
-    next(rest)
-    if rest.line_num != 1:
+    last = csv.reader(lines[n - 1 :])
+    next(last)
+    if last.line_num != 1:
         return None
-    return list(rows["name"]), rows["cells"], rest
+    return list(rows["name"]), rows["cells"]
 
 
-def _walk_sector_rows(rows: list[list[str]], ids: tuple[str, ...], *, path) -> tuple[list[str], np.ndarray]:
-    """The sector names and cells of a table's csv ``rows``, header first, checked row by row.
+def _walk_sector_rows(records, ids: tuple[str, ...], *, path) -> tuple[list[str], np.ndarray]:
+    """The sector names and cells of the next ``n`` csv ``records``, checked row by row.
 
-    Raises at the first error in file order, at its line and column.
+    ``records`` is the table's csv reader, just past its header; it is left
+    just past the block, at the primary-input rows. Raises at the first
+    error in file order, at its line and column: a block cut short by the
+    end of the file is reported after the rows it does hold.
     """
     n = len(ids)
     names = []
     cells = np.zeros((n, n + 3))
-    data_rows = rows[1:]
-    if len(data_rows) < n:
-        raise SchemaError(f"expected {n} sector rows, found {len(data_rows)}", path=path, line=len(rows))
     for i in range(n):
         line = i + 2
-        row = data_rows[i]
+        row = next(records, None)
+        if row is None:
+            raise SchemaError(f"expected {n} sector rows, found {i}", path=path, line=i + 1)
         _require_width(row, n + 5, path=path, line=line)
         if row[0] != ids[i]:
             raise SchemaError(
@@ -275,9 +275,9 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
     Raises :class:`Unbalanced` beyond BALANCE_TOLERANCE unless
     ``allow_unbalanced``; the report is returned either way.
     """
-    text = _read_text(path)
-    lines = io.StringIO(text, newline="")
-    header = next(csv.reader(lines))
+    lines = _read_lines(path)
+    records = csv.reader(lines)
+    header = next(records)
     if header[:2] != ["sector_id", "sector_name"]:
         raise SchemaError(
             "header must start with sector_id,sector_name", path=path, line=1, column=1
@@ -291,21 +291,18 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
     if n == 0:
         raise SchemaError("no sector columns in header", path=path, line=1, column=3)
 
-    # listing the lines after the header frees the stream's copy of the text
-    lines = list(lines)
-    block = _parse_sector_block(lines, ids)
+    block = _parse_sector_block(lines[records.line_num :], ids)
     if block is None:
-        rows = list(_read_rows(text))
-        names, cells = _walk_sector_rows(rows, ids, path=path)
-        primary_rows = rows[n + 1 :]
+        names, cells = _walk_sector_rows(records, ids, path=path)
     else:
-        names, cells, primary_rows = block
+        names, cells = block
+        records = csv.reader(lines[records.line_num + n :])
     Z = cells[:, :n]
     f, e, x = cells[:, n:].T
 
     primary: dict[str, np.ndarray] = {}
     primary_lines = []
-    for line, row in enumerate(primary_rows, start=n + 2):
+    for line, row in enumerate(records, start=n + 2):
         if not row or not row[0]:
             continue
         _require_width(row, len(header), path=path, line=line)
@@ -371,7 +368,7 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
     too_small = (x < largest_input) | np.isinf(report.row_residuals) | np.isinf(report.column_residuals)
     _check_output(too_small, ids, path, "is too small for its flows")
     if not allow_unbalanced:
-        table.check_balance()
+        report.check(table.sectors)
     return table, report
 
 
@@ -544,6 +541,13 @@ def save_expenditure(matrix: ExpenditureMatrix, path) -> None:
     )
 
 
+def _bad_link(message: str, index: int) -> DimensionMismatch:
+    """A concordance error about the link at position ``index``, which ``link`` records."""
+    error = DimensionMismatch(message)
+    error.link = index
+    return error
+
+
 @dataclass(frozen=True)
 class ConcordanceLink:
     item_code: str
@@ -556,7 +560,10 @@ class Concordance:
     """Weighted many-to-many map from consumption items to IO sectors.
 
     Weights for each item sum to 1, so applying the concordance conserves
-    every group's total expenditure.
+    every group's total expenditure. A link that breaks a rule raises
+    :class:`DimensionMismatch` whose ``link`` is that link's position in
+    ``links``; for weights that do not sum to 1 it is the first link of the
+    first such item.
     """
 
     sectors: SectorSet
@@ -566,21 +573,20 @@ class Concordance:
         object.__setattr__(self, "links", tuple(self.links))
         sums: dict[str, float] = {}
         seen: set[tuple[str, str]] = set()
-        for link in self.links:
+        for i, link in enumerate(self.links):
             if not 0.0 < link.weight <= 1.0:
-                raise DimensionMismatch(
-                    f"weight for ({link.item_code}, {link.sector_id}) must lie in (0, 1]"
-                )
+                raise _bad_link(f"weight for ({link.item_code}, {link.sector_id}) must lie in (0, 1]", i)
             if link.sector_id not in self.sectors:
-                raise DimensionMismatch(f"link references unknown sector {link.sector_id!r}")
+                raise _bad_link(f"link references unknown sector {link.sector_id!r}", i)
             key = (link.item_code, link.sector_id)
             if key in seen:
-                raise DimensionMismatch(f"duplicate link {key}")
+                raise _bad_link(f"duplicate link {key}", i)
             seen.add(key)
             sums[link.item_code] = sums.get(link.item_code, 0.0) + link.weight
-        bad = sorted(item for item, total in sums.items() if abs(total - 1.0) > 1e-9)
+        bad = {item for item, total in sums.items() if abs(total - 1.0) > 1e-9}
         if bad:
-            raise DimensionMismatch(f"weights do not sum to 1 for items: {', '.join(bad)}")
+            first = next(i for i, link in enumerate(self.links) if link.item_code in bad)
+            raise _bad_link(f"weights do not sum to 1 for items: {', '.join(sorted(bad))}", first)
 
     @property
     def item_codes(self) -> tuple[str, ...]:
@@ -603,6 +609,7 @@ class Concordance:
 
 def load_concordance(path, sectors: SectorSet) -> Concordance:
     links = []
+    lines = []
     for line, row in _records(path, ("item_code", "sector_id", "weight")):
         _require_width(row, 3, path=path, line=line)
         item_code, sector_id, weight_cell = row
@@ -612,10 +619,11 @@ def load_concordance(path, sectors: SectorSet) -> Concordance:
         if not 0.0 < weight <= 1.0:
             raise InvalidShare(f"weight must lie in (0, 1], got {weight}", path=path, line=line, column=3)
         links.append(ConcordanceLink(item_code=item_code, sector_id=sector_id, weight=weight))
+        lines.append(line)
     try:
         return Concordance(sectors=sectors, links=tuple(links))
     except DimensionMismatch as exc:
-        raise SchemaError(str(exc), path=path) from exc
+        raise SchemaError(str(exc), path=path, line=lines[exc.link]) from exc
 
 
 def save_concordance(concordance: Concordance, path) -> None:

@@ -133,15 +133,7 @@ class IOTable:
 
     def check_balance(self) -> None:
         """Raise :class:`Unbalanced` if either identity fails by more than BALANCE_TOLERANCE."""
-        report = balance_report(self)
-        if not report.within(BALANCE_TOLERANCE):
-            raise Unbalanced(
-                "table violates balance at relative tolerance "
-                f"{BALANCE_TOLERANCE:g} (worst row residual {report.max_row_residual:.3e} "
-                f"at sector {self.sectors.ids[report.worst_row_sector]}, "
-                f"worst column residual {report.max_column_residual:.3e} "
-                f"at sector {self.sectors.ids[report.worst_column_sector]})"
-            )
+        balance_report(self).check(self.sectors)
 
 
 @dataclass(frozen=True)
@@ -209,6 +201,17 @@ class BalanceReport:
 
     def within(self, tolerance: float) -> bool:
         return self.max_row_residual <= tolerance and self.max_column_residual <= tolerance
+
+    def check(self, sectors: SectorSet) -> None:
+        """Raise :class:`Unbalanced`, naming the worst sectors, beyond BALANCE_TOLERANCE."""
+        if not self.within(BALANCE_TOLERANCE):
+            raise Unbalanced(
+                "table violates balance at relative tolerance "
+                f"{BALANCE_TOLERANCE:g} (worst row residual {self.max_row_residual:.3e} "
+                f"at sector {sectors.ids[self.worst_row_sector]}, "
+                f"worst column residual {self.max_column_residual:.3e} "
+                f"at sector {sectors.ids[self.worst_column_sector]})"
+            )
 
 
 def balance_report(table: IOTable) -> BalanceReport:

@@ -332,6 +332,17 @@ class TestRun:
             full_precision=True,
         )
 
+    def test_override_a_field_parser_rejects_is_a_usage_error(self, data_dir, tmp_path, capsys):
+        code = main(["run", str(data_dir / "scenario.cfg"), "-o", str(tmp_path / "x\ny")])
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert errors == [
+            "ERROR Usage: argument --output-dir/-o: output_dir continues on an indented line; a path is one line"
+        ]
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_full_precision_widens_but_agrees(self, data_dir, tmp_path):
         short_dir, full_dir = tmp_path / "short", tmp_path / "full"
         main(["run", str(data_dir / "scenario.cfg"), "-o", str(short_dir)])
@@ -377,6 +388,15 @@ class TestReport:
         lines = _read(series).strip().splitlines()
         assert lines[0] == "label,value"
         assert lines[1].startswith("agr,")
+
+    @pytest.mark.parametrize("fmt", ["text", "plotdata"])
+    def test_missing_column_names_file_and_column(self, run_dir, capsys, fmt):
+        prices = run_dir / "price_changes.csv"
+        prices.write_text(_read(prices).replace("pct_change", "change"), encoding="utf-8")
+        code = main(["report", str(run_dir), "--format", fmt, "--table", "price_changes"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"ERROR MissingArtifact: {prices} has no pct_change column\n"
 
     def test_missing_run_dir(self, tmp_path, capsys):
         code = main(["report", str(tmp_path / "nope")])

@@ -1,6 +1,8 @@
-"""Contract test for the scenario file: every mutant of the bundled scenario
-either runs, or fails with one ``ERROR <Class>:`` line and a documented exit
-code, and every scenario ``SchemaError`` but a missing section names its line.
+"""Contract tests for the appendix inputs: every mutant of the bundled scenario
+or of one of its five CSV inputs either runs, or fails with one
+``ERROR <Class>:`` line and a documented exit code. Every scenario
+``SchemaError`` but a missing section names its line, and every CSV load
+error names its file and line, but a file-level ``missing …`` error.
 """
 
 import contextlib
@@ -14,11 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gstio.cli import main
+from gstio.errors import LoadError
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "appendix3"
 SCENARIO = (DATA_DIR / "scenario.cfg").read_bytes()
 LINES = SCENARIO.splitlines(keepends=True)
 TOKENS = [b"zzz", b"", b"1.5", b"-1", b"nan", b"yes", b"x ; note", b"\xff"]
+
+CSV_INPUTS = ("io_table.csv", "rate_schedule.csv", "expenditure.csv", "concordance.csv", "category_map.csv")
+CSV_TOKENS = [b"zzz", b"nan", b"1e999", b"-1", b"", b"1e-320"]
+LOAD_ERRORS = "|".join(cls.__name__ for cls in LoadError.__subclasses__())
 
 
 def mutate(kind: str, line: int, token: bytes, cut: int) -> bytes:
@@ -41,6 +48,48 @@ def mutate(kind: str, line: int, token: bytes, cut: int) -> bytes:
     return b"".join(lines)
 
 
+def mutate_csv(data: bytes, kind: str, line: int, column: int, token: bytes, cut: int) -> bytes:
+    """Delete or duplicate a line, replace one of its cells with ``token``, or cut
+    the file at ``cut``; ``line``, ``column`` and ``cut`` wrap around the file."""
+    if kind == "truncate":
+        return data[: cut % (len(data) + 1)]
+    lines = data.splitlines(keepends=True)
+    line %= len(lines)
+    if kind == "delete":
+        del lines[line]
+    elif kind == "duplicate":
+        lines.insert(line, lines[line])
+    else:
+        cells = lines[line].rstrip(b"\n").split(b",")
+        cells[column % len(cells)] = token
+        lines[line] = b",".join(cells) + b"\n"
+    return b"".join(lines)
+
+
+def run_outcome(scenario: Path) -> str:
+    """Run ``scenario`` in process and return its stderr, having checked that it
+    either wrote its outputs, or failed with exit 2 or 3 and one ERROR line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", str(scenario)])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+        run_dir = Path(out.getvalue().splitlines()[-1].removeprefix("run complete: "))
+        assert (run_dir / "price_changes.csv").is_file()
+    else:
+        assert code in (2, 3), err
+        assert len(err.splitlines()) == 1 and re.match(r"ERROR \w+: ", err), err
+    return err
+
+
+def _appendix_copy(tmp: str) -> Path:
+    # output_dir is ../../out/appendix3, so a run lands in tmp/out
+    data = Path(tmp) / "data" / "appendix3"
+    shutil.copytree(DATA_DIR, data)
+    return data
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(
     kind=st.sampled_from(["delete", "duplicate", "replace", "insert", "truncate"]),
@@ -56,21 +105,34 @@ def mutate(kind: str, line: int, token: bytes, cut: int) -> bytes:
 @example(kind="insert", line=2, token=b"zzz", cut=0)
 def test_scenario_mutants_run_or_fail_with_one_located_error(kind, line, token, cut):
     with tempfile.TemporaryDirectory() as tmp:
-        # output_dir is ../../out/appendix3, so the run lands in tmp/out
-        data = Path(tmp) / "data" / "appendix3"
-        shutil.copytree(DATA_DIR, data)
-        scenario = data / "scenario.cfg"
+        scenario = _appendix_copy(tmp) / "scenario.cfg"
         scenario.write_bytes(mutate(kind, line, token, cut))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["run", str(scenario)])
-        err = err.getvalue()
-        if code == 0:
-            assert err == ""
-            run_dir = Path(out.getvalue().splitlines()[-1].removeprefix("run complete: "))
-            assert (run_dir / "price_changes.csv").is_file()
-            return
-        assert code in (2, 3), err
-        assert len(err.splitlines()) == 1 and re.match(r"ERROR \w+: ", err), err
+        err = run_outcome(scenario)
         if err.startswith(f"ERROR SchemaError: {scenario}:") and "missing section" not in err:
             assert re.match(rf"ERROR SchemaError: {re.escape(str(scenario))}:\d+: ", err), err
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(
+    name=st.sampled_from(CSV_INPUTS),
+    kind=st.sampled_from(["delete", "duplicate", "replace", "truncate"]),
+    line=st.integers(0, 40),
+    column=st.integers(0, 7),
+    token=st.sampled_from(CSV_TOKENS),
+    cut=st.integers(0, 1500),
+)
+# a repeated link, and weights that no longer sum to 1
+@example(name="concordance.csv", kind="duplicate", line=1, column=0, token=b"", cut=0)
+@example(name="concordance.csv", kind="replace", line=2, column=2, token=b"1e-320", cut=0)
+# a file cut inside its first sector row
+@example(name="io_table.csv", kind="truncate", line=0, column=0, token=b"", cut=80)
+def test_csv_mutants_run_or_fail_with_one_located_error(name, kind, line, column, token, cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = _appendix_copy(tmp)
+        path = data / name
+        path.write_bytes(mutate_csv(path.read_bytes(), kind, line, column, token, cut))
+        err = run_outcome(data / "scenario.cfg")
+        # a load error names its file and line, but a file-level "missing …"
+        located = re.match(rf"ERROR (?:{LOAD_ERRORS}): [^:]+(:\d+)?", err)
+        if located and not located.group(1):
+            assert err[located.end() :].startswith(": missing "), err

@@ -1,6 +1,7 @@
 """Tests for CSV loading, validation errors with positions, and concordance mapping."""
 
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gstio import ingest
+from gstio import ingest, io_model
 from gstio import (
     Concordance,
     ConcordanceLink,
@@ -161,6 +162,27 @@ def test_non_utf8_byte_reported_at_its_line(tmp_path, name):
     assert (info.value.line, info.value.column) == (line, None)
 
 
+def test_inputs_are_read_without_a_text_copy(tmp_path, data_dir, monkeypatch):
+    # a table with a 1_000 cell, which numpy declines, takes the row walk
+    walked = _write(
+        tmp_path,
+        "t.csv",
+        IO_HEADER + "a,A,0,0,1_000,0,1_000\nb,B,0,0,1,0,1\nVALUE_ADDED,,1_000,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n",
+    )
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("an input was copied into io.StringIO")
+
+    monkeypatch.setattr(io, "StringIO", no_copy)
+    table, _ = load_io_table(data_dir / "io_table.csv")
+    load_rate_schedule(data_dir / "rate_schedule.csv", table.sectors)
+    load_expenditure(data_dir / "expenditure.csv")
+    load_concordance(data_dir / "concordance.csv", table.sectors)
+    load_category_map(data_dir / "category_map.csv")
+    walked_table, _ = load_io_table(walked)
+    np.testing.assert_array_equal(walked_table.x, [1000.0, 1.0])
+
+
 class TestLoadIOTable:
     def test_bundled_fixture_matches_appendix_coefficients(self, data_dir):
         table, report = load_io_table(data_dir / "io_table.csv")
@@ -212,6 +234,23 @@ class TestLoadIOTable:
         with pytest.raises(ParseError) as info:
             load_io_table(path)
         assert (info.value.line, info.value.column) == (2, 4)
+
+    def test_short_sector_block_reports_its_bad_cell_first(self, tmp_path):
+        # 3 sectors declared, 2 sector rows: the bad cell comes first in the file
+        path = _write(
+            tmp_path,
+            "t.csv",
+            "sector_id,sector_name,a,b,c,FINAL_DEMAND,EXPORTS,OUTPUT\na,A,zzz,0,0,1,0,1\nb,B,0,0,0,1,0,1\n",
+        )
+        with pytest.raises(ParseError, match="not a number: 'zzz'") as info:
+            load_io_table(path)
+        assert (info.value.line, info.value.column) == (2, 3)
+
+    def test_short_sector_block_reported_after_its_rows(self, tmp_path):
+        path = _write(tmp_path, "t.csv", IO_HEADER + "a,A,0,0,1,0,1\n")
+        with pytest.raises(SchemaError, match="expected 2 sector rows, found 1") as info:
+            load_io_table(path)
+        assert (info.value.line, info.value.column) == (2, None)
 
     @settings(
         max_examples=40,
@@ -378,6 +417,29 @@ class TestLoadIOTable:
             load_io_table(path)
         table, report = load_io_table(path, allow_unbalanced=True)
         assert report.max_row_residual == pytest.approx(4.0)
+
+    def test_unbalanced_table_is_measured_once(self, tmp_path, monkeypatch):
+        text = (
+            IO_HEADER
+            + "a,A,0,0,5,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n"
+        )
+        path = _write(tmp_path, "t.csv", text)
+        table, _ = load_io_table(path, allow_unbalanced=True)
+        with pytest.raises(Unbalanced) as expected:
+            table.check_balance()
+        calls = []
+        balance_report = io_model.balance_report
+
+        def counted(table):
+            calls.append(table)
+            return balance_report(table)
+
+        monkeypatch.setattr(ingest, "balance_report", counted)
+        monkeypatch.setattr(io_model, "balance_report", counted)
+        with pytest.raises(Unbalanced) as info:
+            load_io_table(path)
+        assert len(calls) == 1
+        assert str(info.value) == str(expected.value)
 
     def test_separate_labor_and_capital_rows(self, tmp_path):
         path = _write(
@@ -583,6 +645,21 @@ class TestConcordance:
         )
         with pytest.raises(SchemaError, match="sum to 1"):
             load_concordance(path, sectors)
+
+    @pytest.mark.parametrize(
+        ("rows", "message", "line"),
+        [
+            ("x,s1,1\ny,s2,0.5\ny,s1,0.5\ny,s2,0.5\n", r"duplicate link \('y', 's2'\)", 5),
+            # the first link, in file order, of the first item whose weights are off
+            ("x,s1,1\ny,s1,0.5\nz,s2,0.3\ny,s2,0.4\nz,s1,0.5\n", "weights do not sum to 1 for items: y, z", 3),
+            ("z,s1,0.5\ny,s1,0.5\nz,s2,0.4\ny,s2,0.4\n", "weights do not sum to 1 for items: y, z", 2),
+        ],
+    )
+    def test_link_errors_name_their_line(self, tmp_path, rows, message, line):
+        path = _write(tmp_path, "c.csv", "item_code,sector_id,weight\n" + rows)
+        with pytest.raises(SchemaError, match=message) as info:
+            load_concordance(path, SectorSet.from_ids(("s1", "s2")))
+        assert (info.value.line, info.value.column) == (line, None)
 
     @pytest.mark.parametrize(
         "links",
