@@ -10,7 +10,6 @@ from pathlib import Path
 
 from gstio import (
     GroupDimension,
-    balance_report,
     gap_ratios,
     load_scenario,
     purchasing_power_change,
@@ -22,10 +21,10 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "appendix3"
 
 def main() -> None:
     result = run_scenario(load_scenario(DATA / "scenario.cfg"))
-    table = result.table
-    balance = balance_report(table)
+    inputs = result.inputs
+    table, balance = inputs.table, inputs.balance
     print(f"loaded {table.n} sectors, worst balance residual {balance.max_row_residual:.2e}")
-    for w in result.schedule_warnings:
+    for w in inputs.schedule_warnings:
         print("warning:", w)
 
     base, post, summary = result.baseline, result.price_level, result.summary
@@ -38,7 +37,7 @@ def main() -> None:
         f"net decline: {summary.net_decline:.2f}%   weighted mean: {summary.weighted_mean:+.2f}%"
     )
 
-    expenditure = result.expenditure
+    expenditure = inputs.expenditure
     totals_before = expenditure.totals()
     totals_after = expenditure.values @ post
 

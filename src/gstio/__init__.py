@@ -94,6 +94,6 @@ from .price_model import (
     rate_mask,
     simulate_prices,
 )
-from .scenario import ScenarioConfig, ScenarioResult, load_scenario, run_scenario
+from .scenario import ScenarioConfig, ScenarioInputs, ScenarioResult, load_inputs, load_scenario, run_scenario
 
 __version__ = "0.1.0"

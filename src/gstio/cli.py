@@ -19,7 +19,6 @@ and no timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import shutil
 import sys
@@ -39,10 +38,10 @@ from .incidence import (
     gap_ratios,
     purchasing_power_change,
 )
-from .ingest import _write_csv, load_category_map, load_household, load_io_table, load_rate_schedule
+from .ingest import _cell_float, _require_width, _rows, _write_csv
 from .io_model import derive_coefficients
 from .price_model import MaskedInputTreatment
-from .scenario import ScenarioConfig, ScenarioResult, load_scenario, run_scenario
+from .scenario import ScenarioConfig, ScenarioResult, load_inputs, load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,7 +96,8 @@ def _print_productivity(label: str, check: ProductivityReport) -> None:
 
 
 def cmd_validate(args) -> int:
-    table, balance = load_io_table(args.table, allow_unbalanced=args.allow_unbalanced)
+    inputs = load_inputs(args)  # validate's flags are stored under ScenarioConfig's field names
+    table, balance = inputs.table, inputs.balance
     print(
         f"table: {table.n} sectors, max row residual {balance.max_row_residual:.3e}, "
         f"max column residual {balance.max_column_residual:.3e}"
@@ -105,34 +105,27 @@ def cmd_validate(args) -> int:
     bundle = derive_coefficients(table, check_balance=False)
     base_check = productivity_check(bundle.A)
     _print_productivity("unmasked", base_check)
-    schedule, warnings = load_rate_schedule(args.schedule, table.sectors, gst_rate=args.gst_rate)
-    for warning in warnings:
+    for warning in inputs.schedule_warnings:
         print(f"warning: {warning}")
-    masked_check = productivity_check(bundle.A, schedule.standard_share)
+    masked_check = productivity_check(bundle.A, inputs.schedule.standard_share)
     _print_productivity("masked", masked_check)
     ok = base_check.passed and masked_check.passed
 
-    if args.expenditure:
-        by_sector, by_category, weights = load_household(
-            args.expenditure, args.concordance, table.sectors
+    by_sector, by_category = inputs.expenditure, inputs.category_expenditure
+    if inputs.weights is not None:
+        before = by_category.totals()
+        err = float(np.max(np.abs(by_sector.totals() - before) / before))
+        print(
+            f"expenditure: {len(by_category.groups)} groups, {len(by_category.items)} items, "
+            f"concordance conserves totals to {err:.3e}"
         )
-        if weights is None:
-            print(f"expenditure: {len(by_sector.groups)} groups on sector codes")
-        else:
-            before = by_category.totals()
-            err = float(np.max(np.abs(by_sector.totals() - before) / before))
-            print(
-                f"expenditure: {len(by_category.groups)} groups, {len(by_category.items)} items, "
-                f"concordance conserves totals to {err:.3e}"
-            )
-        if args.category_map:
-            cmap = load_category_map(args.category_map)
-            missing = [c for c in by_category.items if c not in cmap.assignments]
-            if missing:
-                print(f"category map: MISSING codes {', '.join(missing)}")
-                ok = False
-            else:
-                print(f"category map: {len(cmap.categories)} categories, total over items")
+    elif by_sector is not None:
+        print(f"expenditure: {len(by_sector.groups)} groups on sector codes")
+    if inputs.unmapped:
+        print(f"category map: MISSING codes {', '.join(inputs.unmapped)}")
+        ok = False
+    elif inputs.category_map is not None:
+        print(f"category map: {len(inputs.category_map.categories)} categories, total over items")
     if not ok:
         print("VALIDATION FAILED")
         print("ERROR ValidationFailed: one or more checks failed (see report)", file=sys.stderr)
@@ -154,22 +147,13 @@ def _sorted_groups(expenditure: ExpenditureMatrix, dimension: GroupDimension):
 
 
 def _write_run_outputs(result: ScenarioResult, target: Path, fmt) -> None:
-    table = result.table
-    rows = []
-    for i, sector_id in enumerate(table.sectors.ids):
-        rows.append(
-            [
-                sector_id,
-                table.sectors.names[i],
-                fmt(result.baseline[i]),
-                fmt(result.price_level[i]),
-                fmt(result.summary.pct_change[i]),
-            ]
-        )
+    inputs = result.inputs
+    sectors = inputs.table.sectors
+    prices = zip(sectors.ids, sectors.names, result.baseline, result.price_level, result.summary.pct_change)
     _write_csv(
         target / "price_changes.csv",
         ["sector_id", "sector_name", "baseline_price", "post_price", "pct_change"],
-        rows,
+        ([sector_id, name, *map(fmt, values)] for sector_id, name, *values in prices),
     )
 
     summary = result.summary
@@ -186,88 +170,44 @@ def _write_run_outputs(result: ScenarioResult, target: Path, fmt) -> None:
         ],
     )
 
-    if result.expenditure is None:
+    expenditure = inputs.expenditure
+    if expenditure is None:
         return
-    expenditure = result.expenditure
-    delta = result.delta
     totals_before = expenditure.totals()
-    totals_after = totals_before + delta.sum(axis=1)
-
+    totals_after = totals_before + result.delta.sum(axis=1)
+    # base_groups holds one entry per dimension that has groups, in GroupDimension order
     gap_rows = []
-    for dimension in GroupDimension:
+    for dimension, base_id in result.base_groups.items():
         pairs = _sorted_groups(expenditure, dimension)
-        if not pairs:
-            continue
-        before = {g.group_id: float(totals_before[h]) for h, g in pairs}
-        after = {g.group_id: float(totals_after[h]) for h, g in pairs}
-        base_id = result.base_groups[dimension]
-        ratios_before = gap_ratios(before, base_id)
-        ratios_after = gap_ratios(after, base_id)
+        before, after = (
+            gap_ratios({g.group_id: float(totals[h]) for h, g in pairs}, base_id)
+            for totals in (totals_before, totals_after)
+        )
         for h, group in pairs:
             pct = purchasing_power_change(totals_before[h], totals_after[h])
-            gap_rows.append(
-                [
-                    dimension.value,
-                    group.group_id,
-                    group.label,
-                    fmt(totals_before[h]),
-                    fmt(totals_after[h]),
-                    fmt(pct),
-                    fmt(ratios_before[group.group_id]),
-                    fmt(ratios_after[group.group_id]),
-                ]
-            )
+            values = (totals_before[h], totals_after[h], pct, before[group.group_id], after[group.group_id])
+            gap_rows.append([dimension.value, group.group_id, group.label, *map(fmt, values)])
     incidence_header = ["dimension", "group_id", "label", "total_before", "total_after", "pct_change"]
     _write_csv(target / "incidence_by_group.csv", incidence_header, [row[:6] for row in gap_rows])
     _write_csv(target / "gaps.csv", [*incidence_header, "ratio_before", "ratio_after"], gap_rows)
 
-    if result.category_map is None:
+    if inputs.category_map is None:
         return
-    report = category_report(result.category_expenditure, result.category_delta, result.category_map)
+    report = category_report(inputs.category_expenditure, result.category_delta, inputs.category_map)
     by_group = {row.group.group_id: row for row in report.rows}
-    for dimension in GroupDimension:
-        pairs = _sorted_groups(result.category_expenditure, dimension)
-        if not pairs:
-            continue
+    category_header = [
+        "group_id", "label", "category", "base_share", "post_share", "share_point_change", "pct_change_within"
+    ]  # fmt: skip
+    for dimension in result.base_groups:
         rows = []
-        for _, group in pairs:
-            breakdown = by_group[group.group_id]
+        for _, group in _sorted_groups(inputs.category_expenditure, dimension):
+            b = by_group[group.group_id]
             for k, category in enumerate(report.categories):
-                rows.append(
-                    [
-                        group.group_id,
-                        group.label,
-                        category,
-                        fmt(breakdown.base_share[k]),
-                        fmt(breakdown.post_share[k]),
-                        fmt(breakdown.share_change[k]),
-                        fmt(breakdown.pct_change[k]),
-                    ]
-                )
-            rows.append(
-                [
-                    group.group_id,
-                    group.label,
-                    "TOTAL",
-                    fmt(breakdown.total_before),
-                    fmt(breakdown.total_after),
-                    "",
-                    fmt(breakdown.total_pct_change),
-                ]
-            )
-        _write_csv(
-            target / f"category_table_{dimension.value}.csv",
-            [
-                "group_id",
-                "label",
-                "category",
-                "base_share",
-                "post_share",
-                "share_point_change",
-                "pct_change_within",
-            ],
-            rows,
-        )
+                values = (b.base_share[k], b.post_share[k], b.share_change[k], b.pct_change[k])
+                rows.append([group.group_id, group.label, category, *map(fmt, values)])
+            totals = [fmt(b.total_before), fmt(b.total_after), "", fmt(b.total_pct_change)]
+            rows.append([group.group_id, group.label, "TOTAL", *totals])
+        _write_csv(target / f"category_table_{dimension.value}.csv", category_header, rows)
 
 
 def cmd_run(args) -> int:
@@ -280,7 +220,7 @@ def cmd_run(args) -> int:
     }
     config = replace(config, **overrides)
     result = run_scenario(config)
-    for warning in result.schedule_warnings:
+    for warning in result.inputs.schedule_warnings:
         print(f"warning: {warning}")
 
     output_dir = config.output_dir
@@ -316,12 +256,13 @@ def _run_tables(run_dir: Path) -> dict[str, Path]:
     return tables
 
 
-def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise MissingArtifact(f"{path} is empty")
-    return rows[0], rows[1:]
+def _table_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header of a run table and its ``(line, row)`` pairs, each row as wide as the header."""
+    header, records = _rows(path)
+    rows = list(records)
+    for line, row in rows:
+        _require_width(row, len(header), path=path, line=line)
+    return header, rows
 
 
 def _column(path: Path, header: list[str], column: str) -> int:
@@ -354,13 +295,10 @@ def _render_text(title: str, header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _price_direction(pct: str) -> str:
-    value = float(pct)
-    if value > 0:
-        return "up"
-    if value < 0:
-        return "down"
-    return "flat"
+def _price_direction(cell: str, *, path: Path, line: int, column: int) -> str:
+    """up, down or flat: the sign of the pct_change ``cell`` at ``line`` and ``column`` of ``path``."""
+    value = _cell_float(cell, path=path, line=line, column=column)
+    return "up" if value > 0 else "down" if value < 0 else "flat"
 
 
 def cmd_report(args) -> int:
@@ -385,12 +323,16 @@ def cmd_report(args) -> int:
     if args.format == "text":
         blocks = []
         for name in selected:
-            header, rows = _read_table(tables[name])
+            path = tables[name]
+            header, rows = _table_rows(path)
             if name == PRICE_TABLE:
-                pct_index = _column(tables[name], header, "pct_change")
+                pct = _column(path, header, "pct_change")
                 header = ["sector", "pct_change", "direction"]
-                rows = [[row[0], row[pct_index], _price_direction(row[pct_index])] for row in rows]
-            blocks.append(_render_text(name, header, rows))
+                rows = [
+                    (line, [row[0], row[pct], _price_direction(row[pct], path=path, line=line, column=pct + 1)])
+                    for line, row in rows
+                ]
+            blocks.append(_render_text(name, header, [row for _, row in rows]))
         print("\n\n".join(blocks))
         return EXIT_OK
 
@@ -408,7 +350,8 @@ def cmd_report(args) -> int:
 
 
 def _series_for(name: str, path: Path):
-    header, rows = _read_table(path)
+    header, records = _table_rows(path)
+    rows = [row for _, row in records]
 
     def col(column: str) -> int:
         return _column(path, header, column)
@@ -438,8 +381,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     validate = sub.add_parser("validate", help="check input files and report problems")
-    validate.add_argument("--table", required=True, help="IO table CSV")
-    validate.add_argument("--schedule", required=True, help="rate schedule CSV")
+    # dests are ScenarioConfig's field names, which load_inputs reads
+    validate.add_argument("--table", dest="io_table", metavar="TABLE", required=True, help="IO table CSV")
+    validate.add_argument(
+        "--schedule", dest="rate_schedule", metavar="SCHEDULE", required=True, help="rate schedule CSV"
+    )
     validate.add_argument("--expenditure", help="household expenditure CSV")
     validate.add_argument("--concordance", help="item-to-sector concordance CSV")
     validate.add_argument("--category-map", help="reporting category map CSV")

@@ -40,7 +40,11 @@ class Unbalanced(GstioError):
 
 
 class EmptyGroup(GstioError):
-    """A household group has zero total expenditure."""
+    """Household groups with zero total expenditure; read from a file, at the first one's line."""
+
+    def __init__(self, groups, *, path=None, line=None):
+        self.groups = tuple(groups)
+        super().__init__(_located(f"groups with zero total expenditure: {', '.join(self.groups)}", path, line))
 
 
 class NonPositiveBase(GstioError):
@@ -56,12 +60,13 @@ class ZeroValueAdded(GstioError):
 
 
 class UnmappedItem(GstioError):
-    """Item codes missing from a concordance or category map."""
+    """Codes missing from a concordance, the sector set or a category map; read from a file, at the first one's line."""
 
-    def __init__(self, items, context=""):
+    def __init__(self, items, context="", *, path=None, line=None):
         self.items = tuple(sorted(items))
+        self.context = context
         suffix = f" ({context})" if context else ""
-        super().__init__(f"unmapped item codes{suffix}: {', '.join(self.items)}")
+        super().__init__(_located(f"unmapped item codes{suffix}: {', '.join(self.items)}", path, line))
 
 
 class MissingArtifact(GstioError):
@@ -79,12 +84,19 @@ class LoadError(GstioError):
         self.path = str(path)
         self.line = line
         self.column = column
-        where = self.path
-        if line is not None:
-            where += f":{line}"
-            if column is not None:
-                where += f":{column}"
-        super().__init__(f"{where}: {message}")
+        super().__init__(_located(message, path, line, column))
+
+
+def _located(message, path, line=None, column=None):
+    """``message`` prefixed with ``path:line:column``, as far as they are known."""
+    if path is None:
+        return message
+    where = str(path)
+    if line is not None:
+        where += f":{line}"
+        if column is not None:
+            where += f":{column}"
+    return f"{where}: {message}"
 
 
 class ParseError(LoadError):

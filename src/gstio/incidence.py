@@ -91,7 +91,7 @@ class ExpenditureMatrix:
             raise DimensionMismatch("expenditure values must be nonnegative")
         empty = [ids[i] for i in np.nonzero(self.values.sum(axis=1) <= 0)[0]]
         if empty:
-            raise EmptyGroup(f"groups with zero total expenditure: {', '.join(empty)}")
+            raise EmptyGroup(empty)
 
     @property
     def group_ids(self) -> tuple[str, ...]:
@@ -120,6 +120,10 @@ class CategoryMap:
 
     def category_of(self, code: str) -> str:
         return self.assignments[code]
+
+    def unmapped(self, codes) -> tuple[str, ...]:
+        """The ``codes``, in order, that the map assigns no category: it must cover them all."""
+        return tuple(code for code in codes if code not in self.assignments)
 
 
 def expenditure_change(expenditure: ExpenditureMatrix, price_level: np.ndarray) -> np.ndarray:
@@ -175,7 +179,7 @@ def category_report(
         raise DimensionMismatch(
             f"delta shape {delta.shape} does not match expenditure {expenditure.values.shape}"
         )
-    missing = [c for c in expenditure.items if c not in category_map.assignments]
+    missing = category_map.unmapped(expenditure.items)
     if missing:
         raise UnmappedItem(missing, context="category map")
 
@@ -189,9 +193,7 @@ def category_report(
     post = (expenditure.values + delta) @ agg.T
     rows = []
     for h, group in enumerate(expenditure.groups):
-        total_before = float(base[h].sum())
-        if total_before <= 0:
-            raise EmptyGroup(f"group {group.group_id} has zero total expenditure")
+        total_before = float(base[h].sum())  # > 0: the matrix has no empty group
         total_after = float(post[h].sum())
         base_share = 100.0 * base[h] / total_before
         post_share = 100.0 * post[h] / total_after

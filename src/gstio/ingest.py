@@ -70,12 +70,14 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
+    EmptyGroup,
     InvalidShare,
     LoadError,
     ParseError,
@@ -141,18 +143,19 @@ def _not_utf8(error: type[LoadError], path) -> LoadError:
     return error("not UTF-8", path=path)  # the file changed after the failed read
 
 
-def _records(path, header: tuple[str, ...]):
-    """Yield ``(line, row)`` for each non-blank data row of a CSV file.
-
-    The header row must start with ``header``; lines are 1-based, so the
-    first data row is line 2.
-    """
+def _rows(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The header row of a CSV file, and ``(line, row)`` for each non-blank row after it, from line 2."""
     rows = csv.reader(_read_lines(path))
-    if tuple(next(rows)[: len(header)]) != header:
+    header = next(rows)
+    return header, ((line, row) for line, row in enumerate(rows, start=2) if row not in ([], [""]))
+
+
+def _records(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """``(line, row)`` for each non-blank data row of a CSV file whose header row starts with ``header``."""
+    found, rows = _rows(path)
+    if tuple(found[: len(header)]) != header:
         raise SchemaError(f"header must start with {','.join(header)}", path=path, line=1, column=1)
-    for line, row in enumerate(rows, start=2):
-        if row not in ([], [""]):
-            yield line, row
+    return rows
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -479,10 +482,15 @@ def save_rate_schedule(schedule: RateSchedule, path) -> None:
 
 
 def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CODES) -> ExpenditureMatrix:
-    """Load long-format group expenditure rows into a matrix."""
+    """Load long-format group expenditure rows into a matrix; an all-zero group raises at its first line."""
+    return _load_expenditure(path, basis)[0]
+
+
+def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix, dict[str, int]]:
+    """The matrix ``load_expenditure`` returns, and the line where each item code first appears."""
     groups: dict[str, tuple[GroupDimension, str]] = {}
-    items: list[str] = []
-    item_index: dict[str, int] = {}
+    group_lines: dict[str, int] = {}
+    item_lines: dict[str, int] = {}
     amounts: dict[tuple[str, str], float] = {}
     for line, row in _records(path, ("group_id", "dimension", "label", "item_code", "amount")):
         _require_width(row, 5, path=path, line=line)
@@ -496,6 +504,7 @@ def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CO
                 line=line,
                 column=2,
             ) from None
+        group_lines.setdefault(group_id, line)
         if groups.setdefault(group_id, (dimension, label)) != (dimension, label):
             raise SchemaError(
                 f"group {group_id!r} redefined with different dimension/label",
@@ -506,27 +515,24 @@ def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CO
         amount = _cell_float(amount_cell, path=path, line=line, column=5)
         if amount < 0:
             raise ParseError(f"amount must be nonnegative, got {amount}", path=path, line=line, column=5)
-        if item_code not in item_index:
-            item_index[item_code] = len(items)
-            items.append(item_code)
+        item_lines.setdefault(item_code, line)
         key = (group_id, item_code)
         amounts[key] = amounts.get(key, 0.0) + amount
 
     if not groups:
         raise SchemaError("no expenditure rows", path=path, line=1)
     group_index = {group_id: h for h, group_id in enumerate(groups)}
-    values = np.zeros((len(groups), len(items)))
+    item_index = {item: j for j, item in enumerate(item_lines)}
+    values = np.zeros((len(groups), len(item_index)))
     for (group_id, item), amount in amounts.items():
         values[group_index[group_id], item_index[item]] = amount
-    return ExpenditureMatrix(
-        groups=tuple(
-            HouseholdGroup(group_id=group_id, dimension=dimension, label=label)
-            for group_id, (dimension, label) in groups.items()
-        ),
-        items=tuple(items),
-        values=values,
-        basis=basis,
-    )
+    households = tuple(HouseholdGroup(group_id, dimension, label) for group_id, (dimension, label) in groups.items())
+    try:
+        matrix = ExpenditureMatrix(groups=households, items=tuple(item_lines), values=values, basis=basis)
+    except EmptyGroup as exc:
+        # groups are in file order, so the first one listed is met first
+        raise EmptyGroup(exc.groups, path=path, line=group_lines[exc.groups[0]]) from None
+    return matrix, item_lines
 
 
 def save_expenditure(matrix: ExpenditureMatrix, path) -> None:
@@ -663,13 +669,12 @@ def map_expenditure(matrix: ExpenditureMatrix, concordance: Concordance) -> Expe
     """
     if matrix.basis is not ExpenditureBasis.ITEM_CODES:
         raise BasisMismatch("map_expenditure requires an item-coded matrix")
-    weights = concordance.weight_matrix(matrix.items)
-    return ExpenditureMatrix(
-        groups=matrix.groups,
-        items=concordance.sectors.ids,
-        values=matrix.values @ weights,
-        basis=ExpenditureBasis.SECTOR_CODES,
-    )
+    return _mapped(matrix, concordance.sectors, concordance.weight_matrix(matrix.items))
+
+
+def _mapped(matrix: ExpenditureMatrix, sectors: SectorSet, weights: np.ndarray) -> ExpenditureMatrix:
+    """``matrix`` on ``sectors``, through its items × sectors ``weights``."""
+    return ExpenditureMatrix(matrix.groups, sectors.ids, matrix.values @ weights, ExpenditureBasis.SECTOR_CODES)
 
 
 def align_expenditure(matrix: ExpenditureMatrix, sectors: SectorSet) -> ExpenditureMatrix:
@@ -702,13 +707,19 @@ def load_household(
     With a concordance the expenditure file is item-coded and mapped through
     it: returns the mapped sector matrix, the item matrix and the items ×
     sectors weights. Without one its item codes must be sector ids: returns
-    the matrix aligned to all sectors twice, and no weights.
+    the matrix aligned to all sectors twice, and no weights. An item code
+    the concordance, or the sector set without one, lacks raises
+    :class:`UnmappedItem` at its first line in the expenditure file.
     """
-    if concordance is None:
-        aligned = align_expenditure(
-            load_expenditure(expenditure, basis=ExpenditureBasis.SECTOR_CODES), sectors
-        )
-        return aligned, aligned, None
-    items = load_expenditure(expenditure, basis=ExpenditureBasis.ITEM_CODES)
-    mapping = load_concordance(concordance, sectors)
-    return map_expenditure(items, mapping), items, mapping.weight_matrix(items.items)
+    basis = ExpenditureBasis.SECTOR_CODES if concordance is None else ExpenditureBasis.ITEM_CODES
+    matrix, item_lines = _load_expenditure(expenditure, basis)
+    mapping = None if concordance is None else load_concordance(concordance, sectors)
+    try:
+        if mapping is None:
+            aligned = align_expenditure(matrix, sectors)
+            return aligned, aligned, None
+        weights = mapping.weight_matrix(matrix.items)
+    except UnmappedItem as exc:
+        line = min(item_lines[item] for item in exc.items)
+        raise UnmappedItem(exc.items, exc.context, path=expenditure, line=line) from None
+    return _mapped(matrix, sectors, weights), matrix, weights

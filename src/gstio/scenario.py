@@ -1,6 +1,13 @@
 """Scenario configuration and execution: one INI file describes one simulation
 run, and ``run_scenario`` executes it from the IO table to household incidence.
 
+``gstio validate`` and ``gstio run`` read and check their inputs through one
+load stage, ``load_inputs``, which reads every input file that is given. So
+``run`` reports every input error, a category map that leaves codes out
+included, before any numerical error, and ``validate`` prints its checks
+only once every input has loaded: a failing load prints none before its
+``ERROR`` line.
+
 Frozen concrete syntax (paths are resolved relative to the config file)::
 
     [inputs]
@@ -36,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, UnknownBaseGroup
+from .errors import SchemaError, UnknownBaseGroup, UnmappedItem
 from .incidence import (
     CategoryMap,
     ExpenditureMatrix,
@@ -44,8 +51,8 @@ from .incidence import (
     expenditure_change,
     expenditure_change_on_items,
 )
-from .ingest import _not_utf8, load_category_map, load_household, load_io_table, load_rate_schedule
-from .io_model import CoefficientBundle, IOTable, derive_coefficients
+from .ingest import _not_utf8, load_category_map, load_concordance, load_household, load_io_table, load_rate_schedule
+from .io_model import BalanceReport, CoefficientBundle, IOTable, derive_coefficients
 from .price_model import (
     MaskedInputTreatment,
     PriceChangeSummary,
@@ -215,73 +222,94 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 @dataclass(frozen=True)
+class ScenarioInputs:
+    """A scenario's input files, loaded and checked against each other.
+
+    The household fields are :func:`~gstio.ingest.load_household`'s; ``unmapped``
+    holds the codes of ``category_expenditure`` that ``category_map`` leaves out.
+    """
+
+    table: IOTable
+    balance: BalanceReport
+    schedule: RateSchedule
+    schedule_warnings: tuple[str, ...]
+    expenditure: ExpenditureMatrix | None
+    category_expenditure: ExpenditureMatrix | None
+    weights: np.ndarray | None
+    category_map: CategoryMap | None
+    unmapped: tuple[str, ...]
+
+
+def load_inputs(config: ScenarioConfig) -> ScenarioInputs:
+    """Read and check every input file that ``config`` names, in the order of its keys.
+
+    Reads the input keys, ``gst_rate`` and ``allow_unbalanced`` only, which
+    ``gstio validate``'s parsed flags carry too.
+    """
+    table, balance = load_io_table(config.io_table, allow_unbalanced=config.allow_unbalanced)
+    schedule, warnings = load_rate_schedule(config.rate_schedule, table.sectors, gst_rate=config.gst_rate)
+    household = (None, None, None)
+    if config.expenditure:
+        household = load_household(config.expenditure, config.concordance, table.sectors)
+    elif config.concordance:
+        load_concordance(config.concordance, table.sectors)  # nothing to map, but read and checked
+    category_map = load_category_map(config.category_map) if config.category_map else None
+    by_category = household[1]
+    unmapped = () if category_map is None or by_category is None else category_map.unmapped(by_category.items)
+    return ScenarioInputs(table, balance, schedule, tuple(warnings), *household, category_map, unmapped)
+
+
+@dataclass(frozen=True)
 class ScenarioResult:
     """Everything a report writer needs from one scenario execution."""
 
     config: ScenarioConfig
-    table: IOTable
-    schedule: RateSchedule
-    schedule_warnings: tuple[str, ...]
+    inputs: ScenarioInputs
     bundle: CoefficientBundle
     baseline: np.ndarray
     price_level: np.ndarray
     summary: PriceChangeSummary
-    expenditure: ExpenditureMatrix | None
     delta: np.ndarray | None
-    category_expenditure: ExpenditureMatrix | None
     category_delta: np.ndarray | None
-    category_map: CategoryMap | None
     base_groups: dict[GroupDimension, str]
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Execute the price and incidence pipeline for one scenario."""
-    table, _ = load_io_table(config.io_table, allow_unbalanced=config.allow_unbalanced)
-    schedule, warnings = load_rate_schedule(
-        config.rate_schedule, table.sectors, gst_rate=config.gst_rate
-    )
-    bundle = derive_coefficients(table, check_balance=False)
+    """Execute the price and incidence pipeline for one scenario; every input error comes before the solve."""
+    inputs = load_inputs(config)
+    if inputs.unmapped:
+        raise UnmappedItem(inputs.unmapped, context="category map")
+    expenditure = inputs.expenditure
+    base_groups = {} if expenditure is None else _resolve_base_groups(expenditure, config.base_groups)
+
+    bundle = derive_coefficients(inputs.table, check_balance=False)
     baseline = baseline_prices(bundle)
     price_level = simulate_prices(
         bundle,
-        schedule,
+        inputs.schedule,
         masked_input_treatment=config.masked_input_treatment,
         exempt_retains_input_tax=config.exempt_retains_input_tax,
     )
-    summary = price_change_summary(price_level, output=table.x)
+    summary = price_change_summary(price_level, output=inputs.table.x)
 
-    expenditure = delta = None
-    category_expenditure = category_delta = None
-    cmap = None
-    base_groups: dict[GroupDimension, str] = {}
-    if config.expenditure:
-        expenditure, category_expenditure, weights = load_household(
-            config.expenditure, config.concordance, table.sectors
-        )
+    delta = category_delta = None
+    if expenditure is not None:
         delta = expenditure_change(expenditure, price_level)
-        if weights is None:
+        if inputs.weights is None:
             category_delta = delta
         else:
             # item-level price index: concordance-weighted sector prices
-            category_delta = expenditure_change_on_items(category_expenditure, weights @ price_level)
-        if config.category_map:
-            cmap = load_category_map(config.category_map)
-        base_groups = _resolve_base_groups(expenditure, config.base_groups)
+            category_delta = expenditure_change_on_items(inputs.category_expenditure, inputs.weights @ price_level)
 
     return ScenarioResult(
         config=config,
-        table=table,
-        schedule=schedule,
-        schedule_warnings=tuple(warnings),
+        inputs=inputs,
         bundle=bundle,
         baseline=baseline,
         price_level=price_level,
         summary=summary,
-        expenditure=expenditure,
         delta=delta,
-        category_expenditure=category_expenditure,
         category_delta=category_delta,
-        category_map=cmap,
         base_groups=base_groups,
     )
 

@@ -116,6 +116,18 @@ class TestValidate:
         assert err.startswith("ERROR InvalidSchedule:")
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("flag", ["--concordance", "--category-map"])
+    def test_every_given_input_is_read(self, appendix_args, tmp_path, capsys, flag):
+        # neither file is used without --expenditure, and each is still read;
+        # a failing load prints no check line before its ERROR
+        missing = tmp_path / "nope.csv"
+        code = main(["validate", *appendix_args, flag, str(missing)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"ERROR ParseError: {missing}: cannot read file:")
+        assert len(captured.err.splitlines()) == 1
+
     def test_productive_periodic_table_passes(self, tmp_path, capsys):
         # A = [[0, .2], [.3, 0]] is bipartite, so power iteration oscillates
         # and never converges; the verdict is the solver's, and it is productive
@@ -304,6 +316,36 @@ class TestRun:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["concordance", "category_map"])
+    def test_every_given_input_is_read(self, data_dir, tmp_path, capsys, key):
+        (tmp_path / "s.cfg").write_text(
+            f"[inputs]\nio_table = {data_dir / 'io_table.csv'}\n"
+            f"rate_schedule = {data_dir / 'rate_schedule.csv'}\n{key} = nope.csv\n\n"
+            "[tax]\ngst_rate = 0.06\n\n[report]\noutput_dir = out\n",
+            encoding="utf-8",
+        )
+        code = main(["run", str(tmp_path / "s.cfg")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"ERROR ParseError: {tmp_path / 'nope.csv'}: cannot read file:")
+        assert not (tmp_path / "out").exists()
+
+    def test_input_error_reported_before_a_numerical_one(self, tmp_path, capsys):
+        # A = [[0, 1], [1, 0]] has radius 1, but the bad amount is found first
+        _write_table(tmp_path, "agr,Agriculture,0,100,0,0,100\nind,Industry,100,0,0,0,100\n", "0,0")
+        (tmp_path / "spend.csv").write_text(
+            "group_id,dimension,label,item_code,amount\ninc1,income,low,agr,zzz\n", encoding="utf-8"
+        )
+        (tmp_path / "s.cfg").write_text(
+            "[inputs]\nio_table = t.csv\nrate_schedule = s.csv\nexpenditure = spend.csv\n\n"
+            "[tax]\ngst_rate = 0.06\n\n[report]\noutput_dir = out\n",
+            encoding="utf-8",
+        )
+        code = main(["run", str(tmp_path / "s.cfg")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"ERROR ParseError: {tmp_path / 'spend.csv'}:2:5: not a number: 'zzz'\n"
+
     def test_treatment_override_changes_result(self, data_dir, tmp_path):
         drop_dir, kept_dir = tmp_path / "drop", tmp_path / "kept"
         main(["run", str(data_dir / "scenario.cfg"), "-o", str(drop_dir)])
@@ -397,6 +439,22 @@ class TestReport:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"ERROR MissingArtifact: {prices} has no pct_change column\n"
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            (",-7.96338", ",abc", ":2:5: not a number: 'abc'"),
+            (",0.920366,-7.96338", ",0.920366", ":2:5: expected 5 fields, got 4"),
+        ],
+        ids=["not-a-number", "row-short"],
+    )
+    def test_bad_price_row_names_its_line(self, run_dir, capsys, old, new, error):
+        prices = run_dir / "price_changes.csv"
+        prices.write_text(_read(prices).replace(old, new), encoding="utf-8")
+        code = main(["report", str(run_dir), "--format", "text", "--table", "price_changes"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"ERROR ParseError: {prices}{error}\n"
 
     def test_missing_run_dir(self, tmp_path, capsys):
         code = main(["report", str(tmp_path / "nope")])

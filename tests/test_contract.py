@@ -2,7 +2,14 @@
 or of one of its five CSV inputs either runs, or fails with one
 ``ERROR <Class>:`` line and a documented exit code. Every scenario
 ``SchemaError`` but a missing section names its line, and every CSV load
-error names its file and line, but a file-level ``missing …`` error.
+error, ``EmptyGroup`` and ``UnmappedItem`` names its file and line, but a
+file-level ``missing …`` error and a category map that leaves codes out.
+
+``gstio validate`` on a CSV mutant's five inputs agrees with ``run``: it
+passes where ``run`` runs, and prints ``run``'s ERROR line and nothing else
+where ``run`` fails to load. Where ``run`` fails after loading, on a category
+map that leaves codes out or a non-productive table, ``validate`` prints its
+checks and fails them.
 """
 
 import contextlib
@@ -25,7 +32,8 @@ TOKENS = [b"zzz", b"", b"1.5", b"-1", b"nan", b"yes", b"x ; note", b"\xff"]
 
 CSV_INPUTS = ("io_table.csv", "rate_schedule.csv", "expenditure.csv", "concordance.csv", "category_map.csv")
 CSV_TOKENS = [b"zzz", b"nan", b"1e999", b"-1", b"", b"1e-320"]
-LOAD_ERRORS = "|".join(cls.__name__ for cls in LoadError.__subclasses__())
+LOCATED_ERRORS = "|".join([*(cls.__name__ for cls in LoadError.__subclasses__()), "EmptyGroup", "UnmappedItem"])
+VALIDATE_FLAGS = ("--table", "--schedule", "--expenditure", "--concordance", "--category-map")
 
 
 def mutate(kind: str, line: int, token: bytes, cut: int) -> bytes:
@@ -83,6 +91,26 @@ def run_outcome(scenario: Path) -> str:
     return err
 
 
+def check_validate_agrees(data: Path, run_err: str) -> None:
+    """``gstio validate`` on the five CSV inputs in ``data`` agrees with a run
+    of its scenario that printed ``run_err``; see the module docstring."""
+    argv = ["validate"]
+    for flag, name in zip(VALIDATE_FLAGS, CSV_INPUTS):
+        argv += [flag, str(data / name)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if not run_err:
+        assert (code, err) == (0, ""), err
+        assert out.endswith("VALIDATION OK\n"), out
+    elif "(category map)" in run_err or run_err.startswith("ERROR NonProductive:"):
+        assert code == 2 and err.startswith("ERROR ValidationFailed:"), err
+        assert "category map: MISSING codes" in out or " FAIL\n" in out, out
+    else:
+        assert (code, out, err) == (2, "", run_err)
+
+
 def _appendix_copy(tmp: str) -> Path:
     # output_dir is ../../out/appendix3, so a run lands in tmp/out
     data = Path(tmp) / "data" / "appendix3"
@@ -126,13 +154,18 @@ def test_scenario_mutants_run_or_fail_with_one_located_error(kind, line, token, 
 @example(name="concordance.csv", kind="replace", line=2, column=2, token=b"1e-320", cut=0)
 # a file cut inside its first sector row
 @example(name="io_table.csv", kind="truncate", line=0, column=0, token=b"", cut=80)
+# an item missing from the concordance, and one the category map leaves out
+@example(name="concordance.csv", kind="delete", line=3, column=0, token=b"", cut=0)
+@example(name="category_map.csv", kind="delete", line=2, column=0, token=b"", cut=0)
 def test_csv_mutants_run_or_fail_with_one_located_error(name, kind, line, column, token, cut):
     with tempfile.TemporaryDirectory() as tmp:
-        data = _appendix_copy(tmp)
+        # resolved, as the scenario's paths are, so both commands name the same files
+        data = _appendix_copy(tmp).resolve()
         path = data / name
         path.write_bytes(mutate_csv(path.read_bytes(), kind, line, column, token, cut))
         err = run_outcome(data / "scenario.cfg")
         # a load error names its file and line, but a file-level "missing …"
-        located = re.match(rf"ERROR (?:{LOAD_ERRORS}): [^:]+(:\d+)?", err)
-        if located and not located.group(1):
+        located = re.match(rf"ERROR (?:{LOCATED_ERRORS}): [^:]+(:\d+)?", err)
+        if located and not located.group(1) and "(category map)" not in err:
             assert err[located.end() :].startswith(": missing "), err
+        check_validate_agrees(data, err)

@@ -13,6 +13,7 @@ from gstio import ingest, io_model
 from gstio import (
     Concordance,
     ConcordanceLink,
+    EmptyGroup,
     ExpenditureBasis,
     GroupDimension,
     GstioError,
@@ -32,6 +33,7 @@ from gstio import (
     load_category_map,
     load_concordance,
     load_expenditure,
+    load_household,
     load_io_table,
     load_rate_schedule,
     map_expenditure,
@@ -586,6 +588,17 @@ class TestLoadExpenditure:
         with pytest.raises(SchemaError, match="region"):
             load_expenditure(path)
 
+    def test_empty_group_named_at_its_first_line(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "e.csv",
+            "group_id,dimension,label,item_code,amount\n"
+            "g1,income,low,food,10\ng2,income,mid,food,0\ng3,income,high,food,0\ng2,income,mid,fuel,0\n",
+        )
+        with pytest.raises(EmptyGroup) as info:
+            load_expenditure(path)
+        assert str(info.value) == f"{path}:3: groups with zero total expenditure: g2, g3"
+
     def test_round_trip(self, tmp_path, data_dir):
         matrix = load_expenditure(data_dir / "expenditure.csv")
         out = tmp_path / "echo.csv"
@@ -706,6 +719,40 @@ class TestAlignExpenditure:
         )
         with pytest.raises(UnmappedItem, match="nope"):
             align_expenditure(matrix, sectors)
+
+
+class TestLoadHousehold:
+    SPEND = "group_id,dimension,label,item_code,amount\ng1,income,low,food,10\ng1,income,low,fuel,5\n"
+
+    @pytest.mark.parametrize(
+        "links, context",
+        [("item_code,sector_id,weight\nfood,s1,1\n", "concordance"), (None, "sector set")],
+        ids=["concordance", "sector-set"],
+    )
+    def test_unmapped_item_named_at_its_first_line(self, tmp_path, links, context):
+        spend = _write(tmp_path, "e.csv", self.SPEND + "g2,income,mid,fuel,1\n")
+        concordance = None if links is None else _write(tmp_path, "c.csv", links)
+        with pytest.raises(UnmappedItem) as info:
+            load_household(spend, concordance, SectorSet.from_ids(("s1", "food")))
+        assert str(info.value) == f"{spend}:3: unmapped item codes ({context}): fuel"
+
+    def test_weight_matrix_built_once(self, tmp_path, monkeypatch):
+        spend = _write(tmp_path, "e.csv", self.SPEND)
+        links = _write(tmp_path, "c.csv", "item_code,sector_id,weight\nfood,s1,0.3\nfood,s2,0.7\nfuel,s2,1\n")
+        sectors = SectorSet.from_ids(("s1", "s2"))
+        built = []
+        weight_matrix = Concordance.weight_matrix
+
+        def counted(self, items):
+            built.append(items)
+            return weight_matrix(self, items)
+
+        monkeypatch.setattr(Concordance, "weight_matrix", counted)
+        by_sector, by_item, weights = load_household(spend, links, sectors)
+        assert built == [("food", "fuel")]
+        mapped = map_expenditure(by_item, load_concordance(links, sectors))
+        np.testing.assert_array_equal(by_sector.values, mapped.values)
+        np.testing.assert_array_equal(weights, [[0.3, 0.7], [0.0, 1.0]])
 
 
 class TestCategoryMapFile:

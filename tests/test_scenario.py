@@ -1,11 +1,22 @@
-"""Tests for scenario file parsing: path resolution, defaults and every schema error."""
+"""Tests for scenario file parsing (path resolution, defaults and every schema
+error) and for the load stage that reads a scenario's inputs."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from gstio import GroupDimension, MaskedInputTreatment, SchemaError, load_scenario
+from gstio import (
+    GroupDimension,
+    MaskedInputTreatment,
+    SchemaError,
+    UnmappedItem,
+    load_inputs,
+    load_scenario,
+    run_scenario,
+    scenario,
+)
 
 MINIMAL = (
     "[inputs]\nio_table = io.csv\nrate_schedule = sched.csv\n\n"
@@ -150,3 +161,29 @@ def test_non_utf8_scenario_names_its_line(tmp_path):
 def test_unreadable_scenario(tmp_path):
     with pytest.raises(SchemaError, match="cannot read scenario"):
         load_scenario(tmp_path / "missing.cfg")
+
+
+def test_load_inputs_holds_every_input(data_dir):
+    inputs = load_inputs(load_scenario(data_dir / "scenario.cfg"))
+    assert inputs.table.sectors.ids == ("agr", "ind", "ser")
+    assert inputs.balance.max_row_residual == 0.0
+    assert inputs.schedule.standard_share.tolist() == [0.0, 1.0, 1.0]
+    assert inputs.schedule_warnings == ()
+    assert inputs.expenditure.items == ("agr", "ind", "ser")
+    assert inputs.category_expenditure.items == ("food", "fuel", "rent", "transport", "apparel", "misc")
+    assert inputs.weights.shape == (6, 3)
+    assert inputs.category_map.categories[0] == "food_nonalcoholic"
+    assert inputs.unmapped == ()
+
+
+def test_category_map_coverage_checked_before_the_solve(data_dir, tmp_path, monkeypatch):
+    (tmp_path / "map.csv").write_text("code,category\nfood,food_nonalcoholic\n", encoding="utf-8")
+    config = replace(load_scenario(data_dir / "scenario.cfg"), category_map=tmp_path / "map.csv")
+    assert load_inputs(config).unmapped == ("fuel", "rent", "transport", "apparel", "misc")
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the inputs were checked")
+
+    monkeypatch.setattr(scenario, "simulate_prices", solve)
+    with pytest.raises(UnmappedItem, match=r"\(category map\): apparel, fuel, misc, rent, transport"):
+        run_scenario(config)
