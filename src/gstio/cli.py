@@ -336,11 +336,11 @@ def cmd_report(args) -> int:
         print("\n\n".join(blocks))
         return EXIT_OK
 
-    # plotdata: one label,value series per table
+    # plotdata: one label,value series per table, written once every table has read clean
+    all_series = {name: _series_for(name, tables[name]) for name in selected}
     out_dir = Path(args.out) if args.out else run_dir / "plotdata"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in selected:
-        series = _series_for(name, tables[name])
+    for name, series in all_series.items():
         if series is None:
             continue
         series_path = out_dir / f"{name}_series.csv"
@@ -350,25 +350,32 @@ def cmd_report(args) -> int:
 
 
 def _series_for(name: str, path: Path):
+    """The ``[label, value]`` rows of table ``name``'s plot series, or None for a table without one.
+
+    Each value is written as its cell's text, once ingest's reader has read
+    it as a finite number; a cell that is not one is a located ``ParseError``.
+    """
     header, records = _table_rows(path)
-    rows = [row for _, row in records]
 
     def col(column: str) -> int:
         return _column(path, header, column)
 
     if name == PRICE_TABLE:
-        return [[row[col("sector_id")], row[col("pct_change")]] for row in rows]
-    if name == SUMMARY_TABLE:
-        return [[row[0], row[1]] for row in rows]
-    if name in (INCIDENCE_TABLE, GAPS_TABLE):
-        return [[row[col("group_id")], row[col("pct_change")]] for row in rows]
-    if name.startswith("category_table_"):
-        return [
-            [f"{row[col('group_id')]}:{row[col('category')]}", row[col("share_point_change")]]
-            for row in rows
-            if row[col("category")] != "TOTAL"
-        ]
-    return None
+        labels, value = [col("sector_id")], col("pct_change")
+    elif name == SUMMARY_TABLE:
+        labels, value = [col("metric")], col("value")
+    elif name in (INCIDENCE_TABLE, GAPS_TABLE):
+        labels, value = [col("group_id")], col("pct_change")
+    elif name.startswith("category_table_"):
+        labels, value = [col("group_id"), col("category")], col("share_point_change")
+        records = [(line, row) for line, row in records if row[labels[1]] != "TOTAL"]
+    else:
+        return None
+    series = []
+    for line, row in records:
+        _cell_float(row[value], path=path, line=line, column=value + 1)
+        series.append([":".join(row[j] for j in labels), row[value]])
+    return series
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ L = (I − A)⁻¹, which converts final demand into gross output: x = L(f + e).
 
 All containers are frozen dataclasses over read-only numpy arrays, so every
 operation is a pure function and instances can be shared across threads.
+One memo rides along: a :class:`CoefficientBundle` keeps the price model's
+live block for its most recent mask, so a rate sweep gathers it once.
+Results never depend on the memo, because a hit solves the very block a miss
+would build; concurrent callers at worst build a block twice.
 """
 
 from __future__ import annotations
@@ -166,6 +170,11 @@ class CoefficientBundle:
     def n(self) -> int:
         return len(self.sectors)
 
+    @cached_property
+    def _memo(self) -> dict:
+        # the price model's per-mask terms; outside __eq__, repr and replace
+        return {}
+
     @property
     def value_added(self) -> np.ndarray:
         """Labor plus capital coefficient per sector (the GST base)."""
@@ -293,15 +302,18 @@ def _power_iteration(M: np.ndarray) -> tuple[float, int, bool, float]:
     return estimate, POWER_MAX_ITERATIONS, False, first
 
 
-def _solve_productive(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I − M) y = rhs, certifying ρ(M) < 1 − PRODUCTIVITY_EPSILON.
+class _LiveBlock:
+    """I − M over the live columns of M, built once and solved for any right-hand side.
+
+    Building it gathers the blocks, and raises :class:`DimensionMismatch`
+    for a non-square M or entries below −1e-12, for which the certificate x
+    below proves nothing. :meth:`solve` solves (I − M) y = rhs and certifies
+    ρ(M) < 1 − PRODUCTIVITY_EPSILON, or raises :class:`NonProductive`.
 
     For M >= 0, I − M is a nonsingular M-matrix (ρ(M) < 1) iff
     x = (I − M)⁻¹1 > 0 (Berman & Plemmons 1994, ch. 6); x is one more
     right-hand side of the same factorization. By Collatz–Wielandt
-    ρ(M) <= 1 − 1/max(x), so max(x) < 1/ε proves ρ(M) < 1 − ε. Raises
-    :class:`NonProductive` otherwise, and :class:`DimensionMismatch` for a
-    non-square M or negative entries, for which x proves nothing.
+    ρ(M) <= 1 − 1/max(x), so max(x) < 1/ε proves ρ(M) < 1 − ε.
 
     Only the live block is factorised. Let S be the columns of M with a
     nonzero entry and Z the rest (a zero-rated or exempt sector of A'B̂).
@@ -312,37 +324,52 @@ def _solve_productive(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     nothing the test on x_S does not already decide. With every column live
     this is the plain solve of I − M.
     """
-    M = _square(M)
-    if np.any(M < -1e-12):
-        raise DimensionMismatch("matrix entries must be nonnegative")
-    rhs = np.asarray(rhs, dtype=float)
-    solution = np.column_stack([rhs, np.ones(M.shape[0])])
-    nonzero = M.any(axis=0)
-    live, dead = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
-    # I − M_SS in one new array. Gathered through M.T because the price
-    # solves pass A', a column-major view: the block comes out column-major,
-    # the layout LAPACK copies fastest. 0 − m rather than −m turns m = 0 into
-    # +0, so with every column live the block is I − M bit for bit.
-    block = M.T[np.ix_(live, live)].T
-    np.subtract(0.0, block, out=block)
-    block.flat[:: len(live) + 1] += 1.0
-    try:
-        solved = np.linalg.solve(block, solution[live])
-    except np.linalg.LinAlgError as exc:
-        raise NonProductive(f"(I - M) is singular: {exc}") from exc
-    solution[live] = solved
-    # One matrix-vector product per column: BLAS may round a column of a
-    # matrix product differently when other columns sit beside it, and a
-    # stacked right-hand side should get the rows Z it would get alone.
-    coupling = M[np.ix_(dead, live)]
-    solution[dead] += np.stack([coupling @ column for column in solved.T], axis=1)
-    certificate = solution[:, -1]
-    if not (np.all(certificate > 0) and certificate.max() < 1.0 / PRODUCTIVITY_EPSILON):
-        raise NonProductive(
-            f"spectral radius not provably < 1 - {PRODUCTIVITY_EPSILON:g}: (I - M)^-1 1 spans "
-            f"[{certificate.min():.6g}, {certificate.max():.6g}], outside (0, {1 / PRODUCTIVITY_EPSILON:g})"
-        )
-    return solution[:, :-1].reshape(rhs.shape)
+
+    def __init__(self, M: np.ndarray):
+        M = _square(M)
+        if np.any(M < -1e-12):
+            raise DimensionMismatch("matrix entries must be nonnegative")
+        self.n = M.shape[0]
+        nonzero = M.any(axis=0)
+        live, dead = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
+        # I − M_SS in one new array in M's layout: the price solves pass A', a
+        # column-major view. LAPACK reads either layout as the same values. A
+        # block with dead columns is gathered from whichever of M and M.T is
+        # row-major, the fast way round. 0 − m rather than −m turns m = 0
+        # into +0, so with every column live the block is I − M bit for bit.
+        if not dead.size:
+            block = np.subtract(0.0, M)
+        else:
+            block = M.T[np.ix_(live, live)].T if M.flags.f_contiguous else M[np.ix_(live, live)]
+            np.subtract(0.0, block, out=block)
+        block.flat[:: len(live) + 1] += 1.0
+        self.live, self.dead, self.block, self.coupling = live, dead, block, M[np.ix_(dead, live)]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """y with (I − M) y = rhs, for rhs of n rows; raises :class:`NonProductive`."""
+        rhs = np.asarray(rhs, dtype=float)
+        solution = np.column_stack([rhs, np.ones(self.n)])
+        try:
+            solved = np.linalg.solve(self.block, solution[self.live])
+        except np.linalg.LinAlgError as exc:
+            raise NonProductive(f"(I - M) is singular: {exc}") from exc
+        solution[self.live] = solved
+        # One matrix-vector product per column: BLAS may round a column of a
+        # matrix product differently when other columns sit beside it, and a
+        # stacked right-hand side should get the rows Z it would get alone.
+        solution[self.dead] += np.stack([self.coupling @ column for column in solved.T], axis=1)
+        certificate = solution[:, -1]
+        if not (np.all(certificate > 0) and certificate.max() < 1.0 / PRODUCTIVITY_EPSILON):
+            raise NonProductive(
+                f"spectral radius not provably < 1 - {PRODUCTIVITY_EPSILON:g}: (I - M)^-1 1 spans "
+                f"[{certificate.min():.6g}, {certificate.max():.6g}], outside (0, {1 / PRODUCTIVITY_EPSILON:g})"
+            )
+        return solution[:, :-1].reshape(rhs.shape)
+
+
+def _solve_productive(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I − M) y = rhs, certifying ρ(M) < 1 − PRODUCTIVITY_EPSILON; see :class:`_LiveBlock`."""
+    return _LiveBlock(M).solve(rhs)
 
 
 def leontief_inverse(A: np.ndarray) -> np.ndarray:

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSchedule
-from .io_model import CoefficientBundle, SectorSet, _frozen, _solve_productive, _square
+from .io_model import CoefficientBundle, SectorSet, _frozen, _LiveBlock, _solve_productive, _square
 
 
 class RateCategory(enum.Enum):
@@ -171,6 +172,33 @@ def gst_coefficients(bundle: CoefficientBundle, schedule: RateSchedule) -> np.nd
     return schedule.gst_rate * (schedule.standard_share * bundle.value_added)
 
 
+_MEMO_KEY = "price_path"
+
+
+class _MaskTerms(NamedTuple):
+    """The terms of :func:`price_path` that depend on the mask and not on the rate."""
+
+    key: tuple
+    system: _LiveBlock  # I − A'B̂
+    baseline_costs: np.ndarray | None  # A'(1 − b̂), for the baseline treatment
+    input_tax_base: np.ndarray | None  # row sums of A'B̂, for the exempt option
+
+
+def _mask_terms(bundle: CoefficientBundle, share: np.ndarray, treatment, exempt) -> _MaskTerms:
+    """The bundle's kept terms if their key matches, else newly built ones."""
+    key = (share.tobytes(), treatment, None if exempt is None else exempt.tobytes())
+    terms = bundle._memo.get(_MEMO_KEY)
+    if terms is not None and terms.key == key:
+        return terms
+    masked = bundle.A.T * share
+    return _MaskTerms(
+        key=key,
+        system=_LiveBlock(masked),
+        baseline_costs=bundle.A.T @ (1.0 - share) if treatment is MaskedInputTreatment.BASELINE else None,
+        input_tax_base=masked.sum(axis=1) if exempt is not None else None,
+    )
+
+
 def simulate_prices(
     bundle: CoefficientBundle,
     schedule: RateSchedule,
@@ -192,7 +220,9 @@ def simulate_prices(
     statutory tax charged on their standard-rated inputs scaled by the
     non-standard share of their output — the input tax they cannot recover.
 
-    This is :func:`price_path` at the one rate ``schedule.gst_rate``.
+    This is :func:`price_path` at the one rate ``schedule.gst_rate``, so
+    calls that share a bundle and a mask reuse its live block: a loop over
+    rates gathers I − A'B̂ once per mask, and each call only solves.
     """
     return price_path(
         bundle,
@@ -222,27 +252,37 @@ def price_path(
     its place in the stack, which moves the last bit or so (measured below
     1e-15 relative with a live block of about 530 sectors). Raises
     :class:`InvalidSchedule` for a rate outside [0, 1).
+
+    The bundle keeps what the most recent mask built, which depends on
+    nothing but the mask: the live block of I − A'B̂, A'(1 − b̂) for the
+    baseline treatment and the row sums of A'B̂ for the exempt option. A
+    later call with the same standard shares, treatment and (with the
+    exempt option) exempt labels reuses them and gives the same bits. A mask
+    whose solve fails is not kept.
     """
     treatment = MaskedInputTreatment(masked_input_treatment)
     if schedule.sectors.ids != bundle.sectors.ids:
         raise DimensionMismatch("schedule and bundle refer to different sector sets")
     rates = np.array([_schedule_rate(rate) for rate in rates], dtype=float)[:, np.newaxis]
     share = schedule.standard_share
-    masked = bundle.A.T * share
+    exempt = None
+    if exempt_retains_input_tax:
+        exempt = np.array([c is RateCategory.EXEMPT for c in schedule.categories], dtype=bool)
+        if not exempt.any():
+            exempt = None
+    terms = _mask_terms(bundle, share, treatment, exempt)
     # one row per rate; the tax row is gst_coefficients' rate × (share × va)
     costs = _exogenous_costs(bundle, rates * (share * bundle.value_added))
-    if treatment is MaskedInputTreatment.BASELINE:
-        costs = costs + bundle.A.T @ (1.0 - share)
-    if exempt_retains_input_tax:
-        exempt = np.array(
-            [c is RateCategory.EXEMPT for c in schedule.categories], dtype=bool
-        )
-        if exempt.any():
-            # statutory tax on standard-rated inputs, unrecoverable in
-            # proportion to the sector's non-standard output share
-            input_tax = rates * masked.sum(axis=1)
-            costs = costs + np.where(exempt, (1.0 - share) * input_tax, 0.0)
-    return _solve_productive(masked, costs.T).T
+    if terms.baseline_costs is not None:
+        costs = costs + terms.baseline_costs
+    if terms.input_tax_base is not None:
+        # statutory tax on standard-rated inputs, unrecoverable in
+        # proportion to the sector's non-standard output share
+        input_tax = rates * terms.input_tax_base
+        costs = costs + np.where(exempt, (1.0 - share) * input_tax, 0.0)
+    prices = terms.system.solve(costs.T).T
+    bundle._memo[_MEMO_KEY] = terms  # only once solved: a non-productive mask is not kept
+    return prices
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ passes where ``run`` runs, and prints ``run``'s ERROR line and nothing else
 where ``run`` fails to load. Where ``run`` fails after loading, on a category
 map that leaves codes out or a non-productive table, ``validate`` prints its
 checks and fails them.
+
+``gstio report`` on a finished run directory with one table mutated either
+renders it, as text and as plot series, or fails with exit 2 and one
+``ERROR <Class>:`` line that names the mutated table and its line, or says
+which column the table lacks. A failed plotdata report writes no series.
 """
 
 import contextlib
@@ -19,6 +24,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +40,12 @@ CSV_INPUTS = ("io_table.csv", "rate_schedule.csv", "expenditure.csv", "concordan
 CSV_TOKENS = [b"zzz", b"nan", b"1e999", b"-1", b"", b"1e-320"]
 LOCATED_ERRORS = "|".join([*(cls.__name__ for cls in LoadError.__subclasses__()), "EmptyGroup", "UnmappedItem"])
 VALIDATE_FLAGS = ("--table", "--schedule", "--expenditure", "--concordance", "--category-map")
+
+RUN_TABLES = (
+    "price_changes.csv", "summary.csv", "incidence_by_group.csv", "gaps.csv",
+    "category_table_income.csv", "category_table_ethnicity.csv",
+)  # fmt: skip
+RUN_TOKENS = [*CSV_TOKENS, b"TOTAL", b'"']
 
 
 def mutate(kind: str, line: int, token: bytes, cut: int) -> bytes:
@@ -169,3 +181,52 @@ def test_csv_mutants_run_or_fail_with_one_located_error(name, kind, line, column
         if located and not located.group(1) and "(category map)" not in err:
             assert err[located.end() :].startswith(": missing "), err
         check_validate_agrees(data, err)
+
+
+def check_report(run_dir: Path, table: Path, fmt: str, out: Path) -> None:
+    """``gstio report`` in format ``fmt`` on ``run_dir``, whose ``table`` is a
+    mutant, keeps the contract in the module docstring."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["report", str(run_dir), "--format", fmt, "--out", str(out)])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+        return
+    path = re.escape(str(table))
+    assert code == 2 and len(err.splitlines()) == 1, err
+    assert re.match(rf"ERROR \w+: {path}:\d+(:\d+)?: |ERROR MissingArtifact: {path} has no \w+ column$", err), err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory) -> Path:
+    run_dir = tmp_path_factory.mktemp("finished") / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(DATA_DIR / "scenario.cfg"), "-o", str(run_dir)]) == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(RUN_TABLES)
+    return run_dir
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    name=st.sampled_from(RUN_TABLES),
+    kind=st.sampled_from(["delete", "duplicate", "replace", "truncate"]),
+    line=st.integers(0, 25),
+    column=st.integers(0, 7),
+    token=st.sampled_from(RUN_TOKENS),
+    cut=st.integers(0, 1200),
+)
+# a pct_change that is no number, in the text price table and a plot series
+@example(name="price_changes.csv", kind="replace", line=1, column=4, token=b"zzz", cut=0)
+@example(name="summary.csv", kind="replace", line=2, column=1, token=b"nan", cut=0)
+# a header without the value column, and a category table's TOTAL row made a category
+@example(name="gaps.csv", kind="delete", line=0, column=0, token=b"", cut=0)
+@example(name="category_table_income.csv", kind="replace", line=6, column=2, token=b"zzz", cut=0)
+def test_run_directory_mutants_render_or_fail_with_one_located_error(finished_run, name, kind, line, column, token, cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "run"
+        shutil.copytree(finished_run, run_dir)
+        table = run_dir / name
+        table.write_bytes(mutate_csv(table.read_bytes(), kind, line, column, token, cut))
+        for fmt in ("text", "plotdata"):
+            check_report(run_dir, table, fmt, Path(tmp) / "plot")

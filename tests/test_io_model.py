@@ -251,6 +251,18 @@ class TestReducedSolve:
         _solve_productive(np.full((4, 4), 0.1), np.ones(4))
         assert shapes == [(2, 2), (4, 4)]
 
+    @pytest.mark.parametrize("n", [7, 150])
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_row_and_column_major_inputs_agree_bitwise(self, n, dead):
+        # a block with dead columns is gathered from M or M.T, whichever is row-major
+        rng = np.random.default_rng(n)
+        A, *_ = helpers.random_coefficients(rng, n)
+        if dead:
+            A[:, ::3] = 0.0
+        column_major = np.asfortranarray(A)
+        assert A.flags.c_contiguous and not column_major.flags.c_contiguous
+        np.testing.assert_array_equal(leontief_inverse(column_major), leontief_inverse(A))
+
     def test_all_columns_zero_returns_rhs(self):
         rhs = np.arange(6.0).reshape(3, 2)
         np.testing.assert_array_equal(_solve_productive(np.zeros((3, 3)), rhs), rhs)

@@ -1,5 +1,7 @@
 """Tests for the masked cost-push price model against printed and oracle values."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import helpers
 from gstio import (
     CoefficientBundle,
+    DimensionMismatch,
     InvalidSchedule,
     MaskedInputTreatment,
     NonProductive,
@@ -25,6 +28,7 @@ from gstio import (
     rate_mask,
     simulate_prices,
 )
+from gstio.io_model import _LiveBlock
 
 # Frozen from the fixed-point oracle on the worked three-sector example
 # (Agr zero-rated, 6% on value added, masked inputs dropped).
@@ -347,6 +351,128 @@ class TestPricePath:
     def test_out_of_range_rate_rejected(self, appendix_bundle, appendix_schedule, rates):
         with pytest.raises(InvalidSchedule, match=r"gst_rate must lie in \[0, 1\)"):
             price_path(appendix_bundle, appendix_schedule, rates)
+
+
+@pytest.fixture()
+def live_block_builds(monkeypatch):
+    """The matrices each _LiveBlock is built from, in order, while the test runs."""
+    built = []
+    init = _LiveBlock.__init__
+
+    def counting(self, M):
+        built.append(M)
+        init(self, M)
+
+    monkeypatch.setattr(_LiveBlock, "__init__", counting)
+    return built
+
+
+def _relabel_exempt(schedule, rng):
+    """``schedule`` with a random half of its not fully standard sectors labeled EXEMPT."""
+    categories = tuple(
+        RateCategory.EXEMPT if share < 1.0 and rng.random() < 0.5 else RateCategory.ZERO_RATED
+        for share in schedule.standard_share
+    )
+    return replace(schedule, categories=categories)
+
+
+class TestMaskMemo:
+    """A bundle keeps its most recent mask's live block; no result depends on it."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31))
+    def test_cycled_masks_match_fresh_bundles_bitwise(self, n, seed):
+        rng = np.random.default_rng(seed)
+        bundle, first = helpers.random_bundle_and_schedule(rng, n)
+        first = _relabel_exempt(first, rng)
+        # first's shares but one, and a rate of its own
+        shares = first.standard_share.copy()
+        shares[rng.integers(n)] = rng.uniform(0.0, 1.0)
+        second = replace(first, standard_share=shares, gst_rate=0.1)
+        # first's shares under other exempt labels: a hit only without the exempt option
+        relabeled = _relabel_exempt(first, rng)
+        for treatment in MaskedInputTreatment:
+            for exempt_option in (False, True):
+                options = dict(masked_input_treatment=treatment, exempt_retains_input_tax=exempt_option)
+                for schedule in (first, second, first, relabeled, first):
+                    fresh = replace(bundle)
+                    np.testing.assert_array_equal(
+                        simulate_prices(bundle, schedule, **options), simulate_prices(fresh, schedule, **options)
+                    )
+                    rates = [0.0, schedule.gst_rate, 0.3]
+                    np.testing.assert_array_equal(
+                        price_path(bundle, schedule, rates, **options), price_path(fresh, schedule, rates, **options)
+                    )
+
+    def test_non_productive_mask_is_not_kept(self, live_block_builds):
+        # A' is bipartite with radius 1 under the full mask, and 0.5**0.5 under half of one column
+        bundle = CoefficientBundle(
+            sectors=SectorSet.from_ids(("a", "b")),
+            A=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            labor=np.zeros(2),
+            capital=np.zeros(2),
+            imports=np.array([0.5, 0.5]),
+            indirect_tax=np.zeros(2),
+        )
+        full = RateSchedule.uniform_standard(bundle.sectors, 0.06)
+        half = replace(full, standard_share=np.array([0.5, 1.0]))
+        expected = simulate_prices(replace(bundle), half)
+        for builds in (2, 3):
+            with pytest.raises(NonProductive):
+                simulate_prices(bundle, full)
+            assert len(live_block_builds) == builds
+        np.testing.assert_array_equal(simulate_prices(bundle, half), expected)
+        with pytest.raises(NonProductive):
+            simulate_prices(bundle, full)
+        np.testing.assert_array_equal(simulate_prices(bundle, half), expected)
+        # the last call reuses the block the failure before it left in place
+        assert len(live_block_builds) == 5
+
+    def test_checks_precede_the_lookup(self, appendix_bundle, appendix_schedule):
+        simulate_prices(appendix_bundle, appendix_schedule)
+        other = replace(appendix_schedule, sectors=SectorSet.from_ids(("x", "y", "z")))
+        with pytest.raises(DimensionMismatch, match="different sector sets"):
+            simulate_prices(appendix_bundle, other)
+        with pytest.raises(InvalidSchedule):
+            price_path(appendix_bundle, appendix_schedule, [0.06, 1.0])
+
+    def test_threads_sharing_a_bundle_get_the_fresh_bundle_bits(self):
+        rng = np.random.default_rng(7)
+        bundle, schedule = helpers.random_bundle_and_schedule(rng, 40)
+        masks = [schedule, replace(schedule, standard_share=rng.uniform(0.0, 1.0, 40))]
+        expected = [simulate_prices(replace(bundle), mask) for mask in masks]
+        mismatches = []
+
+        def sweep(first):
+            try:
+                for k in range(60):
+                    j = (first + k) % 2
+                    if not np.array_equal(simulate_prices(bundle, masks[j]), expected[j]):
+                        mismatches.append(j)
+            except Exception as exc:  # a thread's error would otherwise only be printed
+                mismatches.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_a_rate_sweep_builds_one_live_block_per_mask(self, live_block_builds):
+        rng = np.random.default_rng(4)
+        bundle, schedule = helpers.random_bundle_and_schedule(rng, 30)
+        masks = [schedule, *(replace(schedule, standard_share=rng.uniform(0.0, 1.0, 30)) for _ in range(3))]
+        for mask in masks:
+            for rate in np.linspace(0.0, 0.2, 25):
+                simulate_prices(bundle, replace(mask, gst_rate=float(rate)))
+        assert len(live_block_builds) == 4
 
 
 class TestPriceChangeSummary:
