@@ -89,9 +89,11 @@ def _number_formatter(full_precision: bool):
 
 
 def _print_productivity(label: str, check: ProductivityReport) -> None:
-    radius = f"radius {check.spectral_radius:.6g}"
-    if not check.converged:
-        radius += f" (unconverged estimate after {check.iterations} iterations)"
+    lo, hi = check.bracket
+    if check.converged:
+        radius = f"radius {lo:.6g}"
+    else:
+        radius = f"radius in [{lo:.6g}, {hi:.6g}] (bracket open after {check.iterations} iterations)"
     print(f"productivity ({label}): {radius} {'pass' if check.passed else 'FAIL'}")
 
 

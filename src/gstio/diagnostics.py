@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonProductive, ZeroValueAdded
 from .incidence import ExpenditureMatrix
-from .io_model import PRODUCTIVITY_EPSILON, CoefficientBundle, _frozen, _power_iteration, _solve_productive, _square
+from .io_model import PRODUCTIVITY_EPSILON, CoefficientBundle, _frozen, _perron_bracket, _solve_productive, _square
 from .price_model import _mask_diagonal
 
 
@@ -80,32 +80,45 @@ def structure_drift(e1: ExpenditureMatrix, e2: ExpenditureMatrix) -> StructureDr
 
 @dataclass(frozen=True)
 class ProductivityReport:
-    """The solve kernel's productivity verdict and a power-iteration radius estimate."""
+    """The solve kernel's productivity verdict and a Collatz–Wielandt bracket of the radius.
+
+    ``bracket`` is [lo, hi] with lo <= ρ(M) <= hi; ``converged`` says it
+    closed to POWER_TOLERANCE relative, so that ``spectral_radius`` (= lo)
+    is ρ(M) to that tolerance. ``iterations`` counts power steps.
+    """
 
     spectral_radius: float
     passed: bool
     iterations: int
     converged: bool
+    bracket: tuple[float, float]
 
 
 def productivity_check(A: np.ndarray, mask: np.ndarray | None = None) -> ProductivityReport:
     """Decide by the solve kernel's rule whether A (or A'B̂ with a mask) is productive.
 
-    Passes at once when M >= 0 and ρ(M) <= ‖M‖∞ = max(M·1) < 1 − 1e-9;
-    otherwise asks :func:`~gstio.io_model._solve_productive` itself, which
-    raises :class:`DimensionMismatch` for entries below −1e-12. The radius,
-    iteration count and convergence flag are power iteration's (see
-    :func:`~gstio.io_model.spectral_radius`) and decide nothing.
+    Passes at once when M >= 0 and the bracket's first upper end, ‖M‖∞, is
+    below 1 − 1e-9: then x = (I − M)⁻¹1 <= 1/(1 − ‖M‖∞) < 1e9, which is the
+    kernel's certificate. Otherwise asks
+    :func:`~gstio.io_model._solve_productive` itself on M, which raises
+    :class:`DimensionMismatch` for entries below −1e-12. A tighter upper end
+    proves ρ(M) < 1 − 1e-9 but not the kernel's bound on x (M =
+    [[0.5, 1e10], [1e-12, 0.25]] has ρ ≈ 0.535 and x₁ ≈ 2.7e10), so it
+    decides nothing.
+
+    M is never formed for the bracket: see
+    :func:`~gstio.io_model._perron_bracket`, which reads A'B̂ from A and the
+    mask, and iterates only over its core.
     """
     A = _square(A)
-    target = A if mask is None else A.T * _mask_diagonal(mask, len(A))
-    radius, iterations, converged, row_bound = _power_iteration(target)
-    passed = row_bound < 1.0 - PRODUCTIVITY_EPSILON and float(target.min()) >= 0.0
+    m = np.ones(len(A)) if mask is None else _mask_diagonal(mask, len(A))
+    bracket = _perron_bracket(A.T if mask is None else A, m)
+    passed = bracket.lowest >= 0.0 and bracket.row_bound < 1.0 - PRODUCTIVITY_EPSILON
     if not passed:
         with suppress(NonProductive):
-            _solve_productive(target, np.empty((len(target), 0)))
+            _solve_productive(A if mask is None else A.T * m, np.empty((len(A), 0)))
             passed = True
-    return ProductivityReport(radius, passed, iterations, converged)
+    return ProductivityReport(bracket.lo, passed, bracket.iterations, bracket.closed, (bracket.lo, bracket.hi))
 
 
 def tax_to_va_ratio(bundle: CoefficientBundle) -> np.ndarray:

@@ -143,11 +143,24 @@ def _not_utf8(error: type[LoadError], path) -> LoadError:
     return error("not UTF-8", path=path)  # the file changed after the failed read
 
 
+def _numbered(records, start: int = 0) -> Iterator[tuple[int, list[str]]]:
+    """``(line, row)`` for each non-blank record of a csv reader, at the file line the record starts on.
+
+    A quoted cell may span lines, so the line is one past the count of lines
+    the reader had read before the record; ``start`` lines precede its source.
+    """
+    line = start + records.line_num + 1
+    for row in records:
+        if row and row != [""]:
+            yield line, row
+        line = start + records.line_num + 1
+
+
 def _rows(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """The header row of a CSV file, and ``(line, row)`` for each non-blank row after it, from line 2."""
+    """The header row of a CSV file, and ``(line, row)`` for each non-blank row after it."""
     rows = csv.reader(_read_lines(path))
     header = next(rows)
-    return header, ((line, row) for line, row in enumerate(rows, start=2) if row not in ([], [""]))
+    return header, _numbered(rows)
 
 
 def _records(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -243,8 +256,8 @@ def _parse_sector_block(lines: list[str], ids: tuple[str, ...]):
     return list(rows["name"]), rows["cells"]
 
 
-def _walk_sector_rows(records, ids: tuple[str, ...], *, path) -> tuple[list[str], np.ndarray]:
-    """The sector names and cells of the next ``n`` csv ``records``, checked row by row.
+def _walk_sector_rows(records, ids: tuple[str, ...], *, path) -> tuple[list[str], np.ndarray, list[int]]:
+    """The sector names, cells and lines of the next ``n`` csv ``records``, checked row by row.
 
     ``records`` is the table's csv reader, just past its header; it is left
     just past the block, at the primary-input rows. Raises at the first
@@ -252,13 +265,13 @@ def _walk_sector_rows(records, ids: tuple[str, ...], *, path) -> tuple[list[str]
     end of the file is reported after the rows it does hold.
     """
     n = len(ids)
-    names = []
+    names, lines = [], []
     cells = np.zeros((n, n + 3))
     for i in range(n):
-        line = i + 2
+        line = records.line_num + 1
         row = next(records, None)
         if row is None:
-            raise SchemaError(f"expected {n} sector rows, found {i}", path=path, line=i + 1)
+            raise SchemaError(f"expected {n} sector rows, found {i}", path=path, line=records.line_num)
         _require_width(row, n + 5, path=path, line=line)
         if row[0] != ids[i]:
             raise SchemaError(
@@ -268,8 +281,9 @@ def _walk_sector_rows(records, ids: tuple[str, ...], *, path) -> tuple[list[str]
                 column=1,
             )
         names.append(row[1])
+        lines.append(line)
         cells[i] = _row_floats(row[2:], path=path, line=line)
-    return names, cells
+    return names, cells, lines
 
 
 def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, BalanceReport]:
@@ -295,18 +309,20 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
         raise SchemaError("no sector columns in header", path=path, line=1, column=3)
 
     block = _parse_sector_block(lines[records.line_num :], ids)
+    start = 0  # lines before the source of ``records``
     if block is None:
-        names, cells = _walk_sector_rows(records, ids, path=path)
+        names, cells, sector_lines = _walk_sector_rows(records, ids, path=path)
     else:
-        names, cells = block
-        records = csv.reader(lines[records.line_num + n :])
+        (names, cells), start = block, records.line_num + n
+        sector_lines = list(range(records.line_num + 1, start + 1))
+        records = csv.reader(lines[start:])
     Z = cells[:, :n]
     f, e, x = cells[:, n:].T
 
     primary: dict[str, np.ndarray] = {}
     primary_lines = []
-    for line, row in enumerate(records, start=n + 2):
-        if not row or not row[0]:
+    for line, row in _numbered(records, start):
+        if not row[0]:
             continue
         _require_width(row, len(header), path=path, line=line)
         label = row[0]
@@ -329,7 +345,7 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
         raise ParseError(
             f"must not be negative, got {float(signed[row, column])}",
             path=path,
-            line=[*range(2, n + 2), *primary_lines][row],
+            line=[*sector_lines, *primary_lines][row],
             column=int(column) + 3,
         )
 
@@ -352,7 +368,7 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
         if required not in primary:
             raise SchemaError(f"missing required row {required}", path=path)
 
-    _check_output(x <= 0, ids, path, "must be strictly positive")
+    _check_output(x <= 0, ids, sector_lines, path, "must be strictly positive")
     table = IOTable(
         sectors=SectorSet(ids=ids, names=tuple(names)),
         Z=Z,
@@ -369,17 +385,17 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
     # above 1, and a residual overflows where OUTPUT is tiny beside its flows
     largest_input = np.max([Z.max(axis=0), labor, capital, table.imports, table.indirect_tax], axis=0)
     too_small = (x < largest_input) | np.isinf(report.row_residuals) | np.isinf(report.column_residuals)
-    _check_output(too_small, ids, path, "is too small for its flows")
+    _check_output(too_small, ids, sector_lines, path, "is too small for its flows")
     if not allow_unbalanced:
         report.check(table.sectors)
     return table, report
 
 
-def _check_output(bad: np.ndarray, ids: tuple[str, ...], path, problem: str) -> None:
+def _check_output(bad: np.ndarray, ids: tuple[str, ...], lines: list[int], path, problem: str) -> None:
     """Raise :class:`ZeroOutput` at the OUTPUT cell of the first sector flagged in ``bad``."""
     if bad.any():
         i = int(bad.argmax())
-        raise ZeroOutput(f"{path}:{i + 2}:{len(ids) + 5}: OUTPUT of sector {ids[i]} {problem}")
+        raise ZeroOutput(f"{path}:{lines[i]}:{len(ids) + 5}: OUTPUT of sector {ids[i]} {problem}")
 
 
 def save_io_table(table: IOTable, path) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +33,9 @@ BALANCE_TOLERANCE = 1e-6
 
 PRODUCTIVITY_EPSILON = 1e-9
 
-# Power iteration stops once successive growth estimates agree to this
-# relative tolerance, or reports non-convergence after the iteration cap.
-POWER_TOLERANCE = 1e-12
+# Power iteration stops once its Collatz–Wielandt bracket of the spectral
+# radius closes to this relative width, or reports it open after the cap.
+POWER_TOLERANCE = 1e-9
 POWER_MAX_ITERATIONS = 1000
 
 
@@ -272,34 +273,83 @@ def _square(M) -> np.ndarray:
 
 
 def spectral_radius(M: np.ndarray) -> tuple[float, int, bool]:
-    """Estimate the spectral radius of a square matrix by power iteration.
+    """Bound the spectral radius of a square matrix M >= 0 by power iteration.
 
-    Deterministic all-ones start vector, infinity-norm growth estimate,
-    POWER_TOLERANCE convergence and at most POWER_MAX_ITERATIONS steps.
-    Returns ``(radius, iterations, converged)``. For M >= 0 a converged
-    estimate is the Perron root; on periodic (e.g. bipartite) M the estimate
-    oscillates, and the unconverged last ratio can lie far below the radius.
-    It is a reported estimate only: no productivity verdict reads it.
+    Returns ``(radius, iterations, converged)``: the lower end of the
+    Collatz–Wielandt bracket of :func:`_perron_bracket`, the steps taken and
+    whether the bracket closed, in which case the radius is ρ(M) to
+    POWER_TOLERANCE relative. Raises :class:`DimensionMismatch` for entries
+    below −1e-12, as the solve kernel does; for M with an entry in
+    [−1e-12, 0) no bracket is proven and the result is ``(0.0, 0, False)``.
     """
-    return _power_iteration(_square(M))[:3]
+    M = _square(M)
+    bracket = _perron_bracket(M.T, np.ones(len(M)))
+    if bracket.lowest < -1e-12:
+        raise DimensionMismatch("matrix entries must be nonnegative")
+    return bracket.lo, bracket.iterations, bracket.closed
 
 
-def _power_iteration(M: np.ndarray) -> tuple[float, int, bool, float]:
-    """:func:`spectral_radius`, plus its first growth ‖M1‖∞ (= ‖M‖∞ for M >= 0)."""
-    v = np.ones(M.shape[0])
-    estimate = 0.0
-    for iteration in range(1, POWER_MAX_ITERATIONS + 1):
-        w = M @ v
-        norm = float(np.abs(w).max())
-        if iteration == 1:
-            first = norm
-        if norm == 0.0:
-            return 0.0, iteration, True, first
-        if abs(norm - estimate) <= POWER_TOLERANCE * max(norm, 1.0):
-            return norm, iteration, True, first
-        estimate = norm
-        v = w / norm
-    return estimate, POWER_MAX_ITERATIONS, False, first
+class _Bracket(NamedTuple):
+    """What :func:`_perron_bracket` proves about M = Cᵀ diag(m)."""
+
+    lowest: float  # M's least entry, exactly (nan if M holds one)
+    row_bound: float  # ‖M‖∞ = max(M·1) when lowest >= 0
+    lo: float  # lo <= ρ(M) <= hi
+    hi: float
+    iterations: int
+    closed: bool  # hi − lo <= POWER_TOLERANCE·hi
+
+
+def _perron_bracket(C: np.ndarray, m: np.ndarray) -> _Bracket:
+    """Collatz–Wielandt bracket of ρ(M) for M = Cᵀ diag(m), without forming M.
+
+    For M >= 0 and any v > 0, min (Mv)ᵢ/vᵢ <= ρ(M) <= max (Mv)ᵢ/vᵢ, reducible
+    M included (Berman & Plemmons 1994, ch. 2). Power iteration from v = 1
+    intersects these brackets at every step, (Mv)ᵢ = Σⱼ C_ji m_j v_j, and
+    stops once the bracket closes to POWER_TOLERANCE relative, fails to
+    tighten for 2 steps (a periodic M), v underflows, or POWER_MAX_ITERATIONS
+    is reached. The first step's upper end is ‖M‖∞.
+
+    Column j of M is m_j times row j of C, so M's least entry is exact from
+    C's row minima (row maxima where m_j < 0) times m, and a nan or ±inf of C
+    shows in it. Without M >= 0 the bracket is [0, inf) after 0 steps.
+
+    The iteration runs on a core K of M, gathered as the rows K of C, with
+    the same ρ: a zero column or a zero row of M is peeled with its partner
+    row or column, which leaves M block triangular with a zero diagonal
+    block. Peeling the zero rows, until none is left, keeps Mv > 0.
+    """
+    ends = m * np.stack([C.min(axis=1), C.max(axis=1)])
+    lowest = float(ends.min())
+    if not lowest >= 0.0:
+        return _Bracket(lowest, np.inf, 0.0, np.inf, 0, False)
+    core = np.flatnonzero(ends.max(axis=0) > 0)  # the nonzero columns of M
+    rows = C if len(core) == len(m) else C.take(core, axis=0)
+    sums = m[core] @ rows  # M·1, as the other columns of M are zero
+    row_bound = float(sums.max())
+    if not np.isfinite(row_bound):
+        return _Bracket(lowest, row_bound, 0.0, np.inf, 0, False)
+    w = sums[core]
+    while not np.all(w > 0):  # peel the zero rows of M_KK, with their columns
+        keep = w > 0
+        core, rows = core[keep], rows[keep]
+        w = (m[core] @ rows)[core]
+    if not len(core):
+        return _Bracket(lowest, row_bound, 0.0, 0.0, 0, True)
+    weights, v = m[core], np.ones(len(core))
+    lo, hi, stalled = 0.0, np.inf, 0
+    for iterations in range(1, POWER_MAX_ITERATIONS + 1):
+        ratios = w / v
+        bracket = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
+        stalled = stalled + 1 if bracket == (lo, hi) else 0
+        lo, hi = bracket
+        if hi - lo <= POWER_TOLERANCE * hi or stalled == 2:
+            break
+        v = w / w.max()
+        if not v.min() > 0.0:  # underflow: a ratio needs v > 0
+            break
+        w = ((weights * v) @ rows)[core]
+    return _Bracket(lowest, row_bound, lo, hi, iterations, hi - lo <= POWER_TOLERANCE * hi)
 
 
 class _LiveBlock:

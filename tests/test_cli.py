@@ -130,13 +130,13 @@ class TestValidate:
 
     def test_productive_periodic_table_passes(self, tmp_path, capsys):
         # A = [[0, .2], [.3, 0]] is bipartite, so power iteration oscillates
-        # and never converges; the verdict is the solver's, and it is productive
+        # and its bracket stays open; the verdict is the solver's, and it is productive
         rows = "agr,Agriculture,0,20,80,0,100\nind,Industry,30,0,70,0,100\n"
         table, schedule = _write_table(tmp_path, rows, "70,80")
         code = main(["validate", "--table", str(table), "--schedule", str(schedule)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "(unconverged estimate after 1000 iterations) pass" in out
+        assert "radius in [0.2, 0.3] (bracket open after 3 iterations) pass" in out
         assert "VALIDATION OK" in out
 
     @pytest.mark.parametrize(
@@ -455,6 +455,15 @@ class TestReport:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"ERROR ParseError: {prices}{error}\n"
+
+    def test_lines_count_past_a_cell_that_spans_lines(self, run_dir, capsys):
+        # the name "Agri\nculture" spans lines 2 and 3, so ind's row is line 4
+        prices = run_dir / "price_changes.csv"
+        text = _read(prices).replace("Agriculture", '"Agri\nculture"').replace("-8.53881", "abc")
+        prices.write_text(text, encoding="utf-8")
+        code = main(["report", str(run_dir), "--format", "text", "--table", "price_changes"])
+        assert code == 2
+        assert capsys.readouterr().err == f"ERROR ParseError: {prices}:4:5: not a number: 'abc'\n"
 
     def test_missing_run_dir(self, tmp_path, capsys):
         code = main(["report", str(tmp_path / "nope")])

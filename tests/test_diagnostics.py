@@ -1,5 +1,7 @@
 """Tests for stability diagnostics: MAD, share drift, productivity, tax ratio."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,83 @@ class TestProductivityCheck:
             B *= target_radius
             productive = float(np.abs(np.linalg.eigvals(B)).max()) < 1.0 - 1e-9
             assert self._assert_verdict_is_the_solvers(B) == productive
+
+    def test_radius_below_one_is_not_the_kernels_certificate(self):
+        # the bracket closes on ρ ≈ 0.535, but (I − M)⁻¹1 reaches 2.7e10,
+        # beyond the kernel's 1e9: the verdict follows the kernel, not ρ
+        M = np.array([[0.5, 1e10], [1e-12, 0.25]])
+        report = productivity_check(M)
+        exact = float(np.abs(np.linalg.eigvals(M)).max())
+        assert report.converged and report.spectral_radius == pytest.approx(exact, rel=1e-9)
+        assert report.bracket[1] < 1.0 - 1e-9 and report.passed is False
+        with pytest.raises(NonProductive):
+            leontief_inverse(M)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(["positive", "sparse", "reducible", "bipartite"]),
+        st.booleans(),
+        st.floats(min_value=0.3, max_value=1.7),
+    )
+    def test_bracket_holds_the_eigenvalue_radius(self, seed, n, kind, masked, target_radius):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(0.1, 1.0, size=(n, n))
+        if kind == "sparse":  # zero rows and columns, and cells
+            A *= rng.random((n, n)) < 0.4
+            A[rng.integers(n)] = 0.0
+            A[:, rng.integers(n)] = 0.0
+        elif kind == "reducible":  # block triangular
+            k = int(rng.integers(0, n))
+            A[k:, :k] = 0.0
+        elif kind == "bipartite":
+            k = int(rng.integers(0, n))
+            A[:k, :k] = 0.0
+            A[k:, k:] = 0.0
+        mask = None
+        if masked:
+            mask = rng.uniform(0.2, 1.0, size=n)
+            if kind != "positive":
+                mask[rng.random(n) < 0.3] = 0.0
+        radius = float(np.abs(np.linalg.eigvals(A if mask is None else A.T * mask)).max())
+        if radius > 0:
+            A *= target_radius / radius
+        M = A if mask is None else A.T * mask
+        radius = float(np.abs(np.linalg.eigvals(M)).max())
+        report = productivity_check(A, mask)
+        lo, hi = report.bracket
+        assert report.spectral_radius == lo
+        # both the bracket's ends and the eigenvalues carry rounding
+        assert lo * (1 - 1e-12) <= radius <= hi * (1 + 1e-12)
+        if kind == "positive":
+            assert report.converged and abs(lo - radius) <= 1e-8
+        assert report.passed == self._kernel_accepts(M)
+
+    def test_masked_gate_allocates_no_n_by_n_array(self):
+        n = 400
+        rng = np.random.default_rng(7)
+        A = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.3)
+        A *= 0.6 / A.sum(axis=0)
+        mask = rng.uniform(0.2, 1.0, size=n)
+        mask[rng.permutation(n)[: 3 * n // 10]] = 0.0
+        productivity_check(A, mask)  # warm-up
+        tracemalloc.start()
+        try:
+            report = productivity_check(A, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.converged
+        assert peak < n * n * np.dtype(float).itemsize
+
+    @staticmethod
+    def _kernel_accepts(M) -> bool:
+        try:
+            leontief_inverse(M)
+        except NonProductive:
+            return False
+        return True
 
     @staticmethod
     def _assert_verdict_is_the_solvers(M) -> bool:

@@ -248,6 +248,27 @@ class TestLoadIOTable:
             load_io_table(path)
         assert (info.value.line, info.value.column) == (2, 3)
 
+    @pytest.mark.parametrize(
+        "rows, error, position",
+        [
+            ("b,B,0,zzz,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\n", ParseError, (4, 4)),
+            ("b,B,0,-1,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\n", ParseError, (4, 4)),
+            ("b,B,0,0,1,0,0\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\n", ZeroOutput, (4, 7)),
+            ("b,B,0,0,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,zzz,,,\n", ParseError, (6, 4)),
+        ],
+        ids=["sector-cell", "negative-cell", "output", "primary-cell"],
+    )
+    def test_lines_count_past_a_cell_that_spans_lines(self, tmp_path, rows, error, position):
+        # the name "A\nfirm" spans lines 2 and 3, so sector b's row is line 4
+        text = IO_HEADER + 'a,"A\nfirm",0,0,1,0,1\n' + rows + "INDIRECT_TAX,,0,0,,,\n"
+        path = _write(tmp_path, "t.csv", text)
+        with pytest.raises(error) as info:
+            load_io_table(path)
+        if error is ZeroOutput:
+            assert str(info.value).startswith(f"{path}:{position[0]}:{position[1]}: OUTPUT of sector b")
+        else:
+            assert (info.value.line, info.value.column) == position
+
     def test_short_sector_block_reported_after_its_rows(self, tmp_path):
         path = _write(tmp_path, "t.csv", IO_HEADER + "a,A,0,0,1,0,1\n")
         with pytest.raises(SchemaError, match="expected 2 sector rows, found 1") as info:
@@ -587,6 +608,17 @@ class TestLoadExpenditure:
         )
         with pytest.raises(SchemaError, match="region"):
             load_expenditure(path)
+
+    def test_lines_count_past_a_cell_that_spans_lines(self, tmp_path):
+        # the label "low\nincome" spans lines 2 and 3
+        path = _write(
+            tmp_path,
+            "e.csv",
+            'group_id,dimension,label,item_code,amount\ng1,income,"low\nincome",food,10\ng2,income,mid,fuel,abc\n',
+        )
+        with pytest.raises(ParseError, match="not a number: 'abc'") as info:
+            load_expenditure(path)
+        assert (info.value.line, info.value.column) == (4, 5)
 
     def test_empty_group_named_at_its_first_line(self, tmp_path):
         path = _write(
