@@ -231,6 +231,8 @@ def cmd_run(args) -> int:
     try:
         _write_run_outputs(result, staging, _number_formatter(config.full_precision))
         if output_dir.exists():
+            if not output_dir.is_dir():
+                raise GstioError(f"output path {output_dir} exists and is not a directory")
             if not args.force:
                 raise GstioError(
                     f"output directory {output_dir} already exists; pass --force to replace it"

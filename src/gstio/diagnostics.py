@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonProductive, ZeroValueAdded
 from .incidence import ExpenditureMatrix
-from .io_model import PRODUCTIVITY_EPSILON, CoefficientBundle, _frozen, _perron_bracket, _solve_productive, _square
+from .io_model import PRODUCTIVITY_EPSILON, CoefficientBundle, _frozen, _LiveBlock, _perron_bracket, _square
 from .price_model import _mask_diagonal
 
 
@@ -99,24 +99,24 @@ def productivity_check(A: np.ndarray, mask: np.ndarray | None = None) -> Product
 
     Passes at once when M >= 0 and the bracket's first upper end, ‖M‖∞, is
     below 1 − 1e-9: then x = (I − M)⁻¹1 <= 1/(1 − ‖M‖∞) < 1e9, which is the
-    kernel's certificate. Otherwise asks
-    :func:`~gstio.io_model._solve_productive` itself on M, which raises
+    kernel's certificate. Otherwise asks the kernel,
+    :class:`~gstio.io_model._LiveBlock`, itself, which raises
     :class:`DimensionMismatch` for entries below −1e-12. A tighter upper end
     proves ρ(M) < 1 − 1e-9 but not the kernel's bound on x (M =
     [[0.5, 1e10], [1e-12, 0.25]] has ρ ≈ 0.535 and x₁ ≈ 2.7e10), so it
     decides nothing.
 
-    M is never formed for the bracket: see
-    :func:`~gstio.io_model._perron_bracket`, which reads A'B̂ from A and the
-    mask, and iterates only over its core.
+    M is never formed: the bracket and the kernel both read A'B̂ from A and
+    the mask (see :func:`~gstio.io_model._perron_bracket`), and the bracket
+    iterates only over its core.
     """
     A = _square(A)
-    m = np.ones(len(A)) if mask is None else _mask_diagonal(mask, len(A))
-    bracket = _perron_bracket(A.T if mask is None else A, m)
+    C, m = (A.T, np.ones(len(A))) if mask is None else (A, _mask_diagonal(mask, len(A)))
+    bracket = _perron_bracket(C, m)
     passed = bracket.lowest >= 0.0 and bracket.row_bound < 1.0 - PRODUCTIVITY_EPSILON
     if not passed:
         with suppress(NonProductive):
-            _solve_productive(A if mask is None else A.T * m, np.empty((len(A), 0)))
+            _LiveBlock(C, m).solve(np.empty((len(A), 0)))
             passed = True
     return ProductivityReport(bracket.lo, passed, bracket.iterations, bracket.closed, (bracket.lo, bracket.hi))
 

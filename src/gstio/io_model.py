@@ -300,6 +300,12 @@ class _Bracket(NamedTuple):
     closed: bool  # hi − lo <= POWER_TOLERANCE·hi
 
 
+def _column_ends(C: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ends of each column of M = Cᵀ diag(m), 2 × n, and which columns are nonzero."""
+    ends = m * np.stack([C.min(axis=1), C.max(axis=1)])
+    return ends, ends.any(axis=0)
+
+
 def _perron_bracket(C: np.ndarray, m: np.ndarray) -> _Bracket:
     """Collatz–Wielandt bracket of ρ(M) for M = Cᵀ diag(m), without forming M.
 
@@ -310,20 +316,21 @@ def _perron_bracket(C: np.ndarray, m: np.ndarray) -> _Bracket:
     tighten for 2 steps (a periodic M), v underflows, or POWER_MAX_ITERATIONS
     is reached. The first step's upper end is ‖M‖∞.
 
-    Column j of M is m_j times row j of C, so M's least entry is exact from
-    C's row minima (row maxima where m_j < 0) times m, and a nan or ±inf of C
-    shows in it. Without M >= 0 the bracket is [0, inf) after 0 steps.
+    Column j of M is m_j times row j of C, so m_j × [row min, row max] of C
+    (:func:`_column_ends`) are its extreme entries, exactly, and show a nan or
+    ±inf of the row; the column is nonzero iff an end is. :class:`_LiveBlock`
+    reads M the same way. Without M >= 0 the bracket is [0, inf) after 0 steps.
 
     The iteration runs on a core K of M, gathered as the rows K of C, with
     the same ρ: a zero column or a zero row of M is peeled with its partner
     row or column, which leaves M block triangular with a zero diagonal
     block. Peeling the zero rows, until none is left, keeps Mv > 0.
     """
-    ends = m * np.stack([C.min(axis=1), C.max(axis=1)])
+    ends, nonzero = _column_ends(C, m)
     lowest = float(ends.min())
     if not lowest >= 0.0:
         return _Bracket(lowest, np.inf, 0.0, np.inf, 0, False)
-    core = np.flatnonzero(ends.max(axis=0) > 0)  # the nonzero columns of M
+    core = np.flatnonzero(nonzero)
     rows = C if len(core) == len(m) else C.take(core, axis=0)
     sums = m[core] @ rows  # M·1, as the other columns of M are zero
     row_bound = float(sums.max())
@@ -353,12 +360,12 @@ def _perron_bracket(C: np.ndarray, m: np.ndarray) -> _Bracket:
 
 
 class _LiveBlock:
-    """I − M over the live columns of M, built once and solved for any right-hand side.
+    """I − M over the live columns of M = Cᵀ diag(m), built once and solved for any right-hand side.
 
-    Building it gathers the blocks, and raises :class:`DimensionMismatch`
-    for a non-square M or entries below −1e-12, for which the certificate x
-    below proves nothing. :meth:`solve` solves (I − M) y = rhs and certifies
-    ρ(M) < 1 − PRODUCTIVITY_EPSILON, or raises :class:`NonProductive`.
+    Building it reads M as :func:`_perron_bracket` does, and raises
+    :class:`DimensionMismatch` for entries below −1e-12, for which the
+    certificate x below proves nothing. :meth:`solve` solves (I − M) y = rhs
+    and certifies ρ(M) < 1 − PRODUCTIVITY_EPSILON, or raises :class:`NonProductive`.
 
     For M >= 0, I − M is a nonsingular M-matrix (ρ(M) < 1) iff
     x = (I − M)⁻¹1 > 0 (Berman & Plemmons 1994, ch. 6); x is one more
@@ -375,25 +382,20 @@ class _LiveBlock:
     this is the plain solve of I − M.
     """
 
-    def __init__(self, M: np.ndarray):
-        M = _square(M)
-        if np.any(M < -1e-12):
-            raise DimensionMismatch("matrix entries must be nonnegative")
-        self.n = M.shape[0]
-        nonzero = M.any(axis=0)
+    def __init__(self, C: np.ndarray, m: np.ndarray):
+        self.n = len(m)
+        nonzero = _column_ends(C, m)[1]
         live, dead = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
-        # I − M_SS in one new array in M's layout: the price solves pass A', a
-        # column-major view. LAPACK reads either layout as the same values. A
-        # block with dead columns is gathered from whichever of M and M.T is
-        # row-major, the fast way round. 0 − m rather than −m turns m = 0
-        # into +0, so with every column live the block is I − M bit for bit.
-        if not dead.size:
-            block = np.subtract(0.0, M)
-        else:
-            block = M.T[np.ix_(live, live)].T if M.flags.f_contiguous else M[np.ix_(live, live)]
-            np.subtract(0.0, block, out=block)
+        weights = m[live]
+        # M_SSᵀ and a row-major M_ZS from the live rows of C; their signs are
+        # checked entry by entry, as a nan in a row of C hides that row's ends
+        block = (C[np.ix_(live, live)] if dead.size else C) * weights[:, np.newaxis]
+        coupling = np.multiply(C[np.ix_(live, dead)].T, weights, order="C")
+        if np.any(block < -1e-12) or np.any(coupling < -1e-12):
+            raise DimensionMismatch("matrix entries must be nonnegative")
+        np.subtract(0.0, block, out=block)  # 0 − x, not −x: a zero stays +0, as in I − M_SS
         block.flat[:: len(live) + 1] += 1.0
-        self.live, self.dead, self.block, self.coupling = live, dead, block, M[np.ix_(dead, live)]
+        self.live, self.dead, self.block, self.coupling = live, dead, block.T, coupling
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """y with (I − M) y = rhs, for rhs of n rows; raises :class:`NonProductive`."""
@@ -419,7 +421,7 @@ class _LiveBlock:
 
 def _solve_productive(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I − M) y = rhs, certifying ρ(M) < 1 − PRODUCTIVITY_EPSILON; see :class:`_LiveBlock`."""
-    return _LiveBlock(M).solve(rhs)
+    return _LiveBlock(_square(M).T, np.ones(len(M))).solve(rhs)
 
 
 def leontief_inverse(A: np.ndarray) -> np.ndarray:

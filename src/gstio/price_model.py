@@ -156,8 +156,7 @@ def masked_inverse(A: np.ndarray, mask: np.ndarray) -> np.ndarray:
     proves the spectral radius of A'B̂ below 1 − 1e-9.
     """
     A = _square(A)
-    masked = A.T * _mask_diagonal(mask, len(A))  # scales column i of A' by mask_i
-    return _solve_productive(masked, np.eye(len(A)))
+    return _LiveBlock(A, _mask_diagonal(mask, len(A))).solve(np.eye(len(A)))
 
 
 def gst_coefficients(bundle: CoefficientBundle, schedule: RateSchedule) -> np.ndarray:
@@ -190,12 +189,11 @@ def _mask_terms(bundle: CoefficientBundle, share: np.ndarray, treatment, exempt)
     terms = bundle._memo.get(_MEMO_KEY)
     if terms is not None and terms.key == key:
         return terms
-    masked = bundle.A.T * share
     return _MaskTerms(
         key=key,
-        system=_LiveBlock(masked),
+        system=_LiveBlock(bundle.A, share),
         baseline_costs=bundle.A.T @ (1.0 - share) if treatment is MaskedInputTreatment.BASELINE else None,
-        input_tax_base=masked.sum(axis=1) if exempt is not None else None,
+        input_tax_base=(bundle.A.T * share).sum(axis=1) if exempt is not None else None,
     )
 
 

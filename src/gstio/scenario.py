@@ -320,11 +320,11 @@ def _resolve_base_groups(
     resolved: dict[GroupDimension, str] = {}
     for dimension in GroupDimension:
         ids = sorted(g.group_id for g in expenditure.groups if g.dimension is dimension)
-        if not ids:
+        if not ids and dimension not in requested:
             continue
-        resolved[dimension] = requested.get(dimension, ids[0])
+        resolved[dimension] = requested[dimension] if dimension in requested else ids[0]
         if resolved[dimension] not in ids:
             raise UnknownBaseGroup(
-                f"base group {resolved[dimension]!r} not among {dimension.value} groups: {', '.join(ids)}"
+                f"base group {resolved[dimension]!r} not among {dimension.value} groups: {', '.join(ids) or 'none'}"
             )
     return resolved

@@ -273,6 +273,16 @@ class TestRun:
         assert "--force" in err
         assert main(["run", str(data_dir / "scenario.cfg"), "-o", str(out), "--force"]) == 0
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_refuses_an_output_path_that_is_a_file(self, data_dir, tmp_path, capsys, force):
+        out = tmp_path / "run"
+        out.write_text("not a run\n", encoding="utf-8")
+        code = main(["run", str(data_dir / "scenario.cfg"), "-o", str(out), *force])
+        assert code == 2
+        assert capsys.readouterr().err == f"ERROR GstioError: output path {out} exists and is not a directory\n"
+        assert out.read_text(encoding="utf-8") == "not a run\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["run"]  # no staging directory left behind
+
     def test_no_reform_scenario_prices_flat(self, tmp_path, capsys):
         # no indirect tax at baseline and a 0% reform rate: the substituted
         # tax row equals the baseline one, so nothing moves (coefficients are

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from gstio import (
     DimensionMismatch,
+    GstioError,
     IOTable,
     NonProductive,
     SectorSet,
@@ -17,10 +18,11 @@ from gstio import (
     derive_coefficients,
     leontief_inverse,
     masked_inverse,
+    productivity_check,
     quantity_model,
     spectral_radius,
 )
-from gstio.io_model import PRODUCTIVITY_EPSILON, _solve_productive
+from gstio.io_model import PRODUCTIVITY_EPSILON, _LiveBlock, _solve_productive
 
 
 class TestSectorSet:
@@ -205,8 +207,55 @@ def _verdict(M) -> bool:
     return True
 
 
+def _outcome(call):
+    """The exception class ``call()`` raises, else the bytes and shape of what it returns."""
+    try:
+        result = np.asarray(call())
+    except GstioError as exc:
+        return type(exc)
+    return result.tobytes(), result.shape
+
+
 class TestReducedSolve:
     """The kernel factorises only the columns of M that hold a nonzero entry."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=0, max_value=2**31),
+        st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -1e-3, -5e-13, 0.0]), max_size=3),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_reading_c_and_m_matches_the_formed_product(self, n, seed, planted, negative_mask, zero_row, fortran):
+        # M = Cᵀ diag(m) read from C and m, against M formed first: the same
+        # exception class, or the same bits; DimensionMismatch iff an entry of
+        # the formed M is below −1e-12, which a nan elsewhere must not hide
+        rng = np.random.default_rng(seed)
+        C = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.6)
+        C *= rng.uniform(0.3, 1.7) / max(C.sum(axis=0).max(), 1e-3)
+        if zero_row:
+            C[rng.integers(n)] = 0.0
+        for value in planted:
+            C[rng.integers(n), rng.integers(n)] = value
+        m = np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.0, 1.0, size=n))
+        if negative_mask:
+            m[rng.integers(n)] = -rng.uniform(0.1, 1.0)
+        if fortran:
+            C = np.asfortranarray(C)
+        rhs = rng.uniform(0.1, 1.0, size=(n, 2))
+        with np.errstate(all="ignore"):  # 0 × inf, on both sides
+            formed = C.T * m
+            negative = bool(np.any(formed < -1e-12))
+            for read, product in (
+                (lambda: _LiveBlock(C, m).solve(rhs), lambda: _solve_productive(formed, rhs)),
+                (lambda: masked_inverse(C, m), lambda: _solve_productive(formed, np.eye(n))),
+                (lambda: productivity_check(C, m).passed, lambda: _verdict(formed)),
+            ):
+                outcome = _outcome(read)
+                assert outcome == _outcome(product)
+                assert (outcome is DimensionMismatch) == negative
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -296,6 +297,22 @@ class TestSimulatePrices:
         taxed = (schedule.standard_share > 0) & (bundle.value_added > 0)
         assert np.all(higher[taxed] > lower[taxed])
 
+    def test_masked_solve_allocates_less_than_one_n_by_n_array(self):
+        # the kernel reads A'B̂ from A and the mask and gathers only its live columns
+        n = 400
+        rng = np.random.default_rng(3)
+        bundle, schedule = helpers.random_bundle_and_schedule(rng, n)
+        shares = rng.uniform(0.5, 1.0, size=n)
+        shares[rng.permutation(n)[: n // 2]] = 0.0
+        schedule = replace(schedule, standard_share=shares)
+        tracemalloc.start()
+        try:
+            simulate_prices(bundle, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * np.dtype(float).itemsize
+
 
 class TestPricePath:
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -355,13 +372,13 @@ class TestPricePath:
 
 @pytest.fixture()
 def live_block_builds(monkeypatch):
-    """The matrices each _LiveBlock is built from, in order, while the test runs."""
+    """The (C, m) each _LiveBlock is built from, in order, while the test runs."""
     built = []
     init = _LiveBlock.__init__
 
-    def counting(self, M):
-        built.append(M)
-        init(self, M)
+    def counting(self, C, m):
+        built.append((C, m))
+        init(self, C, m)
 
     monkeypatch.setattr(_LiveBlock, "__init__", counting)
     return built

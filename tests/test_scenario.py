@@ -11,6 +11,7 @@ from gstio import (
     GroupDimension,
     MaskedInputTreatment,
     SchemaError,
+    UnknownBaseGroup,
     UnmappedItem,
     load_inputs,
     load_scenario,
@@ -187,3 +188,13 @@ def test_category_map_coverage_checked_before_the_solve(data_dir, tmp_path, monk
     monkeypatch.setattr(scenario, "simulate_prices", solve)
     with pytest.raises(UnmappedItem, match=r"\(category map\): apparel, fuel, misc, rent, transport"):
         run_scenario(config)
+
+
+def test_base_group_of_a_dimension_without_groups_is_unknown(data_dir, tmp_path):
+    rows = (data_dir / "expenditure.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (tmp_path / "spend.csv").write_text("".join(row for row in rows if ",ethnicity," not in row), encoding="utf-8")
+    config = replace(load_scenario(data_dir / "scenario.cfg"), expenditure=tmp_path / "spend.csv")
+    income = {GroupDimension.INCOME_CLASS: "inc1"}
+    assert run_scenario(replace(config, base_groups=income)).base_groups == income
+    with pytest.raises(UnknownBaseGroup, match="base group 'nosuch' not among ethnicity groups: none"):
+        run_scenario(replace(config, base_groups={**income, GroupDimension.ETHNICITY: "nosuch"}))
