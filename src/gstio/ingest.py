@@ -1,12 +1,15 @@
 """CSV schemas, loading, validation and classification concordance.
 
 All files are UTF-8 CSV with a header row, '.' decimal separator and no
-thousands separators. The header must start with the columns named below;
-further columns are ignored. Blank rows are skipped (except inside the IO
-table's sector block, which is positional). Each file is read once, into
-the list of its lines, and only that list is parsed. Every load error names
-the file, line and column, 1-based: the header is line 1. A byte that is not
-UTF-8 is reported at its line.
+thousands separators. The header must start with the columns named below.
+The long-format files (rate schedule, expenditure, concordance, category
+map) need at least their named columns in every row, and further fields are
+ignored. The IO table, and the run tables ``gstio report`` reads, need
+exactly the header's width in every row. Blank rows are skipped (except
+inside the IO table's sector block, which is positional). Each file is read
+once, into the list of its lines, and only that list is parsed. Every load
+error names the file, line and column, 1-based: the header is line 1. A byte
+that is not UTF-8 is reported at its line.
 
 IO table (``load_io_table``)::
 
@@ -164,11 +167,27 @@ def _rows(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
 
 
 def _records(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """``(line, row)`` for each non-blank data row of a CSV file whose header row starts with ``header``."""
+    """``(line, cells)`` for each non-blank data row of a file whose header starts with ``header``,
+    ``cells`` being the row's first ``len(header)`` fields."""
     found, rows = _rows(path)
-    if tuple(found[: len(header)]) != header:
+    width = len(header)
+    if tuple(found[:width]) != header:
         raise SchemaError(f"header must start with {','.join(header)}", path=path, line=1, column=1)
-    return rows
+    for line, row in rows:
+        if len(row) < width:
+            message = f"expected at least {width} fields, got {len(row)}"
+            raise ParseError(message, path=path, line=line, column=len(row) + 1)
+        yield line, row[:width]
+
+
+def _token(tokens: dict, cell: str, what: str, *, path, line: int):
+    """The member of ``tokens`` that ``cell`` names, ignoring case and surrounding space."""
+    try:
+        return tokens[cell.strip().lower()]
+    except KeyError:
+        raise SchemaError(
+            f"unknown {what} {cell!r}; expected one of {', '.join(tokens)}", path=path, line=line, column=2
+        ) from None
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -439,25 +458,14 @@ def load_rate_schedule(
     n = len(sectors)
     categories: list[RateCategory | None] = [None] * n
     shares = np.ones(n)
-    for line, row in _records(path, ("sector_id", "category", "standard_share")):
-        if len(row) < 3:
-            raise ParseError(f"expected at least 3 fields, got {len(row)}", path=path, line=line, column=len(row) + 1)
-        sector_id, token, share_cell = row[0], row[1], row[2]
+    for line, (sector_id, token, share_cell) in _records(path, ("sector_id", "category", "standard_share")):
         try:
             index = sectors.index(sector_id)
         except KeyError:
             raise UnknownSector(f"unknown sector {sector_id!r}", path=path, line=line, column=1) from None
         if categories[index] is not None:
             raise SchemaError(f"duplicate entry for sector {sector_id!r}", path=path, line=line, column=1)
-        try:
-            category = _CATEGORY_TOKENS[token.strip().lower()]
-        except KeyError:
-            raise SchemaError(
-                f"unknown category {token!r}; expected one of {', '.join(_CATEGORY_TOKENS)}",
-                path=path,
-                line=line,
-                column=2,
-            ) from None
+        category = _token(_CATEGORY_TOKENS, token, "category", path=path, line=line)
         if share_cell.strip() == "":
             share = 1.0 if category is RateCategory.STANDARD_RATED else 0.0
         else:
@@ -507,20 +515,12 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
     groups: dict[str, tuple[GroupDimension, str]] = {}
     group_lines: dict[str, int] = {}
     item_lines: dict[str, int] = {}
-    amounts: dict[tuple[str, str], float] = {}
-    for line, row in _records(path, ("group_id", "dimension", "label", "item_code", "amount")):
-        _require_width(row, 5, path=path, line=line)
-        group_id, dim_token, label, item_code, amount_cell = row
-        try:
-            dimension = _DIMENSION_TOKENS[dim_token.strip().lower()]
-        except KeyError:
-            raise SchemaError(
-                f"unknown dimension {dim_token!r}; expected one of {', '.join(_DIMENSION_TOKENS)}",
-                path=path,
-                line=line,
-                column=2,
-            ) from None
-        group_lines.setdefault(group_id, line)
+    # each row's group and item, by the line each first appears on, and amount
+    row_groups, row_items, amounts = [], [], []
+    records = _records(path, ("group_id", "dimension", "label", "item_code", "amount"))
+    for line, (group_id, dim_token, label, item_code, amount_cell) in records:
+        dimension = _token(_DIMENSION_TOKENS, dim_token, "dimension", path=path, line=line)
+        row_groups.append(group_lines.setdefault(group_id, line))
         if groups.setdefault(group_id, (dimension, label)) != (dimension, label):
             raise SchemaError(
                 f"group {group_id!r} redefined with different dimension/label",
@@ -531,17 +531,18 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
         amount = _cell_float(amount_cell, path=path, line=line, column=5)
         if amount < 0:
             raise ParseError(f"amount must be nonnegative, got {amount}", path=path, line=line, column=5)
-        item_lines.setdefault(item_code, line)
-        key = (group_id, item_code)
-        amounts[key] = amounts.get(key, 0.0) + amount
+        row_items.append(item_lines.setdefault(item_code, line))
+        amounts.append(amount)
 
     if not groups:
         raise SchemaError("no expenditure rows", path=path, line=1)
-    group_index = {group_id: h for h, group_id in enumerate(groups)}
-    item_index = {item: j for j, item in enumerate(item_lines)}
-    values = np.zeros((len(groups), len(item_index)))
-    for (group_id, item), amount in amounts.items():
-        values[group_index[group_id], item_index[item]] = amount
+    # a line brings in at most one new group and one new item, so first lines
+    # ascend in dict order and locate each row's group row and item column;
+    # bincount adds duplicate rows in file order, as 0.0 + a + b + ...
+    shape = (len(groups), len(item_lines))
+    cells = np.searchsorted(list(group_lines.values()), row_groups) * shape[1]
+    cells += np.searchsorted(list(item_lines.values()), row_items)
+    values = np.bincount(cells, weights=amounts, minlength=shape[0] * shape[1]).reshape(shape)
     households = tuple(HouseholdGroup(group_id, dimension, label) for group_id, (dimension, label) in groups.items())
     try:
         matrix = ExpenditureMatrix(groups=households, items=tuple(item_lines), values=values, basis=basis)
@@ -632,9 +633,7 @@ class Concordance:
 def load_concordance(path, sectors: SectorSet) -> Concordance:
     links = []
     lines = []
-    for line, row in _records(path, ("item_code", "sector_id", "weight")):
-        _require_width(row, 3, path=path, line=line)
-        item_code, sector_id, weight_cell = row
+    for line, (item_code, sector_id, weight_cell) in _records(path, ("item_code", "sector_id", "weight")):
         if sector_id not in sectors:
             raise UnknownSector(f"unknown sector {sector_id!r}", path=path, line=line, column=2)
         weight = _cell_float(weight_cell, path=path, line=line, column=3)
@@ -659,9 +658,7 @@ def save_concordance(concordance: Concordance, path) -> None:
 def load_category_map(path) -> CategoryMap:
     categories: list[str] = []
     assignments: dict[str, str] = {}
-    for line, row in _records(path, ("code", "category")):
-        _require_width(row, 2, path=path, line=line)
-        code, category = row
+    for line, (code, category) in _records(path, ("code", "category")):
         if code in assignments:
             raise SchemaError(f"duplicate code {code!r}", path=path, line=line, column=1)
         if category not in categories:

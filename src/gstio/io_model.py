@@ -267,8 +267,8 @@ def derive_coefficients(table: IOTable, *, check_balance: bool = True) -> Coeffi
 
 def _square(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"square matrix required, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise DimensionMismatch(f"nonempty square matrix required, got shape {M.shape}")
     return M
 
 

@@ -117,6 +117,17 @@ DIALECT_CASES = {
 }
 
 
+def _comparable(value):
+    """``value`` with its arrays as dtype, shape and bytes, so that two loads compare with ``==``."""
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value), [_comparable(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [_comparable(item) for item in value]
+    return value
+
+
 @pytest.mark.parametrize("name", DIALECT_CASES)
 def test_row_loaders_share_one_dialect(tmp_path, name):
     load, header, (first, second), (short, column) = DIALECT_CASES[name]
@@ -133,10 +144,14 @@ def test_row_loaders_share_one_dialect(tmp_path, name):
     assert (info.value.line, info.value.column) == (1, 1)
 
     path.write_text(f"{header}\n{first}\n\n{second}\n", encoding="utf-8")
-    load(path)
+    loaded = _comparable(load(path))
+
+    # further fields, in the header and in every row, are ignored
+    path.write_text(f"{header},extra\n{first},x\n\n{second},x\n", encoding="utf-8")
+    assert _comparable(load(path)) == loaded
 
     path.write_text(f"{header}\n{first}\n\n{short}\n", encoding="utf-8")
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(ParseError, match=f"expected at least {column} fields, got {column - 1}$") as info:
         load(path)
     assert (info.value.line, info.value.column) == (4, column)
 
@@ -565,14 +580,17 @@ class TestLoadExpenditure:
         assert matrix.totals()[0] == pytest.approx(700.0)
 
     def test_duplicate_rows_sum(self, tmp_path):
+        # duplicates add in file order, and the second assert shows the order in the bits
         path = _write(
             tmp_path,
             "e.csv",
             "group_id,dimension,label,item_code,amount\n"
-            "g1,income,low,food,10\ng1,income,low,food,5\n",
+            "g1,income,low,food,0.1\ng2,income,mid,fuel,1e16\ng1,income,low,food,0.2\n"
+            "g2,income,mid,fuel,1\ng1,income,low,food,0.3\ng2,income,mid,fuel,1\n",
         )
         matrix = load_expenditure(path)
-        assert matrix.values[0, 0] == pytest.approx(15.0)
+        np.testing.assert_array_equal(matrix.values, [[0.1 + 0.2 + 0.3, 0.0], [0.0, 1e16 + 1 + 1]])
+        assert matrix.values[0, 0] != 0.1 + (0.2 + 0.3) and matrix.values[1, 1] != 1e16 + (1 + 1)
 
     def test_inconsistent_group_metadata_rejected(self, tmp_path):
         for redefinition in ("g1,ethnicity,low,fuel,5", "g1,income,high,fuel,5"):

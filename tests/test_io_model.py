@@ -188,6 +188,21 @@ class TestLeontiefInverse:
         with pytest.raises(DimensionMismatch, match="nonnegative"):
             leontief_inverse(np.array([[-2.0]]))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            leontief_inverse,
+            lambda M: masked_inverse(M, np.ones(0)),
+            lambda M: _solve_productive(M, np.zeros(0)),
+            spectral_radius,
+            productivity_check,
+        ],
+        ids=["leontief_inverse", "masked_inverse", "_solve_productive", "spectral_radius", "productivity_check"],
+    )
+    def test_empty_matrix_is_a_dimension_mismatch(self, call):
+        with pytest.raises(DimensionMismatch, match=r"got shape \(0, 0\)"):
+            call(np.zeros((0, 0)))
+
     def test_inverse_times_system_is_identity(self, appendix_bundle):
         A = appendix_bundle.A
         L = leontief_inverse(A)
