@@ -3,18 +3,13 @@
 
 Equivalent to ``gstio run data/appendix3/scenario.cfg`` followed by
 ``gstio report ... --format text``, but exercising the Python API directly,
-which is the easier starting point for custom experiments.
+which is the easier starting point for custom experiments: ``run_tables``
+returns the tables that ``gstio run`` writes, with their numbers unformatted.
 """
 
 from pathlib import Path
 
-from gstio import (
-    GroupDimension,
-    gap_ratios,
-    load_scenario,
-    purchasing_power_change,
-    run_scenario,
-)
+from gstio import GroupDimension, load_scenario, run_scenario, run_tables
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "appendix3"
 
@@ -22,41 +17,28 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "appendix3"
 def main() -> None:
     result = run_scenario(load_scenario(DATA / "scenario.cfg"))
     inputs = result.inputs
-    table, balance = inputs.table, inputs.balance
-    print(f"loaded {table.n} sectors, worst balance residual {balance.max_row_residual:.2e}")
+    print(f"loaded {inputs.table.n} sectors, worst balance residual {inputs.balance.max_row_residual:.2e}")
     for w in inputs.schedule_warnings:
         print("warning:", w)
+    tables = {name: rows for name, (_, rows) in run_tables(result).items()}
 
-    base, post, summary = result.baseline, result.price_level, result.summary
     print("\nsector price levels (baseline -> post-reform):")
-    for i, sector_id in enumerate(table.sectors.ids):
-        print(f"  {sector_id:4s} {base[i]:8.4f} -> {post[i]:8.4f}  ({summary.pct_change[i]:+.2f}%)")
+    for sector_id, _, base, post, pct in tables["price_changes"]:
+        print(f"  {sector_id:4s} {base:8.4f} -> {post:8.4f}  ({pct:+.2f}%)")
+    s = dict(tables["summary"])
     print(
-        f"\nrisers: {summary.riser_count} (mean +{summary.riser_mean:.2f}%)   "
-        f"decliners: {summary.decliner_count} (mean -{summary.decliner_mean:.2f}%)   "
-        f"net decline: {summary.net_decline:.2f}%   weighted mean: {summary.weighted_mean:+.2f}%"
+        f"\nrisers: {s['riser_count']} (mean +{s['riser_mean_pct']:.2f}%)   "
+        f"decliners: {s['decliner_count']} (mean -{s['decliner_mean_pct']:.2f}%)   "
+        f"net decline: {s['net_decline_pct']:.2f}%   weighted mean: {s['weighted_mean_pct']:+.2f}%"
     )
 
-    expenditure = inputs.expenditure
-    totals_before = expenditure.totals()
-    totals_after = expenditure.values @ post
-
     print("\nhousehold groups (monthly basket cost, before -> after):")
-    for h, group in enumerate(expenditure.groups):
-        change = purchasing_power_change(totals_before[h], totals_after[h])
-        print(
-            f"  {group.group_id:5s} [{group.dimension.value:9s}] "
-            f"{totals_before[h]:8.2f} -> {totals_after[h]:8.2f}  ({change:+.2f}%)"
-        )
+    for dimension, group_id, _, before, after, pct in tables["incidence_by_group"]:
+        print(f"  {group_id:5s} [{dimension:9s}] {before:8.2f} -> {after:8.2f}  ({pct:+.2f}%)")
 
-    base_id = result.base_groups[GroupDimension.INCOME_CLASS]
-    income = {
-        group.group_id: float(totals_after[h])
-        for h, group in enumerate(expenditure.groups)
-        if group.dimension is GroupDimension.INCOME_CLASS
-    }
-    ratios = gap_ratios(income, base_id)
-    print(f"\npost-reform consumption gaps vs {base_id}:", {g: round(r, 3) for g, r in ratios.items()})
+    income = GroupDimension.INCOME_CLASS
+    ratios = {row[1]: row[-1] for row in tables["gaps"] if row[0] == income.value}
+    print(f"\npost-reform consumption gaps vs {result.base_groups[income]}:", {g: round(r, 3) for g, r in ratios.items()})
 
 
 if __name__ == "__main__":

@@ -9,11 +9,11 @@ Three subcommands:
   label/value series files for plotting.
 
 Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical failure. Every error
-path prints a single line starting with ``ERROR <code>:`` to stderr. Outputs
-are byte-identical across runs on the same inputs: fixed row ordering
-(sector order, then group id within dimension), fixed float formatting
-(6 significant digits, or shortest round-trip repr with --full-precision),
-and no timestamps.
+path prints a single line starting with ``ERROR <code>:`` to stderr. ``run``
+writes the tables of :func:`~gstio.scenario.run_tables`, whose rows come in a
+fixed order, with fixed float formatting (6 significant digits, or shortest
+round-trip repr with --full-precision) and no timestamps, so its outputs are
+byte-identical across runs on the same inputs.
 """
 
 from __future__ import annotations
@@ -30,28 +30,27 @@ import numpy as np
 
 from .diagnostics import ProductivityReport, productivity_check
 from .errors import GstioError, MissingArtifact, NumericalError
-from .incidence import (
-    ExpenditureMatrix,
-    GroupDimension,
-    category_report,
-    expenditure_change_on_items,  # noqa: F401  (kept importable from gstio.cli)
-    gap_ratios,
-    purchasing_power_change,
-)
+from .incidence import expenditure_change_on_items  # noqa: F401  (kept importable from gstio.cli)
 from .ingest import _cell_float, _require_width, _rows, _write_csv
 from .io_model import derive_coefficients
 from .price_model import MaskedInputTreatment
-from .scenario import ScenarioConfig, ScenarioResult, load_inputs, load_scenario, run_scenario
+from .scenario import (
+    GAPS_TABLE,
+    INCIDENCE_TABLE,
+    PRICE_TABLE,
+    SUMMARY_TABLE,
+    ScenarioConfig,
+    ScenarioResult,
+    load_inputs,
+    load_scenario,
+    run_scenario,
+    run_tables,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-PRICE_TABLE = "price_changes"
-SUMMARY_TABLE = "summary"
-INCIDENCE_TABLE = "incidence_by_group"
-GAPS_TABLE = "gaps"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,75 +140,10 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_groups(expenditure: ExpenditureMatrix, dimension: GroupDimension):
-    rows = [
-        (h, g) for h, g in enumerate(expenditure.groups) if g.dimension is dimension
-    ]
-    return sorted(rows, key=lambda pair: pair[1].group_id)
-
-
 def _write_run_outputs(result: ScenarioResult, target: Path, fmt) -> None:
-    inputs = result.inputs
-    sectors = inputs.table.sectors
-    prices = zip(sectors.ids, sectors.names, result.baseline, result.price_level, result.summary.pct_change)
-    _write_csv(
-        target / "price_changes.csv",
-        ["sector_id", "sector_name", "baseline_price", "post_price", "pct_change"],
-        ([sector_id, name, *map(fmt, values)] for sector_id, name, *values in prices),
-    )
-
-    summary = result.summary
-    _write_csv(
-        target / "summary.csv",
-        ["metric", "value"],
-        [
-            ["riser_count", str(summary.riser_count)],
-            ["riser_mean_pct", fmt(summary.riser_mean)],
-            ["decliner_count", str(summary.decliner_count)],
-            ["decliner_mean_pct", fmt(summary.decliner_mean)],
-            ["net_decline_pct", fmt(summary.net_decline)],
-            ["weighted_mean_pct", fmt(summary.weighted_mean)],
-        ],
-    )
-
-    expenditure = inputs.expenditure
-    if expenditure is None:
-        return
-    totals_before = expenditure.totals()
-    totals_after = totals_before + result.delta.sum(axis=1)
-    # base_groups holds one entry per dimension that has groups, in GroupDimension order
-    gap_rows = []
-    for dimension, base_id in result.base_groups.items():
-        pairs = _sorted_groups(expenditure, dimension)
-        before, after = (
-            gap_ratios({g.group_id: float(totals[h]) for h, g in pairs}, base_id)
-            for totals in (totals_before, totals_after)
-        )
-        for h, group in pairs:
-            pct = purchasing_power_change(totals_before[h], totals_after[h])
-            values = (totals_before[h], totals_after[h], pct, before[group.group_id], after[group.group_id])
-            gap_rows.append([dimension.value, group.group_id, group.label, *map(fmt, values)])
-    incidence_header = ["dimension", "group_id", "label", "total_before", "total_after", "pct_change"]
-    _write_csv(target / "incidence_by_group.csv", incidence_header, [row[:6] for row in gap_rows])
-    _write_csv(target / "gaps.csv", [*incidence_header, "ratio_before", "ratio_after"], gap_rows)
-
-    if inputs.category_map is None:
-        return
-    report = category_report(inputs.category_expenditure, result.category_delta, inputs.category_map)
-    by_group = {row.group.group_id: row for row in report.rows}
-    category_header = [
-        "group_id", "label", "category", "base_share", "post_share", "share_point_change", "pct_change_within"
-    ]  # fmt: skip
-    for dimension in result.base_groups:
-        rows = []
-        for _, group in _sorted_groups(inputs.category_expenditure, dimension):
-            b = by_group[group.group_id]
-            for k, category in enumerate(report.categories):
-                values = (b.base_share[k], b.post_share[k], b.share_change[k], b.pct_change[k])
-                rows.append([group.group_id, group.label, category, *map(fmt, values)])
-            totals = [fmt(b.total_before), fmt(b.total_after), "", fmt(b.total_pct_change)]
-            rows.append([group.group_id, group.label, "TOTAL", *totals])
-        _write_csv(target / f"category_table_{dimension.value}.csv", category_header, rows)
+    for name, (header, rows) in run_tables(result).items():
+        cells = ([fmt(cell) if isinstance(cell, float) else str(cell) for cell in row] for row in rows)
+        _write_csv(target / f"{name}.csv", header, cells)
 
 
 def cmd_run(args) -> int:
@@ -251,7 +185,7 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_tables(run_dir: Path) -> dict[str, Path]:
+def _table_files(run_dir: Path) -> dict[str, Path]:
     tables = {}
     for path in sorted(run_dir.glob("*.csv")):
         tables[path.stem] = path
@@ -309,7 +243,7 @@ def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise MissingArtifact(f"run directory {run_dir} does not exist")
-    tables = _run_tables(run_dir)
+    tables = _table_files(run_dir)
     selected = list(tables)
     if args.table is not None:
         if args.table not in tables:

@@ -69,7 +69,7 @@ class HouseholdGroup:
 
 @dataclass(frozen=True)
 class ExpenditureMatrix:
-    """Group × item spending (currency per month), nonnegative with positive row sums."""
+    """Group × item spending (currency per month), nonnegative with positive, finite row sums."""
 
     groups: tuple[HouseholdGroup, ...]
     items: tuple[str, ...]
@@ -89,7 +89,11 @@ class ExpenditureMatrix:
         object.__setattr__(self, "values", _frozen(self.values, shape))
         if np.any(self.values < 0):
             raise DimensionMismatch("expenditure values must be nonnegative")
-        empty = [ids[i] for i in np.nonzero(self.values.sum(axis=1) <= 0)[0]]
+        with np.errstate(over="ignore"):
+            totals = self.values.sum(axis=1)
+        if not np.isfinite(totals).all():
+            raise DimensionMismatch("group totals must be finite")
+        empty = [ids[i] for i in np.nonzero(totals <= 0)[0]]
         if empty:
             raise EmptyGroup(empty)
 

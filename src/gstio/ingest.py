@@ -52,6 +52,8 @@ Expenditure (``load_expenditure``), long format::
     group_id,dimension,label,item_code,amount
 
     dimension is one of income, ethnicity. Duplicate (group, item) rows sum.
+    Each group's total must be finite: the row whose amount, summed in file
+    order, makes it overflow is an error at its amount.
 
 Concordance (``load_concordance``)::
 
@@ -515,8 +517,8 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
     groups: dict[str, tuple[GroupDimension, str]] = {}
     group_lines: dict[str, int] = {}
     item_lines: dict[str, int] = {}
-    # each row's group and item, by the line each first appears on, and amount
-    row_groups, row_items, amounts = [], [], []
+    # each row's line, its group and item, by the line each first appears on, and amount
+    lines, row_groups, row_items, amounts = [], [], [], []
     records = _records(path, ("group_id", "dimension", "label", "item_code", "amount"))
     for line, (group_id, dim_token, label, item_code, amount_cell) in records:
         dimension = _token(_DIMENSION_TOKENS, dim_token, "dimension", path=path, line=line)
@@ -533,6 +535,7 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
             raise ParseError(f"amount must be nonnegative, got {amount}", path=path, line=line, column=5)
         row_items.append(item_lines.setdefault(item_code, line))
         amounts.append(amount)
+        lines.append(line)
 
     if not groups:
         raise SchemaError("no expenditure rows", path=path, line=1)
@@ -549,7 +552,29 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
     except EmptyGroup as exc:
         # groups are in file order, so the first one listed is met first
         raise EmptyGroup(exc.groups, path=path, line=group_lines[exc.groups[0]]) from None
+    except DimensionMismatch:
+        # every amount is finite and nonnegative, so a sum of them overflowed
+        raise _overflow(path, tuple(groups), cells // shape[1], amounts, lines, values) from None
     return matrix, item_lines
+
+
+def _overflow(path, group_ids, row_groups: np.ndarray, amounts, lines, values: np.ndarray) -> ParseError:
+    """The error at the first row whose amount makes its group's total, summed in file order, overflow.
+
+    A cell sums some of its group's rows in file order, so it cannot overflow
+    first. Should only numpy's sum of a group's ``values``, in another order,
+    overflow, the group's last row is named.
+    """
+    running, last = [0.0] * len(group_ids), {}
+    for g, amount, line in zip(row_groups.tolist(), amounts, lines):
+        running[g] += amount  # a float sum overflows to inf without a warning
+        last[g] = line
+        if math.isinf(running[g]):
+            break
+    else:
+        with np.errstate(over="ignore"):
+            g = int(np.flatnonzero(~np.isfinite(values.sum(axis=1)))[0])
+    return ParseError(f"amount makes the total of group {group_ids[g]!r} overflow", path=path, line=last[g], column=5)
 
 
 def save_expenditure(matrix: ExpenditureMatrix, path) -> None:

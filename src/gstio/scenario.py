@@ -48,8 +48,11 @@ from .incidence import (
     CategoryMap,
     ExpenditureMatrix,
     GroupDimension,
+    category_report,
     expenditure_change,
     expenditure_change_on_items,
+    gap_ratios,
+    purchasing_power_change,
 )
 from .ingest import _not_utf8, load_category_map, load_concordance, load_household, load_io_table, load_rate_schedule
 from .io_model import BalanceReport, CoefficientBundle, IOTable, derive_coefficients
@@ -62,6 +65,11 @@ from .price_model import (
     price_change_summary,
     simulate_prices,
 )
+
+PRICE_TABLE = "price_changes"
+SUMMARY_TABLE = "summary"
+INCIDENCE_TABLE = "incidence_by_group"
+GAPS_TABLE = "gaps"
 
 _TREATMENT_TOKENS = {t.value: t for t in MaskedInputTreatment}
 _BOOL_TOKENS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -328,3 +336,67 @@ def _resolve_base_groups(
                 f"base group {resolved[dimension]!r} not among {dimension.value} groups: {', '.join(ids) or 'none'}"
             )
     return resolved
+
+
+def run_tables(result: ScenarioResult) -> dict[str, tuple[list[str], list[list[str | int | float]]]]:
+    """The tables of a run directory by name, each as its header and rows, in ``gstio run``'s order.
+
+    ``price_changes`` and ``summary`` always; with expenditure also
+    ``incidence_by_group``, ``gaps`` and, with a category map,
+    ``category_table_<dimension>``. A cell is a str, an int (the summary's
+    counts) or a float, which the caller formats. Rows come in a fixed order:
+    sectors in table order; groups by dimension, in :class:`GroupDimension`
+    order, then by group id; a group's categories in the map's order, then TOTAL.
+    """
+    inputs, summary = result.inputs, result.summary
+    sectors = inputs.table.sectors
+    prices = zip(sectors.ids, sectors.names, result.baseline, result.price_level, summary.pct_change)
+    summary_rows = [
+        ["riser_count", summary.riser_count],
+        ["riser_mean_pct", summary.riser_mean],
+        ["decliner_count", summary.decliner_count],
+        ["decliner_mean_pct", summary.decliner_mean],
+        ["net_decline_pct", summary.net_decline],
+        ["weighted_mean_pct", summary.weighted_mean],
+    ]
+    tables = {
+        PRICE_TABLE: (["sector_id", "sector_name", "baseline_price", "post_price", "pct_change"], [*map(list, prices)]),
+        SUMMARY_TABLE: (["metric", "value"], summary_rows),
+    }
+    expenditure, category_map = inputs.expenditure, inputs.category_map
+    if expenditure is None:
+        return tables
+    totals_before = expenditure.totals()
+    totals_after = totals_before + result.delta.sum(axis=1)
+    if category_map is not None:
+        report = category_report(inputs.category_expenditure, result.category_delta, category_map)
+    category_header = [
+        "group_id", "label", "category", "base_share", "post_share", "share_point_change", "pct_change_within"
+    ]  # fmt: skip
+    gap_rows, category_tables = [], {}
+    # base_groups holds one entry per dimension that has groups, in GroupDimension order
+    for dimension, base_id in result.base_groups.items():
+        members = [(h, g) for h, g in enumerate(expenditure.groups) if g.dimension is dimension]
+        members.sort(key=lambda pair: pair[1].group_id)
+        before, after = (
+            gap_ratios({g.group_id: float(totals[h]) for h, g in members}, base_id)
+            for totals in (totals_before, totals_after)
+        )
+        for h, group in members:
+            pct = purchasing_power_change(totals_before[h], totals_after[h])
+            values = [totals_before[h], totals_after[h], pct, before[group.group_id], after[group.group_id]]
+            gap_rows.append([dimension.value, group.group_id, group.label, *values])
+        if category_map is None:
+            continue
+        rows = []
+        # load_household builds both matrices from one, so row h is the same group in each
+        for h, group in members:
+            b = report.rows[h]
+            for category, *values in zip(report.categories, b.base_share, b.post_share, b.share_change, b.pct_change):
+                rows.append([group.group_id, group.label, category, *values])
+            rows.append([group.group_id, group.label, "TOTAL", b.total_before, b.total_after, "", b.total_pct_change])
+        category_tables[f"category_table_{dimension.value}"] = (category_header, rows)
+    incidence_header = ["dimension", "group_id", "label", "total_before", "total_after", "pct_change"]
+    tables[INCIDENCE_TABLE] = (incidence_header, [row[:6] for row in gap_rows])
+    tables[GAPS_TABLE] = ([*incidence_header, "ratio_before", "ratio_after"], gap_rows)
+    return tables | category_tables

@@ -1,5 +1,7 @@
 """End-to-end CLI tests: validation, scenario runs, determinism, report rendering."""
 
+import csv
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -7,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gstio import GstioError, MaskedInputTreatment, cli, load_scenario
+from gstio import GstioError, MaskedInputTreatment, cli, load_scenario, run_scenario, run_tables
 from gstio.cli import main
 
 EXPECTED_DP = np.array([0.920366, 0.914612, 0.997991])
@@ -232,6 +234,33 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "inc1,income,<1000,rent,1e308\ninc1,income,<1000,fuel,1e308\n",  # cells finite, group total not
+        "inc1,income,<1000,food,1e308\ninc1,income,<1000,food,1e308\n",  # a duplicated cell overflows
+    ],
+    ids=["total", "cell"],
+)
+def test_overflowing_expenditure_is_one_located_error(data_dir, tmp_path, command, rows):
+    # in a subprocess, so that a numpy warning on stderr would show
+    for name in ("io_table.csv", "rate_schedule.csv", "concordance.csv", "category_map.csv", "scenario.cfg"):
+        shutil.copy(data_dir / name, tmp_path)
+    spend = tmp_path / "expenditure.csv"
+    spend.write_text(_read(data_dir / "expenditure.csv") + rows, encoding="utf-8")
+    if command == "run":
+        argv = ["run", str(tmp_path / "scenario.cfg"), "-o", str(tmp_path / "out")]
+    else:
+        argv = ["validate", "--table", str(tmp_path / "io_table.csv"), "--schedule", str(tmp_path / "rate_schedule.csv")]
+        argv += ["--expenditure", str(spend), "--concordance", str(tmp_path / "concordance.csv")]
+        argv += ["--category-map", str(tmp_path / "category_map.csv")]
+    proc = subprocess.run([sys.executable, "-m", "gstio", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"ERROR ParseError: {spend}:33:5: amount makes the total of group 'inc1' overflow\n"
+    assert proc.stdout == ""
+
+
 class TestRun:
     def test_appendix_scenario_outputs(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -249,6 +278,31 @@ class TestRun:
         rows = _read(out / "price_changes.csv").strip().splitlines()[1:]
         dp = np.array([float(r.split(",")[3]) for r in rows])
         np.testing.assert_allclose(dp, EXPECTED_DP, atol=1e-3)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("expenditure", "concordance", "category_map"),
+            ("expenditure", "concordance"),
+            (),
+        ],
+        ids=["household", "no-category-map", "no-expenditure"],
+    )
+    def test_run_directory_holds_the_run_tables(self, data_dir, tmp_path, keys):
+        inputs = "".join(f"{key} = {data_dir / key}.csv\n" for key in keys)
+        (tmp_path / "s.cfg").write_text(
+            f"[inputs]\nio_table = {data_dir / 'io_table.csv'}\n"
+            f"rate_schedule = {data_dir / 'rate_schedule.csv'}\n{inputs}\n"
+            "[tax]\ngst_rate = 0.06\n\n[report]\noutput_dir = out\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(tmp_path / "s.cfg")]) == 0
+        written = {}
+        for path in (tmp_path / "out").glob("*.csv"):
+            header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+            written[path.stem] = (header, len(rows))
+        tables = run_tables(run_scenario(load_scenario(tmp_path / "s.cfg")))
+        assert written == {name: (header, len(rows)) for name, (header, rows) in tables.items()}
 
     def test_base_group_ratio_exactly_one(self, data_dir, tmp_path):
         out = tmp_path / "run"

@@ -129,6 +129,11 @@ class TestCategoryReport:
         with pytest.raises(EmptyGroup, match="g2"):
             _matrix([[1.0, 2.0], [0.0, 0.0]])
 
+    def test_overflowing_group_total_rejected_at_construction(self):
+        # every cell is finite, their sum is not; the check itself does not warn
+        with pytest.raises(DimensionMismatch, match="group totals must be finite"):
+            _matrix([[1.0, 2.0], [1e308, 1e308]])
+
 
 class TestPurchasingPowerChange:
     def test_printed_ethnic_row(self):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -648,6 +649,26 @@ class TestLoadExpenditure:
         with pytest.raises(EmptyGroup) as info:
             load_expenditure(path)
         assert str(info.value) == f"{path}:3: groups with zero total expenditure: g2, g3"
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            # two cells, neither infinite, whose group total overflows
+            ("g1,income,low,food,1e308\ng2,income,mid,food,1\ng1,income,low,fuel,1e308\n", 4),
+            # duplicate rows whose cell overflows
+            ("g1,income,low,food,1\ng1,income,low,food,1e308\ng1,income,low,food,1e308\n", 4),
+            # 2**969 is a quarter ulp of the largest float, which it follows: summed in
+            # file order the total stays finite, numpy's sum of the cells (2**970 + max)
+            # does not, so the group's last row is named
+            (f"g1,income,low,a,{2.0**969!r}\ng1,income,low,b,{sys.float_info.max!r}\n"
+             f"g1,income,low,a,{2.0**969!r}\ng2,income,mid,a,1\n", 4),
+        ],
+    )
+    def test_overflowing_sum_named_at_its_row(self, tmp_path, rows, line):
+        path = _write(tmp_path, "e.csv", "group_id,dimension,label,item_code,amount\n" + rows)
+        with pytest.raises(ParseError) as info:
+            load_expenditure(path)
+        assert str(info.value) == f"{path}:{line}:5: amount makes the total of group 'g1' overflow"
 
     def test_round_trip(self, tmp_path, data_dir):
         matrix = load_expenditure(data_dir / "expenditure.csv")

@@ -34,6 +34,32 @@ def test_script_runs_clean(name):
     assert "Traceback" not in proc.stderr
 
 
+APPENDIX_SCENARIO_STDOUT = """\
+loaded 3 sectors, worst balance residual 0.00e+00
+
+sector price levels (baseline -> post-reform):
+  agr    1.0000 ->   0.9204  (-7.96%)
+  ind    1.0000 ->   0.9146  (-8.54%)
+  ser    1.0000 ->   0.9980  (-0.20%)
+
+risers: 0 (mean +0.00%)   decliners: 3 (mean -5.57%)   net decline: 5.57%   weighted mean: -5.57%
+
+household groups (monthly basket cost, before -> after):
+  inc1  [income   ]   700.00 ->   661.79  (-5.46%)
+  inc2  [income   ]  1600.00 ->  1526.34  (-4.60%)
+  inc3  [income   ]  2800.00 ->  2679.11  (-4.32%)
+  eth1  [ethnicity]  1000.00 ->   949.74  (-5.03%)
+  eth2  [ethnicity]  1400.00 ->  1334.57  (-4.67%)
+
+post-reform consumption gaps vs inc1: {'inc1': 1.0, 'inc2': 2.306, 'inc3': 4.048}
+"""
+
+
+def test_appendix_scenario_prints_the_run_tables():
+    proc = _script("run_appendix_scenario.py")
+    assert proc.stdout == APPENDIX_SCENARIO_STDOUT
+
+
 @pytest.mark.parametrize("steps", ["1", "0"])
 def test_rate_sweep_rejects_too_few_steps(steps):
     proc = _script("rate_sweep.py", "--steps", steps)
