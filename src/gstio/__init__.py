@@ -94,6 +94,7 @@ from .price_model import (
     rate_mask,
     simulate_prices,
 )
-from .scenario import ScenarioConfig, ScenarioInputs, ScenarioResult, load_inputs, load_scenario, run_scenario, run_tables
+from .scenario import ScenarioConfig, ScenarioInputs, ScenarioResult, load_inputs, load_scenario
+from .scenario import run_scenario, run_tables
 
 __version__ = "0.1.0"

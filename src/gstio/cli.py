@@ -34,18 +34,8 @@ from .incidence import expenditure_change_on_items  # noqa: F401  (kept importab
 from .ingest import _cell_float, _require_width, _rows, _write_csv
 from .io_model import derive_coefficients
 from .price_model import MaskedInputTreatment
-from .scenario import (
-    GAPS_TABLE,
-    INCIDENCE_TABLE,
-    PRICE_TABLE,
-    SUMMARY_TABLE,
-    ScenarioConfig,
-    ScenarioResult,
-    load_inputs,
-    load_scenario,
-    run_scenario,
-    run_tables,
-)
+from .scenario import GAPS_TABLE, INCIDENCE_TABLE, PRICE_TABLE, SUMMARY_TABLE, ScenarioConfig, ScenarioResult
+from .scenario import load_inputs, load_scenario, run_scenario, run_tables
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -186,9 +176,7 @@ def cmd_run(args) -> int:
 
 
 def _table_files(run_dir: Path) -> dict[str, Path]:
-    tables = {}
-    for path in sorted(run_dir.glob("*.csv")):
-        tables[path.stem] = path
+    tables = {path.stem: path for path in sorted(run_dir.glob("*.csv"))}
     if PRICE_TABLE not in tables:
         raise MissingArtifact(f"{run_dir} does not contain price_changes.csv (not a run directory?)")
     return tables
@@ -247,9 +235,7 @@ def cmd_report(args) -> int:
     selected = list(tables)
     if args.table is not None:
         if args.table not in tables:
-            raise MissingArtifact(
-                f"table {args.table!r} not in run directory; available: {', '.join(tables)}"
-            )
+            raise MissingArtifact(f"table {args.table!r} not in run directory; available: {', '.join(tables)}")
         selected = [args.table]
 
     if args.format == "csv":

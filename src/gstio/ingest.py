@@ -91,19 +91,8 @@ from .errors import (
     UnmappedItem,
     ZeroOutput,
 )
-from .incidence import (
-    CategoryMap,
-    ExpenditureBasis,
-    ExpenditureMatrix,
-    GroupDimension,
-    HouseholdGroup,
-)
-from .io_model import (
-    BalanceReport,
-    IOTable,
-    SectorSet,
-    balance_report,
-)
+from .incidence import CategoryMap, ExpenditureBasis, ExpenditureMatrix, GroupDimension, HouseholdGroup
+from .io_model import BalanceReport, IOTable, SectorSet, balance_report
 from .price_model import RateCategory, RateSchedule
 
 LABOR_ROW = "LABOR"
@@ -112,6 +101,7 @@ VALUE_ADDED_ROW = "VALUE_ADDED"
 IMPORTS_ROW = "IMPORTS"
 INDIRECT_TAX_ROW = "INDIRECT_TAX"
 DEMAND_COLUMNS = ("FINAL_DEMAND", "EXPORTS", "OUTPUT")
+EXPENDITURE_COLUMNS = ("group_id", "dimension", "label", "item_code", "amount")
 
 _CATEGORY_TOKENS = {c.value: c for c in RateCategory}
 
@@ -517,9 +507,9 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
     groups: dict[str, tuple[GroupDimension, str]] = {}
     group_lines: dict[str, int] = {}
     item_lines: dict[str, int] = {}
-    # each row's line, its group and item, by the line each first appears on, and amount
-    lines, row_groups, row_items, amounts = [], [], [], []
-    records = _records(path, ("group_id", "dimension", "label", "item_code", "amount"))
+    # each row's group and item, by the line each first appears on, and amount
+    row_groups, row_items, amounts = [], [], []
+    records = _records(path, EXPENDITURE_COLUMNS)
     for line, (group_id, dim_token, label, item_code, amount_cell) in records:
         dimension = _token(_DIMENSION_TOKENS, dim_token, "dimension", path=path, line=line)
         row_groups.append(group_lines.setdefault(group_id, line))
@@ -535,7 +525,6 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
             raise ParseError(f"amount must be nonnegative, got {amount}", path=path, line=line, column=5)
         row_items.append(item_lines.setdefault(item_code, line))
         amounts.append(amount)
-        lines.append(line)
 
     if not groups:
         raise SchemaError("no expenditure rows", path=path, line=1)
@@ -554,27 +543,28 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
         raise EmptyGroup(exc.groups, path=path, line=group_lines[exc.groups[0]]) from None
     except DimensionMismatch:
         # every amount is finite and nonnegative, so a sum of them overflowed
-        raise _overflow(path, tuple(groups), cells // shape[1], amounts, lines, values) from None
+        raise _overflow(path, values, tuple(groups)) from None
     return matrix, item_lines
 
 
-def _overflow(path, group_ids, row_groups: np.ndarray, amounts, lines, values: np.ndarray) -> ParseError:
+def _overflow(path, values: np.ndarray, group_ids) -> ParseError:
     """The error at the first row whose amount makes its group's total, summed in file order, overflow.
 
-    A cell sums some of its group's rows in file order, so it cannot overflow
-    first. Should only numpy's sum of a group's ``values``, in another order,
+    The file is read again, as only a failed load needs the row. A cell sums
+    some of its group's rows in file order, so it cannot overflow first.
+    Should only numpy's sum of a group's ``values``, in another order,
     overflow, the group's last row is named.
     """
-    running, last = [0.0] * len(group_ids), {}
-    for g, amount, line in zip(row_groups.tolist(), amounts, lines):
-        running[g] += amount  # a float sum overflows to inf without a warning
-        last[g] = line
-        if math.isinf(running[g]):
+    running, last = {}, {}
+    for line, (group, *_, amount) in _records(path, EXPENDITURE_COLUMNS):
+        running[group] = running.get(group, 0.0) + float(amount)  # inf, without a warning
+        last[group] = line
+        if math.isinf(running[group]):
             break
     else:
         with np.errstate(over="ignore"):
-            g = int(np.flatnonzero(~np.isfinite(values.sum(axis=1)))[0])
-    return ParseError(f"amount makes the total of group {group_ids[g]!r} overflow", path=path, line=last[g], column=5)
+            group = group_ids[int(np.flatnonzero(~np.isfinite(values.sum(axis=1)))[0])]
+    return ParseError(f"amount makes the total of group {group!r} overflow", path=path, line=last[group], column=5)
 
 
 def save_expenditure(matrix: ExpenditureMatrix, path) -> None:

@@ -43,28 +43,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, UnknownBaseGroup, UnmappedItem
-from .incidence import (
-    CategoryMap,
-    ExpenditureMatrix,
-    GroupDimension,
-    category_report,
-    expenditure_change,
-    expenditure_change_on_items,
-    gap_ratios,
-    purchasing_power_change,
-)
+from .errors import DimensionMismatch, SchemaError, UnknownBaseGroup, UnmappedItem
+from .incidence import CategoryMap, ExpenditureMatrix, GroupDimension, category_report, expenditure_change
+from .incidence import expenditure_change_on_items, gap_ratios, purchasing_power_change
 from .ingest import _not_utf8, load_category_map, load_concordance, load_household, load_io_table, load_rate_schedule
 from .io_model import BalanceReport, CoefficientBundle, IOTable, derive_coefficients
-from .price_model import (
-    MaskedInputTreatment,
-    PriceChangeSummary,
-    RateSchedule,
-    baseline_prices,
-    check_gst_rate,
-    price_change_summary,
-    simulate_prices,
-)
+from .price_model import MaskedInputTreatment, PriceChangeSummary, RateSchedule, baseline_prices, check_gst_rate
+from .price_model import price_change_summary, simulate_prices
 
 PRICE_TABLE = "price_changes"
 SUMMARY_TABLE = "summary"
@@ -392,6 +377,8 @@ def run_tables(result: ScenarioResult) -> dict[str, tuple[list[str], list[list[s
         # load_household builds both matrices from one, so row h is the same group in each
         for h, group in members:
             b = report.rows[h]
+            if b.group.group_id != group.group_id:
+                raise DimensionMismatch("expenditure and category_expenditure must list the same groups in order")
             for category, *values in zip(report.categories, b.base_share, b.post_share, b.share_change, b.pct_change):
                 rows.append([group.group_id, group.label, category, *values])
             rows.append([group.group_id, group.label, "TOTAL", b.total_before, b.total_after, "", b.total_pct_change])

@@ -11,6 +11,7 @@ import pytest
 
 from gstio import GstioError, MaskedInputTreatment, cli, load_scenario, run_scenario, run_tables
 from gstio.cli import main
+from gstio.errors import DimensionMismatch
 
 EXPECTED_DP = np.array([0.920366, 0.914612, 0.997991])
 
@@ -303,6 +304,14 @@ class TestRun:
             written[path.stem] = (header, len(rows))
         tables = run_tables(run_scenario(load_scenario(tmp_path / "s.cfg")))
         assert written == {name: (header, len(rows)) for name, (header, rows) in tables.items()}
+
+    def test_run_tables_refuses_category_groups_in_another_order(self, data_dir):
+        result = run_scenario(load_scenario(data_dir / "scenario.cfg"))
+        by_category = result.inputs.category_expenditure
+        shuffled = replace(by_category, groups=by_category.groups[::-1], values=by_category.values[::-1])
+        inputs = replace(result.inputs, category_expenditure=shuffled)
+        with pytest.raises(DimensionMismatch):
+            run_tables(replace(result, inputs=inputs, category_delta=result.category_delta[::-1]))
 
     def test_base_group_ratio_exactly_one(self, data_dir, tmp_path):
         out = tmp_path / "run"
