@@ -193,29 +193,37 @@ def category_report(
     for j, code in enumerate(expenditure.items):
         agg[cat_index[category_map.category_of(code)], j] = 1.0
 
-    base = expenditure.values @ agg.T  # groups × categories
-    post = (expenditure.values + delta) @ agg.T
     rows = []
-    for h, group in enumerate(expenditure.groups):
-        total_before = float(base[h].sum())  # > 0: the matrix has no empty group
-        total_after = float(post[h].sum())
-        base_share = 100.0 * base[h] / total_before
-        post_share = 100.0 * post[h] / total_after
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # a group whose numbers overflow is refused below
+        base = expenditure.values @ agg.T  # groups × categories
+        post = (expenditure.values + delta) @ agg.T
+        for h, group in enumerate(expenditure.groups):
+            total_before = float(base[h].sum())  # > 0: the matrix has no empty group
+            total_after = float(post[h].sum())
+            base_share = 100.0 * base[h] / total_before
+            post_share = 100.0 * post[h] / total_after
             pct = np.where(base[h] != 0, 100.0 * (post[h] - base[h]) / base[h], 0.0)
-        rows.append(
-            GroupCategoryBreakdown(
-                group=group,
-                base_share=_frozen(base_share),
-                post_share=_frozen(post_share),
-                share_change=_frozen(post_share - base_share),
-                pct_change=_frozen(pct),
-                total_before=total_before,
-                total_after=total_after,
-                total_pct_change=purchasing_power_change(total_before, total_after),
+            total_pct = purchasing_power_change(total_before, total_after)
+            _refuse_overflow(group, total_before, total_after, base_share, post_share, pct, total_pct)
+            rows.append(
+                GroupCategoryBreakdown(
+                    group=group,
+                    base_share=_frozen(base_share),
+                    post_share=_frozen(post_share),
+                    share_change=_frozen(post_share - base_share),
+                    pct_change=_frozen(pct),
+                    total_before=total_before,
+                    total_after=total_after,
+                    total_pct_change=total_pct,
+                )
             )
-        )
     return CategoryReport(categories=categories, rows=tuple(rows))
+
+
+def _refuse_overflow(group: HouseholdGroup, *numbers) -> None:
+    """Raise unless every number computed for ``group``'s report is finite."""
+    if not all(np.isfinite(number).all() for number in numbers):
+        raise DimensionMismatch(f"the report numbers of group {group.group_id} overflow: its spending is too large")
 
 
 def purchasing_power_change(total_before: float, total_after: float) -> float:

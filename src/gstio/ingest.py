@@ -200,25 +200,6 @@ def _cell_float(cell: str, *, path, line: int, column: int) -> float:
     return value
 
 
-def _row_floats(cells: list[str], *, path, line: int) -> np.ndarray:
-    """Parse a row's numeric cells, which start at column 3, in one numpy call.
-
-    This parses the primary-input rows, and the sector rows when the walk
-    locates an error in the sector block. numpy converts each str with
-    Python's ``float``. Only when a cell is not a finite number is the row
-    walked cell by cell, to raise the ``ParseError`` at its column; if the
-    walk finds no bad cell, its values are returned, so a stricter numpy
-    never changes a result.
-    """
-    try:
-        values = np.array(cells, dtype=float)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
-    return np.array([_cell_float(cell, path=path, line=line, column=3 + j) for j, cell in enumerate(cells)])
-
-
 def _require_width(row: list[str], width: int, *, path, line: int) -> None:
     if len(row) != width:
         raise ParseError(
@@ -293,7 +274,7 @@ def _walk_sector_rows(records, ids: tuple[str, ...], *, path) -> tuple[list[str]
             )
         names.append(row[1])
         lines.append(line)
-        cells[i] = _row_floats(row[2:], path=path, line=line)
+        cells[i] = [_cell_float(cell, path=path, line=line, column=j) for j, cell in enumerate(row[2:], start=3)]
     return names, cells, lines
 
 
@@ -341,7 +322,8 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
             raise SchemaError(f"duplicate primary-input row {label}", path=path, line=line, column=1)
         if label not in (LABOR_ROW, CAPITAL_ROW, VALUE_ADDED_ROW, IMPORTS_ROW, INDIRECT_TAX_ROW):
             raise SchemaError(f"unknown row label {label!r}", path=path, line=line, column=1)
-        primary[label] = _row_floats(row[2 : 2 + n], path=path, line=line)
+        values = enumerate(row[2 : 2 + n], start=3)
+        primary[label] = np.array([_cell_float(cell, path=path, line=line, column=j) for j, cell in values])
         primary_lines.append(line)
 
     # Z, EXPORTS and the primary inputs must not be negative; FINAL_DEMAND may

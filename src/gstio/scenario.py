@@ -28,16 +28,24 @@ Frozen concrete syntax (paths are resolved relative to the config file)::
     full_precision = false
     allow_unbalanced = false
 
-``;`` after whitespace starts a comment. A key with an empty value counts as
-absent: it takes its default, or is missing if it has none. Without a
-concordance, expenditure item codes must be sector ids. Unknown sections,
-keys or enum values are hard errors. Every error names the line of the
-offending section or key, except a missing section.
+The file is split at ``\\n`` only. A ``;`` at a line's start or after
+whitespace starts a comment; the rest of the line is stripped, and skipped
+if then empty or starting with ``#``. A line indented deeper than its
+section's last key continues that key's value (joined with ``\\n``, blank
+lines kept); any other is a ``[name]`` header (case-sensitive) or a key
+split at its first ``=`` or ``:``, stripped and lower-cased. A key with an
+empty value counts as absent: it takes its default, or is missing if it has
+none. Without a concordance, expenditure item codes must be sector ids.
+
+The first line in file order that is no header or key, a key before any
+header, a repeated section or key, or an unknown section (``[DEFAULT]``
+too) or key is the error; then a missing section or required key, then
+each value's check. Every error names its line but a missing section.
 """
 
 from __future__ import annotations
 
-import configparser
+import re
 from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 
@@ -45,7 +53,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SchemaError, UnknownBaseGroup, UnmappedItem
 from .incidence import CategoryMap, ExpenditureMatrix, GroupDimension, category_report, expenditure_change
-from .incidence import expenditure_change_on_items, gap_ratios, purchasing_power_change
+from .incidence import _refuse_overflow, expenditure_change_on_items, gap_ratios, purchasing_power_change
 from .ingest import _not_utf8, load_category_map, load_concordance, load_household, load_io_table, load_rate_schedule
 from .io_model import BalanceReport, CoefficientBundle, IOTable, derive_coefficients
 from .price_model import MaskedInputTreatment, PriceChangeSummary, RateSchedule, baseline_prices, check_gst_rate
@@ -59,11 +67,9 @@ GAPS_TABLE = "gaps"
 _TREATMENT_TOKENS = {t.value: t for t in MaskedInputTreatment}
 _BOOL_TOKENS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
-_SYNTAX_ERRORS = {
-    configparser.DuplicateSectionError: "a section header appears twice",
-    configparser.DuplicateOptionError: "a key appears twice in its section",
-    configparser.MissingSectionHeaderError: "a key before the first [section] header",
-}
+_COMMENT = re.compile(r"(?<!\S);")
+_HEADER = re.compile(r"\[(.+)\]")
+_KEY_VALUE = re.compile(r"([^=:]*)[=:](.*)")
 
 # Each parser takes a key's non-empty value, the key and the directory that a
 # relative path starts from; it raises ValueError with the message to report.
@@ -141,76 +147,73 @@ for _field in fields(ScenarioConfig):
     _SECTIONS.setdefault(_field.metadata["section"], {})[_field.name] = _field
 
 
-def _line_numbers(parser: configparser.ConfigParser, text: str) -> dict[tuple[str, str | None], int]:
-    """First line of each ``[section]`` header (key None) and of each key in it.
-
-    Matches ``parser``'s own header and option patterns against a text it has
-    already read, and skips what it skips: blank and comment lines, and a
-    line indented deeper than the section's last key, which continues that
-    key's value.
-    """
-    lines: dict[tuple[str, str | None], int] = {}
-    section = None
-    key_indent = None  # indent of the section's last key; None before its first
-    for number, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        indent = len(line) - len(line.lstrip())
-        if not stripped or stripped[0] in "#;" or (key_indent is not None and indent > key_indent):
-            continue
-        header = parser.SECTCRE.match(stripped)
-        option = parser.OPTCRE.match(stripped)
-        if header:
-            section, key_indent = header.group("header"), None
-            lines.setdefault((section, None), number)
-        elif option:
-            key_indent = indent
-            lines.setdefault((section, parser.optionxform(option.group("option"))), number)
-    return lines
-
-
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file; see the module docstring for its syntax."""
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-        parser.read_string(text, source=str(path))
     except OSError as exc:
         raise SchemaError(f"cannot read scenario: {exc}", path=path) from exc
     except UnicodeDecodeError:
         raise _not_utf8(SchemaError, path) from None
-    except configparser.Error as exc:
-        # words of our own: configparser's message differs between Python versions
-        problem = _SYNTAX_ERRORS.get(type(exc), "a line that is neither [section] nor key = value")
-        line = getattr(exc, "lineno", None) or exc.errors[0][0]  # a ParsingError lists its lines
-        raise SchemaError(f"bad scenario syntax: {problem}", path=path, line=line) from exc
-    lines = _line_numbers(parser, text)
 
-    def error(message: str, section: str, key: str | None = None) -> SchemaError:
-        return SchemaError(message, path=path, line=lines.get((section, key)))
+    def error(message: str, line: int) -> SchemaError:
+        return SchemaError(message, path=path, line=line)
 
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise error(f"unknown section [{section}]", section)
-        for key in parser[section]:
-            if key not in _SECTIONS[section]:
-                raise error(f"unknown key {key!r} in [{section}]", section, key)
+    # section -> (its header's line, key -> (its line, its value's lines))
+    sections: dict[str, tuple[int, dict[str, tuple[int, list[str]]]]] = {}
+    name = keys = value = None  # the current section, its keys and its last key's value lines
+    key_indent = 0
+    for number, line in enumerate(text.split("\n"), start=1):
+        content = _COMMENT.split(line, 1)[0].strip()
+        if not content or content[0] == "#":
+            if value is not None and not line.strip():
+                value.append("")  # a blank line, not a comment, inside a value
+            continue
+        indent = len(line) - len(line.lstrip())
+        if value is not None and indent > key_indent:
+            value.append(content)
+            continue
+        key_indent = indent
+        header = _HEADER.match(content)
+        if header:
+            name, keys, value = header.group(1), {}, None
+            if name in sections:
+                raise error("bad scenario syntax: a section header appears twice", number)
+            if name not in _SECTIONS:
+                raise error(f"unknown section [{name}]", number)
+            sections[name] = (number, keys)
+            continue
+        if keys is None:
+            raise error("bad scenario syntax: a key before the first [section] header", number)
+        key_value = _KEY_VALUE.match(content)
+        key = key_value.group(1).strip().lower() if key_value else ""
+        if not key:
+            raise error("bad scenario syntax: a line that is neither [section] nor key = value", number)
+        if key in keys:
+            raise error("bad scenario syntax: a key appears twice in its section", number)
+        if key not in _SECTIONS[name]:
+            raise error(f"unknown key {key!r} in [{name}]", number)
+        value = [key_value.group(2).strip()]
+        keys[key] = (number, value)
 
     values = {}
-    for section, keys in _SECTIONS.items():
-        if section not in parser:
+    for section, specs in _SECTIONS.items():
+        if section not in sections:
             raise SchemaError(f"missing section [{section}]", path=path)
-        for key, spec in keys.items():
-            value = parser[section].get(key, "")  # configparser strips values
+        header_line, given = sections[section]
+        for key, spec in specs.items():
+            line, lines = given.get(key, (header_line, []))
+            value = "\n".join(lines).rstrip()
             if not value:
                 if spec.default is MISSING and spec.default_factory is MISSING:
-                    raise error(f"missing required key {key!r} in [{section}]", section)
+                    raise error(f"missing required key {key!r} in [{section}]", header_line)
                 continue
             try:
                 values[key] = spec.metadata["parse"](value, key, path.parent)
             except ValueError as exc:
-                raise error(str(exc), section, key) from None
+                raise error(str(exc), line) from None
     return ScenarioConfig(**values)
 
 
@@ -352,7 +355,9 @@ def run_tables(result: ScenarioResult) -> dict[str, tuple[list[str], list[list[s
     if expenditure is None:
         return tables
     totals_before = expenditure.totals()
-    totals_after = totals_before + result.delta.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a group whose numbers overflow is refused below
+        totals_after = totals_before + result.delta.sum(axis=1)
+    totals_before, totals_after = totals_before.tolist(), totals_after.tolist()  # floats, which never warn
     if category_map is not None:
         report = category_report(inputs.category_expenditure, result.category_delta, category_map)
     category_header = [
@@ -370,6 +375,7 @@ def run_tables(result: ScenarioResult) -> dict[str, tuple[list[str], list[list[s
         for h, group in members:
             pct = purchasing_power_change(totals_before[h], totals_after[h])
             values = [totals_before[h], totals_after[h], pct, before[group.group_id], after[group.group_id]]
+            _refuse_overflow(group, *values)
             gap_rows.append([dimension.value, group.group_id, group.label, *values])
         if category_map is None:
             continue

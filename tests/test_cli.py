@@ -262,6 +262,30 @@ def test_overflowing_expenditure_is_one_located_error(data_dir, tmp_path, comman
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("case", ["post-reform total", "without category map", "category share"])
+def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, case):
+    # in a subprocess, so that a numpy warning on stderr would show
+    for name in ("io_table.csv", "rate_schedule.csv", "concordance.csv", "category_map.csv"):
+        shutil.copy(data_dir / name, tmp_path)
+    scenario, spend = _read(data_dir / "scenario.cfg"), _read(data_dir / "expenditure.csv")
+    if case == "category share":  # 100 × a finite cell overflows at the scenario's own rate
+        spend = spend.replace("inc1,income,<1000,food,300\n", "inc1,income,<1000,food,1.7e308\n")
+    else:  # every price rises, so the group's post-reform total overflows
+        scenario = scenario.replace("gst_rate = 0.06", "gst_rate = 0.9")
+        spend += "inc1,income,<1000,rent,1.7e308\n"
+    if case == "without category map":
+        scenario = scenario.replace("category_map = category_map.csv\n", "")
+    (tmp_path / "scenario.cfg").write_text(scenario, encoding="utf-8")
+    (tmp_path / "expenditure.csv").write_text(spend, encoding="utf-8")
+    argv = ["run", str(tmp_path / "scenario.cfg"), "-o", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "gstio", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    error = "ERROR DimensionMismatch: the report numbers of group inc1 overflow: its spending is too large\n"
+    assert proc.stderr == error
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 class TestRun:
     def test_appendix_scenario_outputs(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"

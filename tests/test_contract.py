@@ -143,6 +143,7 @@ def _appendix_copy(tmp: str) -> Path:
 @example(kind="delete", line=12, token=b"", cut=0)
 @example(kind="insert", line=1, token=b"zzz", cut=0)
 @example(kind="insert", line=2, token=b"zzz", cut=0)
+@example(kind="replace", line=7, token=b"[DEFAULT]", cut=0)
 def test_scenario_mutants_run_or_fail_with_one_located_error(kind, line, token, cut):
     with tempfile.TemporaryDirectory() as tmp:
         scenario = _appendix_copy(tmp) / "scenario.cfg"

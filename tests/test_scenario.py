@@ -102,6 +102,10 @@ SCHEMA_ERRORS = [
     ("[inputs]\n", "[inputs]\nio_table\n", "bad scenario syntax", 2),
     ("[inputs]\n", "x = 1\n[inputs]\n", "bad scenario syntax", 1),
     ("gst_rate = 0.06", "gst_rate = 0.06\ngst_rate = 0.07", "bad scenario syntax", 7),
+    ("[inputs]\n", "[DEFAULT]\nfull_precision = true\n[inputs]\n", "unknown section [DEFAULT]", 1),
+    # the first offending line in file order is the error
+    ("output_dir = out", "output_dir = out\nfoo\n[report]", "neither [section] nor key = value", 10),
+    ("io_table = io.csv\n", "io_table = io.csv\nzz = 1\nrate_schedule\n", "unknown key 'zz' in [inputs]", 3),
 ]
 
 
@@ -120,7 +124,7 @@ def test_schema_errors(tmp_path, old, new, message, line):
 
 
 def test_syntax_errors_use_their_own_words(tmp_path):
-    # configparser's text differs between Python versions; ours does not
+    # a syntax error is reported in words of our own, at its line
     path = _scenario(tmp_path, MINIMAL.replace("[inputs]\n", "[inputs]\nfoo\n"))
     with pytest.raises(SchemaError) as info:
         load_scenario(path)
