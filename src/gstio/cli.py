@@ -2,7 +2,8 @@
 
 Three subcommands:
 
-* ``validate`` — load and cross-check a set of input files, exit 0 iff clean.
+* ``validate`` — load a set of input files and print the checks of
+  :func:`~gstio.scenario.check_inputs`, exit 0 iff every one passes.
 * ``run`` — execute one scenario file and write its report CSVs atomically
   (everything is staged to a temp directory and renamed into place).
 * ``report`` — render a finished run directory as aligned text, raw CSV, or
@@ -26,16 +27,12 @@ import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from .diagnostics import ProductivityReport, productivity_check
 from .errors import GstioError, MissingArtifact, NumericalError
-from .incidence import expenditure_change_on_items  # noqa: F401  (kept importable from gstio.cli)
+from .incidence import expenditure_change_on_items  # noqa: F401  (bench/tracing.py times cli.expenditure_change_on_items)
 from .ingest import _cell_float, _require_width, _rows, _write_csv
-from .io_model import derive_coefficients
 from .price_model import MaskedInputTreatment
 from .scenario import GAPS_TABLE, INCIDENCE_TABLE, PRICE_TABLE, SUMMARY_TABLE, ScenarioConfig, ScenarioResult
-from .scenario import load_inputs, load_scenario, run_scenario, run_tables
+from .scenario import check_inputs, load_inputs, load_scenario, run_scenario, run_tables
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,47 +74,11 @@ def _number_formatter(full_precision: bool):
 # ---------------------------------------------------------------------------
 
 
-def _print_productivity(label: str, check: ProductivityReport) -> None:
-    lo, hi = check.bracket
-    if check.converged:
-        radius = f"radius {lo:.6g}"
-    else:
-        radius = f"radius in [{lo:.6g}, {hi:.6g}] (bracket open after {check.iterations} iterations)"
-    print(f"productivity ({label}): {radius} {'pass' if check.passed else 'FAIL'}")
-
-
 def cmd_validate(args) -> int:
-    inputs = load_inputs(args)  # validate's flags are stored under ScenarioConfig's field names
-    table, balance = inputs.table, inputs.balance
-    print(
-        f"table: {table.n} sectors, max row residual {balance.max_row_residual:.3e}, "
-        f"max column residual {balance.max_column_residual:.3e}"
-    )
-    bundle = derive_coefficients(table, check_balance=False)
-    base_check = productivity_check(bundle.A)
-    _print_productivity("unmasked", base_check)
-    for warning in inputs.schedule_warnings:
-        print(f"warning: {warning}")
-    masked_check = productivity_check(bundle.A, inputs.schedule.standard_share)
-    _print_productivity("masked", masked_check)
-    ok = base_check.passed and masked_check.passed
-
-    by_sector, by_category = inputs.expenditure, inputs.category_expenditure
-    if inputs.weights is not None:
-        before = by_category.totals()
-        err = float(np.max(np.abs(by_sector.totals() - before) / before))
-        print(
-            f"expenditure: {len(by_category.groups)} groups, {len(by_category.items)} items, "
-            f"concordance conserves totals to {err:.3e}"
-        )
-    elif by_sector is not None:
-        print(f"expenditure: {len(by_sector.groups)} groups on sector codes")
-    if inputs.unmapped:
-        print(f"category map: MISSING codes {', '.join(inputs.unmapped)}")
-        ok = False
-    elif inputs.category_map is not None:
-        print(f"category map: {len(inputs.category_map.categories)} categories, total over items")
-    if not ok:
+    checks = check_inputs(load_inputs(args))  # validate's flags are stored under ScenarioConfig's field names
+    for check in checks:
+        print(check.line)
+    if not all(check.passed for check in checks):
         print("VALIDATION FAILED")
         print("ERROR ValidationFailed: one or more checks failed (see report)", file=sys.stderr)
         return EXIT_VALIDATION

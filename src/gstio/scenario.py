@@ -6,7 +6,9 @@ load stage, ``load_inputs``, which reads every input file that is given. So
 ``run`` reports every input error, a category map that leaves codes out
 included, before any numerical error, and ``validate`` prints its checks
 only once every input has loaded: a failing load prints none before its
-``ERROR`` line.
+``ERROR`` line. Those checks are ``check_inputs``'s, which decides what is
+valid; it computes ``run``'s household tables with ``run``'s own code, so
+a group that ``run`` refuses fails ``validate`` too.
 
 Frozen concrete syntax (paths are resolved relative to the config file)::
 
@@ -48,9 +50,11 @@ from __future__ import annotations
 import re
 from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from .diagnostics import ProductivityReport, productivity_check
 from .errors import DimensionMismatch, SchemaError, UnknownBaseGroup, UnmappedItem
 from .incidence import CategoryMap, ExpenditureMatrix, GroupDimension, category_report, expenditure_change
 from .incidence import _refuse_overflow, expenditure_change_on_items, gap_ratios, purchasing_power_change
@@ -255,6 +259,61 @@ def load_inputs(config: ScenarioConfig) -> ScenarioInputs:
     return ScenarioInputs(table, balance, schedule, tuple(warnings), *household, category_map, unmapped)
 
 
+class Check(NamedTuple):
+    """One line of ``gstio validate``'s report, and whether that check passed."""
+
+    line: str
+    passed: bool
+
+
+def _productivity(label: str, report: ProductivityReport) -> Check:
+    lo, hi = report.bracket
+    if report.converged:
+        radius = f"radius {lo:.6g}"
+    else:
+        radius = f"radius in [{lo:.6g}, {hi:.6g}] (bracket open after {report.iterations} iterations)"
+    return Check(f"productivity ({label}): {radius} {'pass' if report.passed else 'FAIL'}", report.passed)
+
+
+def check_inputs(inputs: ScenarioInputs) -> list[Check]:
+    """``gstio validate``'s checks of loaded ``inputs``, in its order; the inputs are valid iff all pass.
+
+    Balance, productivity without the mask, the schedule's warnings,
+    productivity with it, expenditure and category-map coverage. When these
+    pass and expenditure is given, ``run``'s household tables are computed
+    at the schedule's rate under ``run``'s defaults (drop, no exempt option,
+    each dimension's first group id as base): a group whose numbers overflow
+    fails one more check.
+    """
+    table, balance = inputs.table, inputs.balance
+    residuals = f"max row residual {balance.max_row_residual:.3e}, max column residual {balance.max_column_residual:.3e}"
+    checks = [Check(f"table: {table.n} sectors, {residuals}", True)]
+    bundle = derive_coefficients(table, check_balance=False)
+    checks.append(_productivity("unmasked", productivity_check(bundle.A)))
+    checks += [Check(f"warning: {warning}", True) for warning in inputs.schedule_warnings]
+    checks.append(_productivity("masked", productivity_check(bundle.A, inputs.schedule.standard_share)))
+
+    by_sector, by_category = inputs.expenditure, inputs.category_expenditure
+    if inputs.weights is not None:
+        before = by_category.totals()
+        err = float(np.max(np.abs(by_sector.totals() - before) / before))
+        line = f"{len(by_category.items)} items, concordance conserves totals to {err:.3e}"
+        checks.append(Check(f"expenditure: {len(by_category.groups)} groups, {line}", True))
+    elif by_sector is not None:
+        checks.append(Check(f"expenditure: {len(by_sector.groups)} groups on sector codes", True))
+    if inputs.unmapped:
+        checks.append(Check(f"category map: MISSING codes {', '.join(inputs.unmapped)}", False))
+    elif inputs.category_map is not None:
+        checks.append(Check(f"category map: {len(inputs.category_map.categories)} categories, total over items", True))
+    if by_sector is not None and all(check.passed for check in checks):
+        changes = _expenditure_changes(inputs, simulate_prices(bundle, inputs.schedule))
+        try:
+            _household_tables(inputs, *changes, _resolve_base_groups(by_sector, {}))
+        except DimensionMismatch as exc:
+            checks.append(Check(f"household report: {exc} FAIL", False))
+    return checks
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     """Everything a report writer needs from one scenario execution."""
@@ -288,15 +347,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     )
     summary = price_change_summary(price_level, output=inputs.table.x)
 
-    delta = category_delta = None
-    if expenditure is not None:
-        delta = expenditure_change(expenditure, price_level)
-        if inputs.weights is None:
-            category_delta = delta
-        else:
-            # item-level price index: concordance-weighted sector prices
-            category_delta = expenditure_change_on_items(inputs.category_expenditure, inputs.weights @ price_level)
-
+    delta, category_delta = _expenditure_changes(inputs, price_level)
     return ScenarioResult(
         config=config,
         inputs=inputs,
@@ -308,6 +359,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         category_delta=category_delta,
         base_groups=base_groups,
     )
+
+
+def _expenditure_changes(inputs: ScenarioInputs, price_level: np.ndarray):
+    """ΔE on sector codes and on ``category_expenditure``'s items; both None without expenditure."""
+    if inputs.expenditure is None:
+        return None, None
+    delta = expenditure_change(inputs.expenditure, price_level)
+    if inputs.weights is None:
+        return delta, delta
+    # item-level price index: concordance-weighted sector prices
+    return delta, expenditure_change_on_items(inputs.category_expenditure, inputs.weights @ price_level)
 
 
 def _resolve_base_groups(
@@ -351,21 +413,26 @@ def run_tables(result: ScenarioResult) -> dict[str, tuple[list[str], list[list[s
         PRICE_TABLE: (["sector_id", "sector_name", "baseline_price", "post_price", "pct_change"], [*map(list, prices)]),
         SUMMARY_TABLE: (["metric", "value"], summary_rows),
     }
-    expenditure, category_map = inputs.expenditure, inputs.category_map
-    if expenditure is None:
+    if inputs.expenditure is None:
         return tables
+    return tables | _household_tables(inputs, result.delta, result.category_delta, result.base_groups)
+
+
+def _household_tables(inputs: ScenarioInputs, delta, category_delta, base_groups: dict[GroupDimension, str]):
+    """The household tables of :func:`run_tables`; a group whose numbers overflow is a ``DimensionMismatch``."""
+    expenditure, category_map = inputs.expenditure, inputs.category_map
     totals_before = expenditure.totals()
     with np.errstate(over="ignore", invalid="ignore"):  # a group whose numbers overflow is refused below
-        totals_after = totals_before + result.delta.sum(axis=1)
+        totals_after = totals_before + delta.sum(axis=1)
     totals_before, totals_after = totals_before.tolist(), totals_after.tolist()  # floats, which never warn
     if category_map is not None:
-        report = category_report(inputs.category_expenditure, result.category_delta, category_map)
+        report = category_report(inputs.category_expenditure, category_delta, category_map)
     category_header = [
         "group_id", "label", "category", "base_share", "post_share", "share_point_change", "pct_change_within"
     ]  # fmt: skip
     gap_rows, category_tables = [], {}
     # base_groups holds one entry per dimension that has groups, in GroupDimension order
-    for dimension, base_id in result.base_groups.items():
+    for dimension, base_id in base_groups.items():
         members = [(h, g) for h, g in enumerate(expenditure.groups) if g.dimension is dimension]
         members.sort(key=lambda pair: pair[1].group_id)
         before, after = (
@@ -390,6 +457,8 @@ def run_tables(result: ScenarioResult) -> dict[str, tuple[list[str], list[list[s
             rows.append([group.group_id, group.label, "TOTAL", b.total_before, b.total_after, "", b.total_pct_change])
         category_tables[f"category_table_{dimension.value}"] = (category_header, rows)
     incidence_header = ["dimension", "group_id", "label", "total_before", "total_after", "pct_change"]
-    tables[INCIDENCE_TABLE] = (incidence_header, [row[:6] for row in gap_rows])
-    tables[GAPS_TABLE] = ([*incidence_header, "ratio_before", "ratio_after"], gap_rows)
-    return tables | category_tables
+    return {
+        INCIDENCE_TABLE: (incidence_header, [row[:6] for row in gap_rows]),
+        GAPS_TABLE: ([*incidence_header, "ratio_before", "ratio_after"], gap_rows),
+        **category_tables,
+    }

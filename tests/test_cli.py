@@ -262,28 +262,52 @@ def test_overflowing_expenditure_is_one_located_error(data_dir, tmp_path, comman
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("case", ["post-reform total", "without category map", "category share"])
-def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, case):
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        # a run case's id is its case alone
+        pytest.param(command, case, id=case if command == "run" else f"{case}, validate")
+        for command in ("run", "validate")
+        for case in ("post-reform total", "without category map", "category share", "float maximum group")
+    ],
+)
+def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, command, case):
     # in a subprocess, so that a numpy warning on stderr would show
     for name in ("io_table.csv", "rate_schedule.csv", "concordance.csv", "category_map.csv"):
         shutil.copy(data_dir / name, tmp_path)
     scenario, spend = _read(data_dir / "scenario.cfg"), _read(data_dir / "expenditure.csv")
+    group, rate = "inc1", "0.06"
     if case == "category share":  # 100 × a finite cell overflows at the scenario's own rate
         spend = spend.replace("inc1,income,<1000,food,300\n", "inc1,income,<1000,food,1.7e308\n")
+    elif case == "float maximum group":  # a new group, and the base of its dimension, at the float maximum
+        group, spend = "g9", spend + "g9,income,big,misc,1.7976931348623157e308\n"
     else:  # every price rises, so the group's post-reform total overflows
-        scenario = scenario.replace("gst_rate = 0.06", "gst_rate = 0.9")
+        rate = "0.9"
+        scenario = scenario.replace("gst_rate = 0.06", f"gst_rate = {rate}")
         spend += "inc1,income,<1000,rent,1.7e308\n"
     if case == "without category map":
         scenario = scenario.replace("category_map = category_map.csv\n", "")
     (tmp_path / "scenario.cfg").write_text(scenario, encoding="utf-8")
     (tmp_path / "expenditure.csv").write_text(spend, encoding="utf-8")
-    argv = ["run", str(tmp_path / "scenario.cfg"), "-o", str(tmp_path / "out")]
+    if command == "run":
+        argv = ["run", str(tmp_path / "scenario.cfg"), "-o", str(tmp_path / "out")]
+    else:
+        argv = ["validate", "--gst-rate", rate]
+        names = ["io_table", "rate_schedule", "expenditure", "concordance", "category_map"]
+        flags = ["--table", "--schedule", "--expenditure", "--concordance", "--category-map"]
+        for flag, name in zip(flags, names[: 4 if case == "without category map" else 5]):
+            argv += [flag, str(tmp_path / f"{name}.csv")]
     proc = subprocess.run([sys.executable, "-m", "gstio", *argv], capture_output=True, text=True)
     assert proc.returncode == 2
-    error = "ERROR DimensionMismatch: the report numbers of group inc1 overflow: its spending is too large\n"
-    assert proc.stderr == error
-    assert proc.stdout == ""
-    assert not (tmp_path / "out").exists()
+    error = f"the report numbers of group {group} overflow: its spending is too large"
+    if command == "run":
+        assert proc.stderr == f"ERROR DimensionMismatch: {error}\n"
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+    else:
+        assert proc.stderr == "ERROR ValidationFailed: one or more checks failed (see report)\n"
+        assert proc.stdout.splitlines()[-2:] == [f"household report: {error} FAIL", "VALIDATION FAILED"]
+        assert "Warning" not in proc.stdout + proc.stderr
 
 
 class TestRun:

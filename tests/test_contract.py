@@ -8,8 +8,8 @@ file-level ``missing …`` error and a category map that leaves codes out.
 ``gstio validate`` on a CSV mutant's five inputs agrees with ``run``: it
 passes where ``run`` runs, and prints ``run``'s ERROR line and nothing else
 where ``run`` fails to load. Where ``run`` fails after loading, on a category
-map that leaves codes out or a non-productive table, ``validate`` prints its
-checks and fails them.
+map that leaves codes out, a non-productive table or a group whose report
+numbers overflow, ``validate`` prints its checks and fails them.
 
 ``gstio report`` on a finished run directory with one table mutated either
 renders it, as text and as plot series, or fails with exit 2 and one
@@ -37,8 +37,9 @@ LINES = SCENARIO.splitlines(keepends=True)
 TOKENS = [b"zzz", b"", b"1.5", b"-1", b"nan", b"yes", b"x ; note", b"\xff"]
 
 CSV_INPUTS = ("io_table.csv", "rate_schedule.csv", "expenditure.csv", "concordance.csv", "category_map.csv")
-CSV_TOKENS = [b"zzz", b"nan", b"1e999", b"-1", b"", b"1e-320"]
+CSV_TOKENS = [b"zzz", b"nan", b"1e999", b"-1", b"", b"1e-320", b"1.7e308"]
 LOCATED_ERRORS = "|".join([*(cls.__name__ for cls in LoadError.__subclasses__()), "EmptyGroup", "UnmappedItem"])
+OVERFLOW = "ERROR DimensionMismatch: the report numbers of group"
 VALIDATE_FLAGS = ("--table", "--schedule", "--expenditure", "--concordance", "--category-map")
 
 RUN_TABLES = (
@@ -116,7 +117,7 @@ def check_validate_agrees(data: Path, run_err: str) -> None:
     if not run_err:
         assert (code, err) == (0, ""), err
         assert out.endswith("VALIDATION OK\n"), out
-    elif "(category map)" in run_err or run_err.startswith("ERROR NonProductive:"):
+    elif "(category map)" in run_err or run_err.startswith(("ERROR NonProductive:", OVERFLOW)):
         assert code == 2 and err.startswith("ERROR ValidationFailed:"), err
         assert "category map: MISSING codes" in out or " FAIL\n" in out, out
     else:
@@ -170,6 +171,8 @@ def test_scenario_mutants_run_or_fail_with_one_located_error(kind, line, token, 
 # an item missing from the concordance, and one the category map leaves out
 @example(name="concordance.csv", kind="delete", line=3, column=0, token=b"", cut=0)
 @example(name="category_map.csv", kind="delete", line=2, column=0, token=b"", cut=0)
+# an amount whose group's report numbers overflow after the solve
+@example(name="expenditure.csv", kind="replace", line=1, column=4, token=b"1.7e308", cut=0)
 def test_csv_mutants_run_or_fail_with_one_located_error(name, kind, line, column, token, cut):
     with tempfile.TemporaryDirectory() as tmp:
         # resolved, as the scenario's paths are, so both commands name the same files

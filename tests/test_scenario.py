@@ -13,11 +13,13 @@ from gstio import (
     SchemaError,
     UnknownBaseGroup,
     UnmappedItem,
+    check_inputs,
     load_inputs,
     load_scenario,
     run_scenario,
     scenario,
 )
+from gstio.cli import main
 
 MINIMAL = (
     "[inputs]\nio_table = io.csv\nrate_schedule = sched.csv\n\n"
@@ -179,6 +181,17 @@ def test_load_inputs_holds_every_input(data_dir):
     assert inputs.weights.shape == (6, 3)
     assert inputs.category_map.categories[0] == "food_nonalcoholic"
     assert inputs.unmapped == ()
+
+
+def test_check_inputs_are_the_lines_validate_prints(data_dir, capsys):
+    config = load_scenario(data_dir / "scenario.cfg")
+    argv = ["validate", "--table", str(config.io_table), "--schedule", str(config.rate_schedule)]
+    for flag in ("expenditure", "concordance", "category-map"):
+        argv += [f"--{flag}", str(getattr(config, flag.replace("-", "_")))]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [check.line for check in check_inputs(load_inputs(config))] == printed[:-1]
+    assert printed[-1] == "VALIDATION OK"
 
 
 def test_category_map_coverage_checked_before_the_solve(data_dir, tmp_path, monkeypatch):
