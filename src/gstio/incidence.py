@@ -4,7 +4,10 @@ With baseline prices normalized to 1, expenditure values double as
 quantities, so the extra spending a group needs to keep its baseline basket
 is simply ΔE = (p̂ − I)E, applied row by row to the group × sector
 expenditure matrix. Category tables, purchasing-power changes and
-consumption-gap ratios are all pure arithmetic over E and ΔE.
+consumption-gap ratios are all pure arithmetic over E and ΔE, done for every
+group at once. A table with a non-finite number is refused with one
+``DimensionMismatch`` naming a group: for the category tables the first in
+file order, else the first by dimension and then group id.
 
 Substitution responses are deliberately out of scope: the basket is held
 fixed, which is what "keeping baseline purchasing power" means here.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -177,7 +180,7 @@ def category_report(
     delta: np.ndarray,
     category_map: CategoryMap,
 ) -> CategoryReport:
-    """Aggregate E and ΔE into reporting categories, group by group."""
+    """Aggregate E and ΔE into reporting categories, for every group at once."""
     delta = np.asarray(delta, dtype=float)
     if delta.shape != expenditure.values.shape:
         raise DimensionMismatch(
@@ -193,43 +196,35 @@ def category_report(
     for j, code in enumerate(expenditure.items):
         agg[cat_index[category_map.category_of(code)], j] = 1.0
 
-    rows = []
     with np.errstate(all="ignore"):  # a group whose numbers overflow is refused below
         base = expenditure.values @ agg.T  # groups × categories
         post = (expenditure.values + delta) @ agg.T
-        for h, group in enumerate(expenditure.groups):
-            total_before = float(base[h].sum())  # > 0: the matrix has no empty group
-            total_after = float(post[h].sum())
-            base_share = 100.0 * base[h] / total_before
-            post_share = 100.0 * post[h] / total_after
-            pct = np.where(base[h] != 0, 100.0 * (post[h] - base[h]) / base[h], 0.0)
-            total_pct = purchasing_power_change(total_before, total_after)
-            _refuse_overflow(group, total_before, total_after, base_share, post_share, pct, total_pct)
-            rows.append(
-                GroupCategoryBreakdown(
-                    group=group,
-                    base_share=_frozen(base_share),
-                    post_share=_frozen(post_share),
-                    share_change=_frozen(post_share - base_share),
-                    pct_change=_frozen(pct),
-                    total_before=total_before,
-                    total_after=total_after,
-                    total_pct_change=total_pct,
-                )
-            )
-    return CategoryReport(categories=categories, rows=tuple(rows))
+        total_before, total_after = base.sum(axis=1), post.sum(axis=1)  # > 0: the matrix has no empty group
+        base_share = 100.0 * base / total_before[:, np.newaxis]
+        post_share = 100.0 * post / total_after[:, np.newaxis]
+        pct = np.where(base != 0, 100.0 * (post - base) / base, 0.0)
+        total_pct = purchasing_power_change(total_before, total_after)
+    _refuse_overflow(expenditure.groups, total_before, total_after, base_share, post_share, pct, total_pct)
+    share_change = post_share - base_share
+    for table in (base_share, post_share, share_change, pct):
+        table.setflags(write=False)  # so is each group's row view of it
+    columns = base_share, post_share, share_change, pct, *(t.tolist() for t in (total_before, total_after, total_pct))
+    return CategoryReport(categories=categories, rows=tuple(map(GroupCategoryBreakdown, expenditure.groups, *columns)))
 
 
-def _refuse_overflow(group: HouseholdGroup, *numbers) -> None:
-    """Raise unless every number computed for ``group``'s report is finite."""
-    if not all(np.isfinite(number).all() for number in numbers):
+def _refuse_overflow(groups: Sequence[HouseholdGroup], *tables: np.ndarray) -> None:
+    """Raise for the first of ``groups`` whose row in any of ``tables`` (one row per group) is not finite."""
+    finite = np.isfinite(np.column_stack(tables)).all(axis=1)
+    if not finite.all():
+        group = groups[int(np.argmin(finite))]
         raise DimensionMismatch(f"the report numbers of group {group.group_id} overflow: its spending is too large")
 
 
-def purchasing_power_change(total_before: float, total_after: float) -> float:
-    """Percent change of a group total; negative means the basket got cheaper."""
-    if total_before <= 0:
-        raise NonPositiveBase(f"base total must be positive, got {total_before}")
+def purchasing_power_change(total_before: float | np.ndarray, total_after: float | np.ndarray):
+    """Percent change of a group total, or elementwise of arrays of them; negative means the basket got cheaper."""
+    nonpositive = np.asarray(total_before)[np.asarray(total_before) <= 0]
+    if nonpositive.size:
+        raise NonPositiveBase(f"base total must be positive, got {nonpositive[0]}")
     return 100.0 * (total_after - total_before) / total_before
 
 
@@ -249,4 +244,7 @@ def gap_change_report(
     """Percent change of each group's gap ratio; negative means the gap narrowed."""
     if set(before) != set(after):
         raise DimensionMismatch("before/after ratios cover different groups")
-    return {g: 100.0 * (after[g] - before[g]) / before[g] for g in before}
+    for g, ratio in before.items():
+        if ratio <= 0:
+            raise NonPositiveBase(f"group {g!r} has non-positive base ratio {ratio}")
+    return {g: purchasing_power_change(before[g], after[g]) for g in before}

@@ -421,44 +421,44 @@ def run_tables(result: ScenarioResult) -> dict[str, tuple[list[str], list[list[s
 def _household_tables(inputs: ScenarioInputs, delta, category_delta, base_groups: dict[GroupDimension, str]):
     """The household tables of :func:`run_tables`; a group whose numbers overflow is a ``DimensionMismatch``."""
     expenditure, category_map = inputs.expenditure, inputs.category_map
-    totals_before = expenditure.totals()
-    with np.errstate(over="ignore", invalid="ignore"):  # a group whose numbers overflow is refused below
-        totals_after = totals_before + delta.sum(axis=1)
-    totals_before, totals_after = totals_before.tolist(), totals_after.tolist()  # floats, which never warn
+    groups = expenditure.groups
     if category_map is not None:
         report = category_report(inputs.category_expenditure, category_delta, category_map)
+        # load_household builds both matrices from one, so row h is the same group in each
+        if [b.group.group_id for b in report.rows] != [g.group_id for g in groups]:
+            raise DimensionMismatch("expenditure and category_expenditure must list the same groups in order")
+    # the gaps table's rows: base_groups holds one entry per dimension that has groups, in GroupDimension order
+    rank = {dimension: k for k, dimension in enumerate(base_groups)}
+    ranked = sorted((rank[g.dimension], g.group_id, h) for h, g in enumerate(groups) if g.dimension in rank)
+    order = [h for *_, h in ranked]
+    members = [groups[h] for h in order]
+    with np.errstate(over="ignore", invalid="ignore"):  # a group whose numbers overflow is refused below
+        totals_before = expenditure.totals()[order]
+        totals_after = totals_before + delta.sum(axis=1)[order]
+        pct = purchasing_power_change(totals_before, totals_after)
+    ratios = ({}, {})
+    for dimension, base_id in base_groups.items():
+        mine = [k for k, g in enumerate(members) if g.dimension is dimension]
+        for ratio, totals in zip(ratios, (totals_before, totals_after)):
+            ratio.update(gap_ratios({members[k].group_id: totals[k] for k in mine}, base_id))
+    gaps = np.column_stack([totals_before, totals_after, pct, *(list(ratio.values()) for ratio in ratios)])
+    _refuse_overflow(members, gaps)
+    gap_rows = [[g.dimension.value, g.group_id, g.label, *row] for g, row in zip(members, gaps.tolist())]
+    incidence_header = ["dimension", "group_id", "label", "total_before", "total_after", "pct_change"]
+    tables = {
+        INCIDENCE_TABLE: (incidence_header, [row[:6] for row in gap_rows]),
+        GAPS_TABLE: ([*incidence_header, "ratio_before", "ratio_after"], gap_rows),
+    }
+    if category_map is None:
+        return tables
     category_header = [
         "group_id", "label", "category", "base_share", "post_share", "share_point_change", "pct_change_within"
     ]  # fmt: skip
-    gap_rows, category_tables = [], {}
-    # base_groups holds one entry per dimension that has groups, in GroupDimension order
-    for dimension, base_id in base_groups.items():
-        members = [(h, g) for h, g in enumerate(expenditure.groups) if g.dimension is dimension]
-        members.sort(key=lambda pair: pair[1].group_id)
-        before, after = (
-            gap_ratios({g.group_id: float(totals[h]) for h, g in members}, base_id)
-            for totals in (totals_before, totals_after)
-        )
-        for h, group in members:
-            pct = purchasing_power_change(totals_before[h], totals_after[h])
-            values = [totals_before[h], totals_after[h], pct, before[group.group_id], after[group.group_id]]
-            _refuse_overflow(group, *values)
-            gap_rows.append([dimension.value, group.group_id, group.label, *values])
-        if category_map is None:
-            continue
-        rows = []
-        # load_household builds both matrices from one, so row h is the same group in each
-        for h, group in members:
-            b = report.rows[h]
-            if b.group.group_id != group.group_id:
-                raise DimensionMismatch("expenditure and category_expenditure must list the same groups in order")
-            for category, *values in zip(report.categories, b.base_share, b.post_share, b.share_change, b.pct_change):
-                rows.append([group.group_id, group.label, category, *values])
-            rows.append([group.group_id, group.label, "TOTAL", b.total_before, b.total_after, "", b.total_pct_change])
-        category_tables[f"category_table_{dimension.value}"] = (category_header, rows)
-    incidence_header = ["dimension", "group_id", "label", "total_before", "total_after", "pct_change"]
-    return {
-        INCIDENCE_TABLE: (incidence_header, [row[:6] for row in gap_rows]),
-        GAPS_TABLE: ([*incidence_header, "ratio_before", "ratio_after"], gap_rows),
-        **category_tables,
-    }
+    tables |= {f"category_table_{dimension.value}": (category_header, []) for dimension in base_groups}
+    for h, group in zip(order, members):
+        b = report.rows[h]
+        rows = tables[f"category_table_{group.dimension.value}"][1]
+        for category, *values in zip(report.categories, b.base_share, b.post_share, b.share_change, b.pct_change):
+            rows.append([group.group_id, group.label, category, *values])
+        rows.append([group.group_id, group.label, "TOTAL", b.total_before, b.total_after, "", b.total_pct_change])
+    return tables

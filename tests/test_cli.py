@@ -15,6 +15,62 @@ from gstio.errors import DimensionMismatch
 
 EXPECTED_DP = np.array([0.920366, 0.914612, 0.997991])
 
+# The household tables of `gstio run data/appendix3/scenario.cfg` at 6 significant digits.
+APPENDIX_HOUSEHOLD_TABLES = {
+    "incidence_by_group.csv": """\
+dimension,group_id,label,total_before,total_after,pct_change
+income,inc1,<1000,700,661.787,-5.45899
+income,inc2,1000-2999,1600,1526.34,-4.60393
+income,inc3,>=3000,2800,2679.11,-4.31744
+ethnicity,eth1,GroupA,1000,949.741,-5.02586
+ethnicity,eth2,GroupB,1400,1334.57,-4.67372
+""",
+    "gaps.csv": """\
+dimension,group_id,label,total_before,total_after,pct_change,ratio_before,ratio_after
+income,inc1,<1000,700,661.787,-5.45899,1,1
+income,inc2,1000-2999,1600,1526.34,-4.60393,2.28571,2.30639
+income,inc3,>=3000,2800,2679.11,-4.31744,4,4.0483
+ethnicity,eth1,GroupA,1000,949.741,-5.02586,1,1
+ethnicity,eth2,GroupB,1400,1334.57,-4.67372,1.4,1.40519
+""",
+    "category_table_income.csv": """\
+group_id,label,category,base_share,post_share,share_point_change,pct_change_within
+inc1,<1000,food_nonalcoholic,42.8571,41.6697,-1.18746,-8.07847
+inc1,<1000,housing_utilities,40,41.2168,1.21675,-2.58317
+inc1,<1000,transport,8.57143,8.67017,0.0987442,-4.36986
+inc1,<1000,clothing_footwear,5.71429,5.52813,-0.186152,-8.53881
+inc1,<1000,misc_goods_services,2.85714,2.91526,0.0581129,-3.53607
+inc1,<1000,TOTAL,700,661.787,,-5.45899
+inc2,1000-2999,food_nonalcoholic,25,24.0894,-0.910556,-8.07847
+inc2,1000-2999,housing_utilities,40.625,41.6806,1.05565,-2.12504
+inc2,1000-2999,transport,15.625,15.6633,0.0383373,-4.36986
+inc2,1000-2999,clothing_footwear,7.5,7.19064,-0.309359,-8.53881
+inc2,1000-2999,misc_goods_services,11.25,11.3759,0.125931,-3.53607
+inc2,1000-2999,TOTAL,1600,1526.34,,-4.60393
+inc3,>=3000,food_nonalcoholic,17.8571,17.1552,-0.701917,-8.07847
+inc3,>=3000,housing_utilities,41.4286,42.4018,0.973201,-2.06975
+inc3,>=3000,transport,17.8571,17.8474,-0.00978433,-4.36986
+inc3,>=3000,clothing_footwear,8.57143,8.19327,-0.378159,-8.53881
+inc3,>=3000,misc_goods_services,14.2857,14.4024,0.11666,-3.53607
+inc3,>=3000,TOTAL,2800,2679.11,,-4.31744
+""",
+    "category_table_ethnicity.csv": """\
+group_id,label,category,base_share,post_share,share_point_change,pct_change_within
+eth1,GroupA,food_nonalcoholic,35,33.875,-1.12495,-8.07847
+eth1,GroupA,housing_utilities,40,41.1542,1.1542,-2.28539
+eth1,GroupA,transport,12,12.0829,0.0828848,-4.36986
+eth1,GroupA,clothing_footwear,6,5.77807,-0.221931,-8.53881
+eth1,GroupA,misc_goods_services,7,7.1098,0.109803,-3.53607
+eth1,GroupA,TOTAL,1000,949.741,,-5.02586
+eth2,GroupB,food_nonalcoholic,27.1429,26.1734,-0.969455,-8.07847
+eth2,GroupB,housing_utilities,39.2857,40.3168,1.03113,-2.17169
+eth2,GroupB,transport,14.2857,14.3313,0.0455361,-4.36986
+eth2,GroupB,clothing_footwear,6.42857,6.16792,-0.260653,-8.53881
+eth2,GroupB,misc_goods_services,12.8571,13.0106,0.15344,-3.53607
+eth2,GroupB,TOTAL,1400,1334.57,,-4.67372
+""",
+}
+
 
 def _read(path):
     return path.read_text(encoding="utf-8")
@@ -268,7 +324,14 @@ def test_overflowing_expenditure_is_one_located_error(data_dir, tmp_path, comman
         # a run case's id is its case alone
         pytest.param(command, case, id=case if command == "run" else f"{case}, validate")
         for command in ("run", "validate")
-        for case in ("post-reform total", "without category map", "category share", "float maximum group")
+        for case in (
+            "post-reform total",
+            "without category map",
+            "category share",
+            "float maximum group",
+            "two float maximum groups",  # the category report goes first, in file order
+            "two float maximum groups without category map",  # the gaps table, by dimension then id
+        )
     ],
 )
 def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, command, case):
@@ -277,15 +340,19 @@ def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, command
         shutil.copy(data_dir / name, tmp_path)
     scenario, spend = _read(data_dir / "scenario.cfg"), _read(data_dir / "expenditure.csv")
     group, rate = "inc1", "0.06"
+    no_map = case.endswith("without category map")
     if case == "category share":  # 100 × a finite cell overflows at the scenario's own rate
         spend = spend.replace("inc1,income,<1000,food,300\n", "inc1,income,<1000,food,1.7e308\n")
     elif case == "float maximum group":  # a new group, and the base of its dimension, at the float maximum
         group, spend = "g9", spend + "g9,income,big,misc,1.7976931348623157e308\n"
+    elif case.startswith("two float maximum groups"):
+        group = "a9" if no_map else "b9"
+        spend += "b9,income,x,misc,1.7976931348623157e308\na9,income,y,misc,1.7976931348623157e308\n"
     else:  # every price rises, so the group's post-reform total overflows
         rate = "0.9"
         scenario = scenario.replace("gst_rate = 0.06", f"gst_rate = {rate}")
         spend += "inc1,income,<1000,rent,1.7e308\n"
-    if case == "without category map":
+    if no_map:
         scenario = scenario.replace("category_map = category_map.csv\n", "")
     (tmp_path / "scenario.cfg").write_text(scenario, encoding="utf-8")
     (tmp_path / "expenditure.csv").write_text(spend, encoding="utf-8")
@@ -295,7 +362,7 @@ def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, command
         argv = ["validate", "--gst-rate", rate]
         names = ["io_table", "rate_schedule", "expenditure", "concordance", "category_map"]
         flags = ["--table", "--schedule", "--expenditure", "--concordance", "--category-map"]
-        for flag, name in zip(flags, names[: 4 if case == "without category map" else 5]):
+        for flag, name in zip(flags, names[: 4 if no_map else 5]):
             argv += [flag, str(tmp_path / f"{name}.csv")]
     proc = subprocess.run([sys.executable, "-m", "gstio", *argv], capture_output=True, text=True)
     assert proc.returncode == 2
@@ -360,6 +427,11 @@ class TestRun:
         inputs = replace(result.inputs, category_expenditure=shuffled)
         with pytest.raises(DimensionMismatch):
             run_tables(replace(result, inputs=inputs, category_delta=result.category_delta[::-1]))
+
+    def test_household_tables_are_the_golden_text(self, data_dir, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", str(data_dir / "scenario.cfg"), "-o", str(out)]) == 0
+        assert {name: _read(out / name) for name in APPENDIX_HOUSEHOLD_TABLES} == APPENDIX_HOUSEHOLD_TABLES
 
     def test_base_group_ratio_exactly_one(self, data_dir, tmp_path):
         out = tmp_path / "run"

@@ -45,6 +45,31 @@ def _matrix(values, items=None, groups=None, basis=ExpenditureBasis.SECTOR_CODES
     return ExpenditureMatrix(groups=groups, items=items, values=values, basis=basis)
 
 
+
+def _bits(value):
+    """The bytes of a float or float array, so that equal means equal to the bit (0.0 and -0.0 differ)."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _reference_rows(expenditure, delta, category_map):
+    """The category report computed group by group, as a loop over each group's row."""
+    categories = category_map.categories
+    agg = np.zeros((len(categories), len(expenditure.items)))
+    for j, code in enumerate(expenditure.items):
+        agg[categories.index(category_map.category_of(code)), j] = 1.0
+    base = expenditure.values @ agg.T
+    post = (expenditure.values + delta) @ agg.T
+    rows = []
+    for h in range(len(expenditure.groups)):
+        total_before, total_after = float(base[h].sum()), float(post[h].sum())
+        base_share = 100.0 * base[h] / total_before
+        post_share = 100.0 * post[h] / total_after
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pct = np.where(base[h] != 0, 100.0 * (post[h] - base[h]) / base[h], 0.0)
+        total_pct = 100.0 * (total_after - total_before) / total_before
+        rows.append((base_share, post_share, post_share - base_share, pct, total_before, total_after, total_pct))
+    return rows
+
 class TestExpenditureChange:
     def test_flat_prices_no_change(self):
         matrix = _matrix([[100.0, 50.0], [10.0, 20.0]])
@@ -129,6 +154,33 @@ class TestCategoryReport:
         with pytest.raises(EmptyGroup, match="g2"):
             _matrix([[1.0, 2.0], [0.0, 0.0]])
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=15),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_every_field_is_the_group_by_group_arithmetic_to_the_bit(self, groups, items, categories, seed):
+        # zero cells make zero category cells (the pct = 0 branch); 8 or more
+        # categories reach numpy's unrolled summation of a row
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 1000.0, size=(groups, items)) * (rng.random((groups, items)) < 0.6)
+        values[:, 0] += 1.0  # no empty group
+        matrix = _matrix(values)
+        names = tuple(f"c{k}" for k in range(categories))
+        cmap = CategoryMap(categories=names, assignments={s: names[rng.integers(categories)] for s in matrix.items})
+        delta = expenditure_change(matrix, rng.uniform(0.5, 1.5, size=items))
+        report = category_report(matrix, delta, cmap)
+        assert report.categories == names
+        assert [row.group for row in report.rows] == list(matrix.groups)
+        for row, expected in zip(report.rows, _reference_rows(matrix, delta, cmap)):
+            fields = (row.base_share, row.post_share, row.share_change, row.pct_change)
+            assert all(not field.flags.writeable for field in fields)
+            fields += (row.total_before, row.total_after, row.total_pct_change)
+            assert [type(field) for field in fields[4:]] == [float, float, float]
+            assert [_bits(field) for field in fields] == [_bits(value) for value in expected]
+
     def test_overflowing_group_total_rejected_at_construction(self):
         # every cell is finite, their sum is not; the check itself does not warn
         with pytest.raises(DimensionMismatch, match="group totals must be finite"):
@@ -148,6 +200,20 @@ class TestPurchasingPowerChange:
     def test_nonpositive_base_rejected(self):
         with pytest.raises(NonPositiveBase):
             purchasing_power_change(0.0, 10.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_arrays_are_the_scalar_calls_to_the_bit(self, size, seed):
+        rng = np.random.default_rng(seed)
+        before = rng.uniform(1e-3, 1e4, size=size)
+        after = before * rng.uniform(0.5, 1.5, size=size)
+        expected = [purchasing_power_change(b, a) for b, a in zip(before.tolist(), after.tolist())]
+        assert _bits(purchasing_power_change(before, after)) == _bits(expected)
+        for bad in (0.0, -before[0]):
+            spoiled = before.copy()
+            spoiled[rng.integers(size)] = bad
+            with pytest.raises(NonPositiveBase, match=f"got {bad}"):
+                purchasing_power_change(spoiled, after)
 
 
 class TestGapRatios:
@@ -184,6 +250,11 @@ class TestGapChangeReport:
     def test_misaligned_groups_rejected(self):
         with pytest.raises(DimensionMismatch):
             gap_change_report({"a": 1.0}, {"b": 1.0})
+
+    @pytest.mark.parametrize("ratio", [0.0, -1.0])
+    def test_nonpositive_base_ratio_names_the_group(self, ratio):
+        with pytest.raises(NonPositiveBase, match=f"group 'b' has non-positive base ratio {ratio}"):
+            gap_change_report({"a": 1.0, "b": ratio}, {"a": 1.0, "b": 1.0})
 
 
 class TestScaleInvariance:

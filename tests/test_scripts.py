@@ -14,16 +14,23 @@ from gstio import derive_coefficients, load_io_table, load_rate_schedule, price_
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _script(name, *args):
-    env = dict(os.environ)
+def _python(*args, **environ):
+    """Run the interpreter from the repo root with the source tree importable, plus ``environ``."""
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=ROOT,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT)
+
+
+def _script(name, *args):
+    return _python(str(ROOT / "scripts" / name), *args)
+
+
+def test_readme_python_quick_start_runs():
+    quick_start = (ROOT / "README.md").read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    code = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = _python("-c", code, PYTHONWARNINGS="error::RuntimeWarning")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("name", ["run_appendix_scenario.py", "rate_sweep.py"])
