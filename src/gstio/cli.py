@@ -111,6 +111,11 @@ def cmd_run(args) -> int:
         print(f"warning: {warning}")
 
     output_dir = config.output_dir
+    inputs = [Path(args.scenario).resolve()]
+    inputs += [getattr(config, spec.name) for spec in fields(config) if spec.metadata["section"] == "inputs"]
+    held = [path for path in inputs if path is not None and path.is_relative_to(output_dir)]
+    if held:
+        raise GstioError(f"output directory {output_dir} holds input {held[0]}; choose one that holds no input")
     output_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=output_dir.name + ".stage.", dir=output_dir.parent))
     try:

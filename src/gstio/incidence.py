@@ -180,7 +180,12 @@ def category_report(
     delta: np.ndarray,
     category_map: CategoryMap,
 ) -> CategoryReport:
-    """Aggregate E and ΔE into reporting categories, for every group at once."""
+    """Aggregate E and ΔE into reporting categories, for every group at once.
+
+    Each group's ``total_*`` fields sum its category cells, so they may
+    differ in the last digits from :meth:`ExpenditureMatrix.totals`, which
+    is what a run directory prints in its TOTAL rows.
+    """
     delta = np.asarray(delta, dtype=float)
     if delta.shape != expenditure.values.shape:
         raise DimensionMismatch(

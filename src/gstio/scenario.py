@@ -306,9 +306,9 @@ def check_inputs(inputs: ScenarioInputs) -> list[Check]:
     elif inputs.category_map is not None:
         checks.append(Check(f"category map: {len(inputs.category_map.categories)} categories, total over items", True))
     if by_sector is not None and all(check.passed for check in checks):
-        changes = _expenditure_changes(inputs, simulate_prices(bundle, inputs.schedule))
+        delta = _category_change(inputs, simulate_prices(bundle, inputs.schedule))
         try:
-            _household_tables(inputs, *changes, _resolve_base_groups(by_sector, {}))
+            _household_tables(inputs, delta, _resolve_base_groups(by_sector, {}))
         except DimensionMismatch as exc:
             checks.append(Check(f"household report: {exc} FAIL", False))
     return checks
@@ -324,8 +324,8 @@ class ScenarioResult:
     baseline: np.ndarray
     price_level: np.ndarray
     summary: PriceChangeSummary
-    delta: np.ndarray | None
-    category_delta: np.ndarray | None
+    delta: np.ndarray | None  # groups × sectors
+    category_delta: np.ndarray | None  # on category_expenditure's codes, which the household tables read
     base_groups: dict[GroupDimension, str]
 
 
@@ -347,7 +347,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     )
     summary = price_change_summary(price_level, output=inputs.table.x)
 
-    delta, category_delta = _expenditure_changes(inputs, price_level)
+    delta = category_delta = None
+    if expenditure is not None:
+        delta, category_delta = expenditure_change(expenditure, price_level), _category_change(inputs, price_level)
     return ScenarioResult(
         config=config,
         inputs=inputs,
@@ -361,15 +363,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def _expenditure_changes(inputs: ScenarioInputs, price_level: np.ndarray):
-    """ΔE on sector codes and on ``category_expenditure``'s items; both None without expenditure."""
-    if inputs.expenditure is None:
-        return None, None
-    delta = expenditure_change(inputs.expenditure, price_level)
-    if inputs.weights is None:
-        return delta, delta
-    # item-level price index: concordance-weighted sector prices
-    return delta, expenditure_change_on_items(inputs.category_expenditure, inputs.weights @ price_level)
+def _category_change(inputs: ScenarioInputs, price_level: np.ndarray) -> np.ndarray:
+    """ΔE on ``category_expenditure``'s codes: its sectors, or its items at concordance-weighted sector prices."""
+    item_prices = price_level if inputs.weights is None else inputs.weights @ price_level
+    return expenditure_change_on_items(inputs.category_expenditure, item_prices)
 
 
 def _resolve_base_groups(
@@ -415,18 +412,20 @@ def run_tables(result: ScenarioResult) -> dict[str, tuple[list[str], list[list[s
     }
     if inputs.expenditure is None:
         return tables
-    return tables | _household_tables(inputs, result.delta, result.category_delta, result.base_groups)
+    return tables | _household_tables(inputs, result.category_delta, result.base_groups)
 
 
-def _household_tables(inputs: ScenarioInputs, delta, category_delta, base_groups: dict[GroupDimension, str]):
-    """The household tables of :func:`run_tables`; a group whose numbers overflow is a ``DimensionMismatch``."""
-    expenditure, category_map = inputs.expenditure, inputs.category_map
+def _household_tables(inputs: ScenarioInputs, delta: np.ndarray, base_groups: dict[GroupDimension, str]):
+    """The household tables of :func:`run_tables` from ``category_expenditure`` and its ΔE ``delta``.
+
+    Every table takes a group's totals from that one matrix, so a category
+    table's TOTAL row repeats the group's ``incidence_by_group`` row. A group
+    whose numbers overflow is a ``DimensionMismatch``.
+    """
+    expenditure, category_map = inputs.category_expenditure, inputs.category_map
     groups = expenditure.groups
     if category_map is not None:
-        report = category_report(inputs.category_expenditure, category_delta, category_map)
-        # load_household builds both matrices from one, so row h is the same group in each
-        if [b.group.group_id for b in report.rows] != [g.group_id for g in groups]:
-            raise DimensionMismatch("expenditure and category_expenditure must list the same groups in order")
+        report = category_report(expenditure, delta, category_map)
     # the gaps table's rows: base_groups holds one entry per dimension that has groups, in GroupDimension order
     rank = {dimension: k for k, dimension in enumerate(base_groups)}
     ranked = sorted((rank[g.dimension], g.group_id, h) for h, g in enumerate(groups) if g.dimension in rank)
@@ -455,10 +454,10 @@ def _household_tables(inputs: ScenarioInputs, delta, category_delta, base_groups
         "group_id", "label", "category", "base_share", "post_share", "share_point_change", "pct_change_within"
     ]  # fmt: skip
     tables |= {f"category_table_{dimension.value}": (category_header, []) for dimension in base_groups}
-    for h, group in zip(order, members):
+    for h, (dimension, group_id, label, before, after, pct_change, *_) in zip(order, gap_rows):
         b = report.rows[h]
-        rows = tables[f"category_table_{group.dimension.value}"][1]
+        rows = tables[f"category_table_{dimension}"][1]
         for category, *values in zip(report.categories, b.base_share, b.post_share, b.share_change, b.pct_change):
-            rows.append([group.group_id, group.label, category, *values])
-        rows.append([group.group_id, group.label, "TOTAL", b.total_before, b.total_after, "", b.total_pct_change])
+            rows.append([group_id, label, category, *values])
+        rows.append([group_id, label, "TOTAL", before, after, "", pct_change])
     return tables

@@ -8,6 +8,9 @@ iteration, and spectral radii against dense eigenvalues. Set-ups are built
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+
 import numpy as np
 
 from gstio import CoefficientBundle, IOTable, RateCategory, RateSchedule, SectorSet
@@ -207,3 +210,18 @@ def random_bundle_and_schedule(
         gst_rate=float(rng.uniform(0.0, 0.2)),
     )
     return bundle, schedule
+
+
+def one_total_per_group(run_dir: Path) -> dict[str, str]:
+    """Assert that every category table's TOTAL row in ``run_dir`` repeats its group's
+    ``incidence_by_group.csv`` row cell for cell; return each group's ``total_before`` cell."""
+
+    def rows(name: str) -> list[list[str]]:
+        return list(csv.reader((run_dir / name).read_text(encoding="utf-8").splitlines()))[1:]
+
+    incidence = {group_id: [group_id, label, *totals] for _, group_id, label, *totals in rows("incidence_by_group.csv")}
+    for table in sorted(run_dir.glob("category_table_*.csv")):
+        for group_id, label, category, before, after, _, pct in rows(table.name):
+            if category == "TOTAL":
+                assert [group_id, label, before, after, pct] == incidence[group_id], table
+    return {group_id: row[2] for group_id, row in incidence.items()}

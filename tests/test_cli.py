@@ -9,9 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gstio import GstioError, MaskedInputTreatment, cli, load_scenario, run_scenario, run_tables
+import helpers
+from gstio import ExpenditureBasis, GstioError, MaskedInputTreatment, cli, load_expenditure, load_scenario
+from gstio import run_scenario, run_tables
 from gstio.cli import main
-from gstio.errors import DimensionMismatch
 
 EXPECTED_DP = np.array([0.920366, 0.914612, 0.997991])
 
@@ -420,13 +421,37 @@ class TestRun:
         tables = run_tables(run_scenario(load_scenario(tmp_path / "s.cfg")))
         assert written == {name: (header, len(rows)) for name, (header, rows) in tables.items()}
 
-    def test_run_tables_refuses_category_groups_in_another_order(self, data_dir):
-        result = run_scenario(load_scenario(data_dir / "scenario.cfg"))
-        by_category = result.inputs.category_expenditure
-        shuffled = replace(by_category, groups=by_category.groups[::-1], values=by_category.values[::-1])
-        inputs = replace(result.inputs, category_expenditure=shuffled)
-        with pytest.raises(DimensionMismatch):
-            run_tables(replace(result, inputs=inputs, category_delta=result.category_delta[::-1]))
+    @pytest.mark.parametrize("precision", [[], ["--full-precision"]], ids=["6-digits", "full-precision"])
+    @pytest.mark.parametrize("coded", ["items", "sectors"])
+    def test_one_total_per_group(self, data_dir, tmp_path, coded, precision):
+        # every table reads one spending matrix: the file's, so its totals are the file's
+        scenario, basis = data_dir / "scenario.cfg", ExpenditureBasis.ITEM_CODES
+        if coded == "sectors":
+            # the map groups agr with ser, so summing its category cells rounds differently
+            (tmp_path / "spend.csv").write_text(
+                "group_id,dimension,label,item_code,amount\n"
+                "inc1,income,low,agr,307.25\ninc1,income,low,ind,367.45\ninc1,income,low,ser,276.38\n"
+                "inc2,income,high,agr,468.19\ninc2,income,high,ind,409.77\ninc2,income,high,ser,11.34\n"
+                "eth1,ethnicity,A,agr,347.34\neth1,ethnicity,A,ind,200.57\neth1,ethnicity,A,ser,76.2\n",
+                encoding="utf-8",
+            )
+            (tmp_path / "map.csv").write_text(
+                "code,category\nagr,food_nonalcoholic\nind,misc_goods_services\nser,food_nonalcoholic\n",
+                encoding="utf-8",
+            )
+            scenario, basis = tmp_path / "s.cfg", ExpenditureBasis.SECTOR_CODES
+            scenario.write_text(
+                f"[inputs]\nio_table = {data_dir / 'io_table.csv'}\n"
+                f"rate_schedule = {data_dir / 'rate_schedule.csv'}\n"
+                "expenditure = spend.csv\ncategory_map = map.csv\n\n"
+                "[tax]\ngst_rate = 0.06\n\n[report]\noutput_dir = out\n",
+                encoding="utf-8",
+            )
+        out = tmp_path / "run"
+        assert main(["run", str(scenario), "-o", str(out), *precision]) == 0
+        loaded = load_expenditure(load_scenario(scenario).expenditure, basis=basis)
+        fmt = cli._number_formatter(bool(precision))
+        assert helpers.one_total_per_group(out) == {g: fmt(t) for g, t in zip(loaded.group_ids, loaded.totals())}
 
     def test_household_tables_are_the_golden_text(self, data_dir, tmp_path):
         out = tmp_path / "run"
@@ -465,6 +490,16 @@ class TestRun:
         assert capsys.readouterr().err == f"ERROR GstioError: output path {out} exists and is not a directory\n"
         assert out.read_text(encoding="utf-8") == "not a run\n"
         assert [path.name for path in tmp_path.iterdir()] == ["run"]  # no staging directory left behind
+
+    @pytest.mark.parametrize("output", [".", ".."])
+    def test_refuses_an_output_directory_that_holds_its_inputs(self, data_dir, tmp_path, monkeypatch, capsys, output):
+        shutil.copytree(data_dir, tmp_path / "inputs")
+        before = sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path / "inputs")
+        assert main(["run", "scenario.cfg", "-o", output, "--force"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("ERROR GstioError: output directory "), err
+        assert sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*")) == before
 
     def test_no_reform_scenario_prices_flat(self, tmp_path, capsys):
         # no indirect tax at baseline and a 0% reform rate: the substituted

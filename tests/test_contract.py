@@ -28,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from gstio.cli import main
 from gstio.errors import LoadError
 
@@ -89,7 +90,8 @@ def mutate_csv(data: bytes, kind: str, line: int, column: int, token: bytes, cut
 
 def run_outcome(scenario: Path) -> str:
     """Run ``scenario`` in process and return its stderr, having checked that it
-    either wrote its outputs, or failed with exit 2 or 3 and one ERROR line."""
+    either wrote its outputs, each category TOTAL row the same as its group's
+    incidence row, or failed with exit 2 or 3 and one ERROR line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["run", str(scenario)])
@@ -98,6 +100,8 @@ def run_outcome(scenario: Path) -> str:
         assert err == ""
         run_dir = Path(out.getvalue().splitlines()[-1].removeprefix("run complete: "))
         assert (run_dir / "price_changes.csv").is_file()
+        if (run_dir / "incidence_by_group.csv").is_file():
+            helpers.one_total_per_group(run_dir)
     else:
         assert code in (2, 3), err
         assert len(err.splitlines()) == 1 and re.match(r"ERROR \w+: ", err), err
@@ -145,6 +149,8 @@ def _appendix_copy(tmp: str) -> Path:
 @example(kind="insert", line=1, token=b"zzz", cut=0)
 @example(kind="insert", line=2, token=b"zzz", cut=0)
 @example(kind="replace", line=7, token=b"[DEFAULT]", cut=0)
+# full precision, where summing the category cells rounds some group totals differently
+@example(kind="replace", line=15, token=b"yes", cut=0)
 def test_scenario_mutants_run_or_fail_with_one_located_error(kind, line, token, cut):
     with tempfile.TemporaryDirectory() as tmp:
         scenario = _appendix_copy(tmp) / "scenario.cfg"
