@@ -6,10 +6,12 @@ The long-format files (rate schedule, expenditure, concordance, category
 map) need at least their named columns in every row, and further fields are
 ignored. The IO table, and the run tables ``gstio report`` reads, need
 exactly the header's width in every row. Blank rows are skipped (except
-inside the IO table's sector block, which is positional). Each file is read
-once, into the list of its lines, and only that list is parsed. Every load
-error names the file, line and column, 1-based: the header is line 1. A byte
-that is not UTF-8 is reported at its line.
+inside the IO table's sector block, which is positional). Each file but the
+expenditure file is read once, into the list of its lines, and only that
+list is parsed; the expenditure file is streamed, and read again only for
+its row walk or to locate an overflow. Every load error names the file, line
+and column, 1-based: the header is line 1. A byte that is not UTF-8 is
+reported at its line.
 
 IO table (``load_io_table``)::
 
@@ -51,9 +53,19 @@ Expenditure (``load_expenditure``), long format::
 
     group_id,dimension,label,item_code,amount
 
-    dimension is one of income, ethnicity. Duplicate (group, item) rows sum.
-    Each group's total must be finite: the row whose amount, summed in file
-    order, makes it overflow is an error at its amount.
+    dimension is one of income, ethnicity. group_id and item_code must not
+    be empty. Duplicate (group, item) rows sum. Each group's total must be
+    finite: the row whose amount, summed in file order, makes it overflow is
+    an error at its amount.
+
+    The file is read in blocks of EXPENDITURE_BLOCK_LINES lines, each parsed
+    in one numpy pass, so only a block's lines and cell strings are held at
+    a time. When numpy cannot vouch for a block (a quote, a blank line, a
+    cell numpy declines, an amount that is not finite or is negative, an
+    unknown dimension, a redefined group or an empty id) the whole file is
+    read again and its rows are walked one by one with ``csv``, which
+    locates the first error in file order. Either way the rows are added
+    into the matrix by one code path, so the matrix has the same bits.
 
 Concordance (``load_concordance``)::
 
@@ -73,7 +85,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -106,6 +118,14 @@ EXPENDITURE_COLUMNS = ("group_id", "dimension", "label", "item_code", "amount")
 _CATEGORY_TOKENS = {c.value: c for c in RateCategory}
 
 _DIMENSION_TOKENS = {d.value: d for d in GroupDimension}
+
+# lines of the expenditure file parsed in one numpy pass; larger blocks are
+# no faster, and hold more lines and cell strings at a time
+EXPENDITURE_BLOCK_LINES = 256
+_EXPENDITURE_DTYPE = [(name, object) for name in EXPENDITURE_COLUMNS[:4]] + [("amount", float)]
+# a quote may open a cell that spans lines; NUL and \x1c-\x1f are read
+# differently by numpy and csv or float
+_UNVOUCHED = '"\x00\x1c\x1d\x1e\x1f'
 
 
 def _read_lines(path) -> list[str]:
@@ -486,28 +506,8 @@ def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CO
 
 def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix, dict[str, int]]:
     """The matrix ``load_expenditure`` returns, and the line where each item code first appears."""
-    groups: dict[str, tuple[GroupDimension, str]] = {}
-    group_lines: dict[str, int] = {}
-    item_lines: dict[str, int] = {}
-    # each row's group and item, by the line each first appears on, and amount
-    row_groups, row_items, amounts = [], [], []
-    records = _records(path, EXPENDITURE_COLUMNS)
-    for line, (group_id, dim_token, label, item_code, amount_cell) in records:
-        dimension = _token(_DIMENSION_TOKENS, dim_token, "dimension", path=path, line=line)
-        row_groups.append(group_lines.setdefault(group_id, line))
-        if groups.setdefault(group_id, (dimension, label)) != (dimension, label):
-            raise SchemaError(
-                f"group {group_id!r} redefined with different dimension/label",
-                path=path,
-                line=line,
-                column=1,
-            )
-        amount = _cell_float(amount_cell, path=path, line=line, column=5)
-        if amount < 0:
-            raise ParseError(f"amount must be nonnegative, got {amount}", path=path, line=line, column=5)
-        row_items.append(item_lines.setdefault(item_code, line))
-        amounts.append(amount)
-
+    rows = _parse_expenditure_blocks(path) or _walk_expenditure_rows(path)
+    groups, group_lines, item_lines, row_groups, row_items, amounts = rows
     if not groups:
         raise SchemaError("no expenditure rows", path=path, line=1)
     # a line brings in at most one new group and one new item, so first lines
@@ -527,6 +527,112 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
         # every amount is finite and nonnegative, so a sum of them overflowed
         raise _overflow(path, values, tuple(groups)) from None
     return matrix, item_lines
+
+
+def _walk_expenditure_rows(path):
+    """The expenditure rows read one by one with ``csv``, each checked as it is met.
+
+    Returns each group's dimension and label and first line, each item's
+    first line, and per row its group's and item's first lines and its
+    amount, all in file order. The first error in file order raises at its
+    line and column.
+    """
+    groups: dict[str, tuple[GroupDimension, str]] = {}
+    group_lines: dict[str, int] = {}
+    item_lines: dict[str, int] = {}
+    row_groups, row_items, amounts = [], [], []
+    for line, (group_id, dim_token, label, item_code, amount_cell) in _records(path, EXPENDITURE_COLUMNS):
+        if not group_id:
+            raise SchemaError("empty group_id", path=path, line=line, column=1)
+        dimension = _token(_DIMENSION_TOKENS, dim_token, "dimension", path=path, line=line)
+        row_groups.append(group_lines.setdefault(group_id, line))
+        if groups.setdefault(group_id, (dimension, label)) != (dimension, label):
+            raise SchemaError(
+                f"group {group_id!r} redefined with different dimension/label",
+                path=path,
+                line=line,
+                column=1,
+            )
+        if not item_code:
+            raise SchemaError("empty item_code", path=path, line=line, column=4)
+        amount = _cell_float(amount_cell, path=path, line=line, column=5)
+        if amount < 0:
+            raise ParseError(f"amount must be nonnegative, got {amount}", path=path, line=line, column=5)
+        row_items.append(item_lines.setdefault(item_code, line))
+        amounts.append(amount)
+    return groups, group_lines, item_lines, row_groups, row_items, amounts
+
+
+def _parse_expenditure_blocks(path):
+    """What ``_walk_expenditure_rows`` returns, from one numpy pass per block of lines, or None.
+
+    None means numpy cannot vouch for a block (see ``_parse_expenditure_block``)
+    or the file is one the walk must judge: a header other than the walk
+    reads, no rows, a byte that is not UTF-8, or an empty id.
+    """
+    groups: dict[str, tuple[GroupDimension, str]] = {}
+    group_lines: dict[str, int] = {}
+    item_lines: dict[str, int] = {}
+    # per block: each row's group's first line, its item's first line, its amount
+    columns: tuple[list, list, list] = ([], [], [])
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            header = handle.readline().rstrip("\r\n")
+            if any(char in header for char in _UNVOUCHED) or tuple(header.split(",")[:5]) != EXPENDITURE_COLUMNS:
+                return None
+            line = 2
+            while block := list(islice(handle, EXPENDITURE_BLOCK_LINES)):
+                parsed = _parse_expenditure_block(block, line, groups, group_lines, item_lines)
+                if parsed is None:
+                    return None
+                for column, part in zip(columns, parsed):
+                    column.append(part)
+                line += len(block)
+    except (OSError, UnicodeDecodeError):
+        return None
+    if not groups or "" in groups or "" in item_lines:
+        return None
+    return groups, group_lines, item_lines, *map(np.concatenate, columns)
+
+
+def _parse_expenditure_block(block: list[str], line: int, groups: dict, group_lines: dict, item_lines: dict):
+    """Each row's group's first line, item's first line and amount, for ``block``: the lines from ``line`` on.
+
+    Adds the block's new groups and items to the three dicts of
+    ``_parse_expenditure_blocks``. Returns None unless every line is one row
+    of five fields without a quote, NUL or \\x1c-\\x1f (which numpy strips
+    around a number and ``float`` rejects), every amount is finite and
+    nonnegative, and each row repeats the dimension token and label of its
+    group's first row in the block, which name the group's dimension and
+    label. numpy reads a subset of what ``float`` reads, so an accepted
+    amount has the walk's bits.
+    """
+    n = len(block)
+    # numpy skips a blank line, which the walk numbers, and warns when every line is
+    text = "".join(block)
+    if not block[0].strip() or any(char in text for char in _UNVOUCHED):
+        return None
+    try:
+        rows = np.loadtxt(block, dtype=_EXPENDITURE_DTYPE, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    # a copy, as a view of the field would keep the block's strings alive
+    amounts = rows["amount"].copy()
+    if len(rows) != n or not ((amounts >= 0) & (amounts < np.inf)).all():
+        return None
+    ids, tokens, labels = rows["group_id"], rows["dimension"], rows["label"]
+    starts: dict[str, int] = {}
+    first = np.fromiter(map(starts.setdefault, ids, range(n)), np.intp, n)  # each row's group's first row
+    if (tokens != tokens[first]).any() or (labels != labels[first]).any():
+        return None
+    first_lines = np.empty(n, np.intp)
+    for group_id, k in starts.items():
+        dimension = _DIMENSION_TOKENS.get(tokens[k].strip().lower())
+        if dimension is None or groups.setdefault(group_id, (dimension, labels[k])) != (dimension, labels[k]):
+            return None
+        first_lines[k] = group_lines.setdefault(group_id, line + k)
+    item_first_lines = np.fromiter(map(item_lines.setdefault, rows["item_code"], range(line, line + n)), np.intp, n)
+    return first_lines[first], item_first_lines, amounts
 
 
 def _overflow(path, values: np.ndarray, group_ids) -> ParseError:

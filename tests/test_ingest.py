@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gstio import (
     ConcordanceLink,
     EmptyGroup,
     ExpenditureBasis,
+    ExpenditureMatrix,
     GroupDimension,
     GstioError,
     HouseholdGroup,
@@ -81,6 +83,77 @@ def _sector_tables(draw):
         lines.insert(draw(st.integers(1, n + 1)), "")
     newline = draw(st.sampled_from(("\n", "\r\n")))
     return newline.join(lines) + newline
+
+
+EXPENDITURE_HEADER = "group_id,dimension,label,item_code,amount"
+GROUP_PIECES = (("g1", "income", "low"), ("g2", "ethnicity", "Malay"), ("g3", " Income ", "a b"))
+AMOUNT_PIECES = ("0", "1", "2.5", " 3 ", "0.1", "1e16", "-0", "4.9e-324")
+ODD_EXPENDITURE_ROWS = (
+    # numpy declines 1_000, an empty cell and a cell that is not a number
+    "g1,income,low,food,1_000",
+    "g1,income,low,food,",
+    "g1,income,low,food,zzz",
+    "g1,income,low,food,inf",
+    "g1,income,low,food,nan",
+    "g1,income,low,food,1e999",
+    "g1,income,low,food,-1",
+    # numpy strips \x1c around a number, which float rejects
+    "g1,income,low,food,1\x1c",
+    "g1,income,low,fo\x00od,1",
+    "g1,INCOME,low,food,1",
+    "g1,ethnicity,low,food,1",
+    "g1,income,high,food,1",
+    "g1,region,low,food,1",
+    ",income,low,food,1",
+    "g1,income,low,,1",
+    "g1,income,low,food,1,x",
+    "g1,income,low,food",
+    "",
+    "   ",
+    'g1,income,"low",food,1',
+    'g1,income,low,"fo\nod",1',
+)
+
+
+@st.composite
+def _expenditure_files(draw):
+    """The bytes of an expenditure file of up to 12 rows, most of them plain; half the files have one odd row."""
+    rows = [
+        ",".join((*draw(st.sampled_from(GROUP_PIECES)), draw(st.sampled_from(("food", "fuel", "x y")))))
+        + "," + draw(st.sampled_from(AMOUNT_PIECES))
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(ODD_EXPENDITURE_ROWS))
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    data = newline.join([EXPENDITURE_HEADER, *rows, ""]).encode("utf-8")
+    if draw(st.integers(0, 7)) == 0:
+        data += b"g1,income,l\xffow,food,1\n"
+    return data
+
+
+def _expenditure_outcome(path):
+    """A loaded expenditure's groups, items, bits and first lines, or its error's class, message and location."""
+    try:
+        matrix, item_lines = ingest._load_expenditure(path, ExpenditureBasis.ITEM_CODES)
+    except LoadError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    except GstioError as exc:
+        return type(exc), str(exc)
+    return matrix.groups, matrix.items, matrix.values.tobytes(), list(item_lines.items())
+
+
+def _write_expenditure(path, groups: int, items: int, seed: int) -> ExpenditureMatrix:
+    """Save a random ``groups`` × ``items`` item-coded expenditure at ``path``; returns the saved matrix."""
+    households = tuple(
+        HouseholdGroup(f"g{h:04d}", (GroupDimension.INCOME_CLASS, GroupDimension.ETHNICITY)[h % 2], f"label {h}")
+        for h in range(groups)
+    )
+    codes = tuple(f"item{j:03d}" for j in range(items))
+    values = np.round(np.random.default_rng(seed).uniform(1.0, 200.0, (groups, items)), 2)
+    matrix = ExpenditureMatrix(households, codes, values, ExpenditureBasis.ITEM_CODES)
+    save_expenditure(matrix, path)
+    return matrix
 
 
 def _load_outcome(path):
@@ -678,6 +751,120 @@ class TestLoadExpenditure:
         np.testing.assert_array_equal(matrix.values, again.values)
         assert matrix.groups == again.groups
         assert matrix.items == again.items
+
+    @pytest.mark.parametrize(
+        "row, column, message",
+        [(",income,<1000,food,5", 1, "empty group_id"), ("inc1,income,<1000,,5", 4, "empty item_code")],
+        ids=["group_id", "item_code"],
+    )
+    def test_empty_id_refused_at_its_cell(self, tmp_path, data_dir, row, column, message):
+        text = (data_dir / "expenditure.csv").read_text(encoding="utf-8") + row + "\n"
+        path = _write(tmp_path, "e.csv", text)
+        with pytest.raises(SchemaError, match=f"{message}$") as info:
+            load_expenditure(path)
+        assert (info.value.line, info.value.column) == (text.count("\n"), column)
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @pytest.mark.filterwarnings("error")
+    @given(data=_expenditure_files())
+    # duplicate (group, item) rows across three blocks, with CRLF endings
+    @example(data=(EXPENDITURE_HEADER + "\r\ng1,income,low,food,0.1\r\ng2,income,mid,fuel,1e16" * 4 + "\r\n").encode())
+    # a group redefined in a later block
+    @example(data=f"{EXPENDITURE_HEADER}\ng1,income,l,a,1\ng2,income,m,a,1\ng3,income,n,a,1\ng1,income,x,a,1\n".encode())
+    # an amount that numpy reads and float does not, a header only, and an empty file
+    @example(data=f"{EXPENDITURE_HEADER}\ng1,income,low,a,1\ng1,income,low,b,1\x1c\n".encode())
+    @example(data=f"{EXPENDITURE_HEADER}\n".encode())
+    @example(data=b"")
+    def test_block_path_agrees_with_the_row_walk(self, tmp_path, data):
+        path = tmp_path / "e.csv"
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "EXPENDITURE_BLOCK_LINES", 3)
+            read = _expenditure_outcome(path)
+            patch.setattr(ingest, "_parse_expenditure_blocks", lambda path: None)
+            assert read == _expenditure_outcome(path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # a quoted cell, also one that spans lines
+            'g1,income,"low",food,1',
+            'g1,income,low,"fo\nod",1',
+            # a blank line, which numpy skips, and a block of only blank lines,
+            # for which numpy warns
+            "g1,income,low,food,1\n",
+            "",
+            # numpy declines 1_000 and an extra column
+            "g1,income,low,food,1_000",
+            "g1,income,low,food,1,x",
+            # one group's dimension in two cases in one block
+            "g1,income,low,food,1\ng1,Income,low,food,1",
+            "g1,income,low,fo\x00od,1",
+            # numpy strips \x1c around a number, which float rejects
+            "g1,income,low,food,1\x1c",
+            "g1,income,low,food,inf",
+            "g1,income,low,food,nan",
+            "g1,income,low,food,-1",
+            # a group redefined in a later block and in its own block
+            "g1,income,high,food,1",
+            "g2,income,mid,food,1\ng2,income,high,food,1",
+            "g1,region,low,food,1",
+            ",income,low,food,1",
+            "g1,income,low,,1",
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_block_path_declines_what_it_cannot_vouch_for(self, tmp_path, monkeypatch, rows):
+        # the odd rows start the file's second block of three lines
+        monkeypatch.setattr(ingest, "EXPENDITURE_BLOCK_LINES", 3)
+        path = _write(tmp_path, "e.csv", f"{EXPENDITURE_HEADER}\n" + "g1,income,low,fuel,2\n" * 3 + f"{rows}\n")
+        assert ingest._parse_expenditure_blocks(path) is None
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            EXPENDITURE_HEADER.encode() + b"\n",
+            (EXPENDITURE_HEADER + "\ng1,income,low,food,1" * 7).encode() + b"\n\xff\n",
+        ],
+        ids=["empty", "header-only", "late-non-utf8"],
+    )
+    def test_block_path_leaves_files_without_rows_or_text_to_the_walk(self, tmp_path, monkeypatch, data):
+        monkeypatch.setattr(ingest, "EXPENDITURE_BLOCK_LINES", 3)
+        path = tmp_path / "e.csv"
+        path.write_bytes(data)
+        assert ingest._parse_expenditure_blocks(path) is None
+
+    def test_block_path_runs_on_a_plain_file(self, tmp_path, monkeypatch):
+        # a silent fallback to the row walk, e.g. on an older numpy, fails here
+        def no_walk(path):
+            raise AssertionError("the expenditure rows were walked")
+
+        monkeypatch.setattr(ingest, "_walk_expenditure_rows", no_walk)
+        path = tmp_path / "e.csv"
+        saved = _write_expenditure(path, 40, 150, seed=5)  # 6,000 rows, many blocks
+        loaded = load_expenditure(path)
+        assert (loaded.groups, loaded.items) == (saved.groups, saved.items)
+        np.testing.assert_array_equal(loaded.values, saved.values)
+
+    def test_load_memory_is_bounded_by_the_file(self, tmp_path):
+        # holding the file's lines, or a view of the amounts that keeps a block's strings, costs more
+        path = tmp_path / "e.csv"
+        _write_expenditure(path, 800, 100, seed=6)  # 80,000 rows
+        load_expenditure(path)
+        tracemalloc.start()
+        try:
+            load_expenditure(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
 
 
 class TestConcordance:
