@@ -10,8 +10,8 @@ inside the IO table's sector block, which is positional). Each file but the
 expenditure file is read once, into the list of its lines, and only that
 list is parsed; the expenditure file is streamed, and read again only for
 its row walk or to locate an overflow. Every load error names the file, line
-and column, 1-based: the header is line 1. A byte that is not UTF-8 is
-reported at its line.
+and column, 1-based: the header is line 1. A byte that is not UTF-8, or a
+cell longer than ``csv.field_size_limit()``, is reported at its line.
 
 IO table (``load_io_table``)::
 
@@ -61,11 +61,12 @@ Expenditure (``load_expenditure``), long format::
     The file is read in blocks of EXPENDITURE_BLOCK_LINES lines, each parsed
     in one numpy pass, so only a block's lines and cell strings are held at
     a time. When numpy cannot vouch for a block (a quote, a blank line, a
-    cell numpy declines, an amount that is not finite or is negative, an
-    unknown dimension, a redefined group or an empty id) the whole file is
-    read again and its rows are walked one by one with ``csv``, which
-    locates the first error in file order. Either way the rows are added
-    into the matrix by one code path, so the matrix has the same bits.
+    block longer than the csv field limit, a cell numpy declines, an amount
+    that is not finite or is negative, an unknown dimension, a redefined
+    group or an empty id) the whole file is read again and its rows are
+    walked one by one with ``csv``, which locates the first error in file
+    order. Either way the rows are added into the matrix by one code path,
+    so the matrix has the same bits.
 
 Concordance (``load_concordance``)::
 
@@ -158,24 +159,33 @@ def _not_utf8(error: type[LoadError], path) -> LoadError:
     return error("not UTF-8", path=path)  # the file changed after the failed read
 
 
-def _numbered(records, start: int = 0) -> Iterator[tuple[int, list[str]]]:
-    """``(line, row)`` for each non-blank record of a csv reader, at the file line the record starts on.
+def _record(records, *, path, start: int = 0) -> tuple[int, list[str]] | None:
+    """``(line, row)`` for a csv reader's next record, at the file line it starts on; None past the last.
 
     A quoted cell may span lines, so the line is one past the count of lines
     the reader had read before the record; ``start`` lines precede its source.
+    A record csv refuses (a cell past its field limit) is a ParseError there.
     """
     line = start + records.line_num + 1
-    for row in records:
-        if row and row != [""]:
-            yield line, row
-        line = start + records.line_num + 1
+    try:
+        return line, next(records)
+    except StopIteration:
+        return None
+    except csv.Error as exc:
+        raise ParseError(f"unreadable csv record: {exc}", path=path, line=line) from None
+
+
+def _numbered(records, *, path, start: int = 0) -> Iterator[tuple[int, list[str]]]:
+    """``(line, row)`` for each non-blank record of a csv reader, as :func:`_record` reads it."""
+    while record := _record(records, path=path, start=start):
+        if record[1] and record[1] != [""]:
+            yield record
 
 
 def _rows(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """The header row of a CSV file, and ``(line, row)`` for each non-blank row after it."""
     rows = csv.reader(_read_lines(path))
-    header = next(rows)
-    return header, _numbered(rows)
+    return _record(rows, path=path)[1], _numbered(rows, path=path)
 
 
 def _records(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -241,8 +251,9 @@ def _parse_sector_block(lines: list[str], ids: tuple[str, ...]):
     n = len(ids)
     block = lines[:n]
     # numpy skips a blank line, which the walk rejects, and warns when every
-    # line is; it strips \x1c-\x1f around a number, which float rejects
-    if len(block) < n or not block[0].strip("\r\n"):
+    # line is; it strips \x1c-\x1f around a number, which float rejects; it
+    # reads a cell longer than the field limit, which csv refuses
+    if len(block) < n or not block[0].strip("\r\n") or max(map(len, block)) > csv.field_size_limit():
         return None
     if any(sep in line for line in block for sep in "\x1c\x1d\x1e\x1f"):
         return None
@@ -262,7 +273,10 @@ def _parse_sector_block(lines: list[str], ids: tuple[str, ...]):
     # numpy ends the last row at the end of the block even inside an open
     # quote, where csv reads on; so csv reads that row again to decide
     last = csv.reader(lines[n - 1 :])
-    next(last)
+    try:
+        next(last)
+    except csv.Error:
+        return None
     if last.line_num != 1:
         return None
     return list(rows["name"]), rows["cells"]
@@ -280,10 +294,10 @@ def _walk_sector_rows(records, ids: tuple[str, ...], *, path) -> tuple[list[str]
     names, lines = [], []
     cells = np.zeros((n, n + 3))
     for i in range(n):
-        line = records.line_num + 1
-        row = next(records, None)
-        if row is None:
+        record = _record(records, path=path)
+        if record is None:
             raise SchemaError(f"expected {n} sector rows, found {i}", path=path, line=records.line_num)
+        line, row = record
         _require_width(row, n + 5, path=path, line=line)
         if row[0] != ids[i]:
             raise SchemaError(
@@ -306,7 +320,7 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
     """
     lines = _read_lines(path)
     records = csv.reader(lines)
-    header = next(records)
+    header = _record(records, path=path)[1]
     if header[:2] != ["sector_id", "sector_name"]:
         raise SchemaError(
             "header must start with sector_id,sector_name", path=path, line=1, column=1
@@ -333,7 +347,7 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
 
     primary: dict[str, np.ndarray] = {}
     primary_lines = []
-    for line, row in _numbered(records, start):
+    for line, row in _numbered(records, path=path, start=start):
         if not row[0]:
             continue
         _require_width(row, len(header), path=path, line=line)
@@ -580,6 +594,8 @@ def _parse_expenditure_blocks(path):
             header = handle.readline().rstrip("\r\n")
             if any(char in header for char in _UNVOUCHED) or tuple(header.split(",")[:5]) != EXPENDITURE_COLUMNS:
                 return None
+            if len(header) > csv.field_size_limit():
+                return None
             line = 2
             while block := list(islice(handle, EXPENDITURE_BLOCK_LINES)):
                 parsed = _parse_expenditure_block(block, line, groups, group_lines, item_lines)
@@ -608,9 +624,10 @@ def _parse_expenditure_block(block: list[str], line: int, groups: dict, group_li
     amount has the walk's bits.
     """
     n = len(block)
-    # numpy skips a blank line, which the walk numbers, and warns when every line is
+    # numpy skips a blank line, which the walk numbers, and warns when every
+    # line is; it reads a cell longer than the field limit, which csv refuses
     text = "".join(block)
-    if not block[0].strip() or any(char in text for char in _UNVOUCHED):
+    if not block[0].strip() or any(char in text for char in _UNVOUCHED) or len(text) > csv.field_size_limit():
         return None
     try:
         rows = np.loadtxt(block, dtype=_EXPENDITURE_DTYPE, delimiter=",", comments=None, ndmin=1)
@@ -785,12 +802,8 @@ def map_expenditure(matrix: ExpenditureMatrix, concordance: Concordance) -> Expe
     """
     if matrix.basis is not ExpenditureBasis.ITEM_CODES:
         raise BasisMismatch("map_expenditure requires an item-coded matrix")
-    return _mapped(matrix, concordance.sectors, concordance.weight_matrix(matrix.items))
-
-
-def _mapped(matrix: ExpenditureMatrix, sectors: SectorSet, weights: np.ndarray) -> ExpenditureMatrix:
-    """``matrix`` on ``sectors``, through its items × sectors ``weights``."""
-    return ExpenditureMatrix(matrix.groups, sectors.ids, matrix.values @ weights, ExpenditureBasis.SECTOR_CODES)
+    values = matrix.values @ concordance.weight_matrix(matrix.items)
+    return ExpenditureMatrix(matrix.groups, concordance.sectors.ids, values, ExpenditureBasis.SECTOR_CODES)
 
 
 def align_expenditure(matrix: ExpenditureMatrix, sectors: SectorSet) -> ExpenditureMatrix:
@@ -805,37 +818,26 @@ def align_expenditure(matrix: ExpenditureMatrix, sectors: SectorSet) -> Expendit
     if unknown:
         raise UnmappedItem(unknown, context="sector set")
     values = np.zeros((len(matrix.groups), len(sectors)))
-    for j, item in enumerate(matrix.items):
-        values[:, sectors.index(item)] = matrix.values[:, j]
-    return ExpenditureMatrix(
-        groups=matrix.groups,
-        items=sectors.ids,
-        values=values,
-        basis=ExpenditureBasis.SECTOR_CODES,
-    )
+    values[:, [sectors.index(item) for item in matrix.items]] = matrix.values
+    return ExpenditureMatrix(matrix.groups, sectors.ids, values, ExpenditureBasis.SECTOR_CODES)
 
 
-def load_household(
-    expenditure, concordance, sectors: SectorSet
-) -> tuple[ExpenditureMatrix, ExpenditureMatrix, np.ndarray | None]:
-    """Load household spending on sectors and on the codes categories are reported in.
+def load_household(expenditure, concordance, sectors: SectorSet) -> tuple[ExpenditureMatrix, np.ndarray | None]:
+    """Load household spending in the codes categories are reported in, and how they map to sectors.
 
-    With a concordance the expenditure file is item-coded and mapped through
-    it: returns the mapped sector matrix, the item matrix and the items ×
-    sectors weights. Without one its item codes must be sector ids: returns
-    the matrix aligned to all sectors twice, and no weights. An item code
-    the concordance, or the sector set without one, lacks raises
+    With a concordance the expenditure file is item-coded: returns the item
+    matrix and the items × sectors weights, so an item's price is its
+    weights' row times the sector prices. Without one its item codes must be
+    sector ids: returns the matrix aligned to all sectors, and no weights. An
+    item code the concordance, or the sector set without one, lacks raises
     :class:`UnmappedItem` at its first line in the expenditure file.
     """
     basis = ExpenditureBasis.SECTOR_CODES if concordance is None else ExpenditureBasis.ITEM_CODES
     matrix, item_lines = _load_expenditure(expenditure, basis)
-    mapping = None if concordance is None else load_concordance(concordance, sectors)
     try:
-        if mapping is None:
-            aligned = align_expenditure(matrix, sectors)
-            return aligned, aligned, None
-        weights = mapping.weight_matrix(matrix.items)
+        if concordance is None:
+            return align_expenditure(matrix, sectors), None
+        return matrix, load_concordance(concordance, sectors).weight_matrix(matrix.items)
     except UnmappedItem as exc:
         line = min(item_lines[item] for item in exc.items)
         raise UnmappedItem(exc.items, exc.context, path=expenditure, line=line) from None
-    return _mapped(matrix, sectors, weights), matrix, weights

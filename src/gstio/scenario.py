@@ -56,7 +56,7 @@ import numpy as np
 
 from .diagnostics import ProductivityReport, productivity_check
 from .errors import DimensionMismatch, SchemaError, UnknownBaseGroup, UnmappedItem
-from .incidence import CategoryMap, ExpenditureMatrix, GroupDimension, category_report, expenditure_change
+from .incidence import CategoryMap, ExpenditureMatrix, GroupDimension, category_report
 from .incidence import _refuse_overflow, expenditure_change_on_items, gap_ratios, purchasing_power_change
 from .ingest import _not_utf8, load_category_map, load_concordance, load_household, load_io_table, load_rate_schedule
 from .io_model import BalanceReport, CoefficientBundle, IOTable, derive_coefficients
@@ -225,8 +225,8 @@ def load_scenario(path) -> ScenarioConfig:
 class ScenarioInputs:
     """A scenario's input files, loaded and checked against each other.
 
-    The household fields are :func:`~gstio.ingest.load_household`'s; ``unmapped``
-    holds the codes of ``category_expenditure`` that ``category_map`` leaves out.
+    ``expenditure`` and ``weights`` are :func:`~gstio.ingest.load_household`'s, spending in
+    the file's codes; ``unmapped`` holds those codes that ``category_map`` leaves out.
     """
 
     table: IOTable
@@ -234,7 +234,6 @@ class ScenarioInputs:
     schedule: RateSchedule
     schedule_warnings: tuple[str, ...]
     expenditure: ExpenditureMatrix | None
-    category_expenditure: ExpenditureMatrix | None
     weights: np.ndarray | None
     category_map: CategoryMap | None
     unmapped: tuple[str, ...]
@@ -248,14 +247,14 @@ def load_inputs(config: ScenarioConfig) -> ScenarioInputs:
     """
     table, balance = load_io_table(config.io_table, allow_unbalanced=config.allow_unbalanced)
     schedule, warnings = load_rate_schedule(config.rate_schedule, table.sectors, gst_rate=config.gst_rate)
-    household = (None, None, None)
+    household = (None, None)
     if config.expenditure:
         household = load_household(config.expenditure, config.concordance, table.sectors)
     elif config.concordance:
         load_concordance(config.concordance, table.sectors)  # nothing to map, but read and checked
     category_map = load_category_map(config.category_map) if config.category_map else None
-    by_category = household[1]
-    unmapped = () if category_map is None or by_category is None else category_map.unmapped(by_category.items)
+    expenditure = household[0]
+    unmapped = () if category_map is None or expenditure is None else category_map.unmapped(expenditure.items)
     return ScenarioInputs(table, balance, schedule, tuple(warnings), *household, category_map, unmapped)
 
 
@@ -293,22 +292,24 @@ def check_inputs(inputs: ScenarioInputs) -> list[Check]:
     checks += [Check(f"warning: {warning}", True) for warning in inputs.schedule_warnings]
     checks.append(_productivity("masked", productivity_check(bundle.A, inputs.schedule.standard_share)))
 
-    by_sector, by_category = inputs.expenditure, inputs.category_expenditure
-    if inputs.weights is not None:
-        before = by_category.totals()
-        err = float(np.max(np.abs(by_sector.totals() - before) / before))
-        line = f"{len(by_category.items)} items, concordance conserves totals to {err:.3e}"
-        checks.append(Check(f"expenditure: {len(by_category.groups)} groups, {line}", True))
-    elif by_sector is not None:
-        checks.append(Check(f"expenditure: {len(by_sector.groups)} groups on sector codes", True))
+    expenditure, weights = inputs.expenditure, inputs.weights
+    if weights is not None:
+        before = expenditure.totals()
+        with np.errstate(over="ignore"):  # mapped totals near the float maximum may round past it
+            mapped = (expenditure.values @ weights).sum(axis=1)
+        err = float(np.max(np.abs(mapped - before) / before))
+        line = f"{len(expenditure.items)} items, concordance conserves totals to {err:.3e}"
+        checks.append(Check(f"expenditure: {len(expenditure.groups)} groups, {line}", True))
+    elif expenditure is not None:
+        checks.append(Check(f"expenditure: {len(expenditure.groups)} groups on sector codes", True))
     if inputs.unmapped:
         checks.append(Check(f"category map: MISSING codes {', '.join(inputs.unmapped)}", False))
     elif inputs.category_map is not None:
         checks.append(Check(f"category map: {len(inputs.category_map.categories)} categories, total over items", True))
-    if by_sector is not None and all(check.passed for check in checks):
-        delta = _category_change(inputs, simulate_prices(bundle, inputs.schedule))
+    if expenditure is not None and all(check.passed for check in checks):
+        delta = _expenditure_change(inputs, simulate_prices(bundle, inputs.schedule))
         try:
-            _household_tables(inputs, delta, _resolve_base_groups(by_sector, {}))
+            _household_tables(inputs, delta, _resolve_base_groups(expenditure, {}))
         except DimensionMismatch as exc:
             checks.append(Check(f"household report: {exc} FAIL", False))
     return checks
@@ -324,8 +325,7 @@ class ScenarioResult:
     baseline: np.ndarray
     price_level: np.ndarray
     summary: PriceChangeSummary
-    delta: np.ndarray | None  # groups × sectors
-    category_delta: np.ndarray | None  # on category_expenditure's codes, which the household tables read
+    delta: np.ndarray | None  # ΔE on inputs.expenditure's codes, which the household tables read
     base_groups: dict[GroupDimension, str]
 
 
@@ -347,9 +347,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     )
     summary = price_change_summary(price_level, output=inputs.table.x)
 
-    delta = category_delta = None
-    if expenditure is not None:
-        delta, category_delta = expenditure_change(expenditure, price_level), _category_change(inputs, price_level)
+    delta = None if expenditure is None else _expenditure_change(inputs, price_level)
     return ScenarioResult(
         config=config,
         inputs=inputs,
@@ -358,15 +356,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         price_level=price_level,
         summary=summary,
         delta=delta,
-        category_delta=category_delta,
         base_groups=base_groups,
     )
 
 
-def _category_change(inputs: ScenarioInputs, price_level: np.ndarray) -> np.ndarray:
-    """ΔE on ``category_expenditure``'s codes: its sectors, or its items at concordance-weighted sector prices."""
+def _expenditure_change(inputs: ScenarioInputs, price_level: np.ndarray) -> np.ndarray:
+    """ΔE on ``inputs.expenditure``'s codes: its sectors, or its items at concordance-weighted sector prices."""
     item_prices = price_level if inputs.weights is None else inputs.weights @ price_level
-    return expenditure_change_on_items(inputs.category_expenditure, item_prices)
+    return expenditure_change_on_items(inputs.expenditure, item_prices)
 
 
 def _resolve_base_groups(
@@ -412,17 +409,17 @@ def run_tables(result: ScenarioResult) -> dict[str, tuple[list[str], list[list[s
     }
     if inputs.expenditure is None:
         return tables
-    return tables | _household_tables(inputs, result.category_delta, result.base_groups)
+    return tables | _household_tables(inputs, result.delta, result.base_groups)
 
 
 def _household_tables(inputs: ScenarioInputs, delta: np.ndarray, base_groups: dict[GroupDimension, str]):
-    """The household tables of :func:`run_tables` from ``category_expenditure`` and its ΔE ``delta``.
+    """The household tables of :func:`run_tables` from ``inputs.expenditure`` and its ΔE ``delta``.
 
     Every table takes a group's totals from that one matrix, so a category
     table's TOTAL row repeats the group's ``incidence_by_group`` row. A group
     whose numbers overflow is a ``DimensionMismatch``.
     """
-    expenditure, category_map = inputs.category_expenditure, inputs.category_map
+    expenditure, category_map = inputs.expenditure, inputs.category_map
     groups = expenditure.groups
     if category_map is not None:
         report = category_report(expenditure, delta, category_map)

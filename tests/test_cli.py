@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gstio import ExpenditureBasis, GstioError, MaskedInputTreatment, cli, load_
 from gstio import run_scenario, run_tables
 from gstio.cli import main
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 EXPECTED_DP = np.array([0.920366, 0.914612, 0.997991])
 
 # The household tables of `gstio run data/appendix3/scenario.cfg` at 6 significant digits.
@@ -120,6 +122,30 @@ class TestValidate:
         assert code == 0
         assert "max row residual 0.000e+00" in out
         assert "VALIDATION OK" in out
+
+    @pytest.mark.parametrize(
+        "generated, line",
+        [
+            (False, "expenditure: 5 groups, 6 items, concordance conserves totals to 0.000e+00"),
+            (True, "expenditure: 6 groups, 20 items, concordance conserves totals to 1.904e-16"),
+        ],
+        ids=["appendix", "generated"],
+    )
+    def test_expenditure_line_states_the_concordance_error(
+        self, data_dir, tmp_path, monkeypatch, capsys, generated, line
+    ):
+        directory = data_dir
+        if generated:  # 20 items on 12 sectors, whose mapped totals differ from the item totals by rounding
+            monkeypatch.syspath_prepend(str(BENCH))
+            import gen
+
+            directory = gen.generate(tmp_path, 1, gen.Sizes(12, 0.3, 6, items=20)).directory
+        argv = ["validate"]
+        for flag in ("table", "schedule", "expenditure", "concordance", "category-map"):
+            name = {"table": "io_table", "schedule": "rate_schedule"}.get(flag, flag.replace("-", "_"))
+            argv += [f"--{flag}", str(directory / f"{name}.csv")]
+        assert main(argv) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_unbalanced_table_exits_2_naming_sector(self, tmp_path, data_dir, capsys):
         broken = tmp_path / "broken.csv"
@@ -253,6 +279,33 @@ class TestValidate:
         assert "VALIDATION FAILED" in captured.out
         assert captured.err.startswith("ERROR ValidationFailed:")
 
+    @pytest.mark.parametrize(
+        "flag, quoted",
+        [("expenditure", False), ("expenditure", True), ("category-map", False), ("table", False)],
+        ids=["expenditure-block", "expenditure-walk", "category-map", "table"],
+    )
+    def test_cell_past_the_csv_field_limit_is_one_located_error(self, tmp_path, data_dir, capsys, flag, quoted):
+        # a quoted cell sends the expenditure file from its numpy blocks to its row walk
+        long, low = "x" * (csv.field_size_limit() + 1), '"low"' if quoted else "low"
+        appendix_table = _read(data_dir / "io_table.csv")
+        files = {
+            "expenditure": "group_id,dimension,label,item_code,amount\n"
+            f"g1,income,{long},agr,10\ng2,income,{low},ind,5\n",
+            "category-map": f"code,category\nagr,{long}\nind,other\nser,other\n",
+            "table": appendix_table.replace(",Agriculture,", f",{long},"),
+        }
+        path = tmp_path / "long.csv"
+        path.write_text(files[flag], encoding="utf-8")
+        table = path if flag == "table" else data_dir / "io_table.csv"
+        argv = ["validate", "--table", str(table), "--schedule", str(data_dir / "rate_schedule.csv")]
+        if flag != "table":
+            argv += [f"--{flag}", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = f"field larger than field limit ({csv.field_size_limit()})"
+        assert captured.err == f"ERROR ParseError: {path}:2: unreadable csv record: {reason}\n"
+
     def test_category_map_checked_on_all_sectors(self, tmp_path, data_dir, capsys):
         # sector-coded spending on agr and ind only: the category table runs
         # over all three sectors, so a map without ser fails validate and run
@@ -330,6 +383,7 @@ def test_overflowing_expenditure_is_one_located_error(data_dir, tmp_path, comman
             "without category map",
             "category share",
             "float maximum group",
+            "weights above 1",  # misc's weights sum to 1 + 5e-10, so its mapped spending passes the float maximum
             "two float maximum groups",  # the category report goes first, in file order
             "two float maximum groups without category map",  # the gaps table, by dimension then id
         )
@@ -344,7 +398,7 @@ def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, command
     no_map = case.endswith("without category map")
     if case == "category share":  # 100 × a finite cell overflows at the scenario's own rate
         spend = spend.replace("inc1,income,<1000,food,300\n", "inc1,income,<1000,food,1.7e308\n")
-    elif case == "float maximum group":  # a new group, and the base of its dimension, at the float maximum
+    elif case in ("float maximum group", "weights above 1"):  # a new group, its dimension's base, at the float maximum
         group, spend = "g9", spend + "g9,income,big,misc,1.7976931348623157e308\n"
     elif case.startswith("two float maximum groups"):
         group = "a9" if no_map else "b9"
@@ -355,6 +409,9 @@ def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, command
         spend += "inc1,income,<1000,rent,1.7e308\n"
     if no_map:
         scenario = scenario.replace("category_map = category_map.csv\n", "")
+    if case == "weights above 1":
+        concordance = tmp_path / "concordance.csv"
+        concordance.write_text(_read(concordance).replace("misc,ser,0.6", "misc,ser,0.6000000005"), encoding="utf-8")
     (tmp_path / "scenario.cfg").write_text(scenario, encoding="utf-8")
     (tmp_path / "expenditure.csv").write_text(spend, encoding="utf-8")
     if command == "run":

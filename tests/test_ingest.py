@@ -1006,10 +1006,10 @@ class TestLoadHousehold:
             return weight_matrix(self, items)
 
         monkeypatch.setattr(Concordance, "weight_matrix", counted)
-        by_sector, by_item, weights = load_household(spend, links, sectors)
+        matrix, weights = load_household(spend, links, sectors)
         assert built == [("food", "fuel")]
-        mapped = map_expenditure(by_item, load_concordance(links, sectors))
-        np.testing.assert_array_equal(by_sector.values, mapped.values)
+        mapped = map_expenditure(matrix, load_concordance(links, sectors))
+        np.testing.assert_array_equal(mapped.values, matrix.values @ weights)
         np.testing.assert_array_equal(weights, [[0.3, 0.7], [0.0, 1.0]])
 
 

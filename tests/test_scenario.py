@@ -2,18 +2,21 @@
 error) and for the load stage that reads a scenario's inputs."""
 
 import re
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gstio import (
+    ExpenditureBasis,
     GroupDimension,
     MaskedInputTreatment,
     SchemaError,
     UnknownBaseGroup,
     UnmappedItem,
     check_inputs,
+    load_household,
     load_inputs,
     load_scenario,
     run_scenario,
@@ -176,11 +179,39 @@ def test_load_inputs_holds_every_input(data_dir):
     assert inputs.balance.max_row_residual == 0.0
     assert inputs.schedule.standard_share.tolist() == [0.0, 1.0, 1.0]
     assert inputs.schedule_warnings == ()
-    assert inputs.expenditure.items == ("agr", "ind", "ser")
-    assert inputs.category_expenditure.items == ("food", "fuel", "rent", "transport", "apparel", "misc")
+    assert inputs.expenditure.items == ("food", "fuel", "rent", "transport", "apparel", "misc")
     assert inputs.weights.shape == (6, 3)
     assert inputs.category_map.categories[0] == "food_nonalcoholic"
     assert inputs.unmapped == ()
+
+
+def _arrays(value):
+    """Every ndarray reachable from ``value`` through dataclass attributes, tuples, lists and dict values."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif is_dataclass(value):
+        for item in vars(value).values():
+            yield from _arrays(item)
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
+
+
+def test_a_run_holds_no_groups_by_sectors_matrix(data_dir):
+    # the appendix is item-coded: 5 groups buy 6 items, which its concordance maps onto 3 sectors
+    config = load_scenario(data_dir / "scenario.cfg")
+    result = run_scenario(config)
+    groups, items, sectors = 5, 6, 3
+    matrix, weights = load_household(config.expenditure, config.concordance, result.inputs.table.sectors)
+    assert matrix.basis is ExpenditureBasis.ITEM_CODES
+    assert matrix.items == ("food", "fuel", "rent", "transport", "apparel", "misc")
+    assert (len(matrix.groups), weights.shape) == (groups, (items, sectors))
+    np.testing.assert_array_equal(result.inputs.expenditure.values, matrix.values)
+    np.testing.assert_array_equal(result.inputs.weights, weights)
+    assert result.delta.shape == (groups, items)
+    shapes = [array.shape for array in _arrays(result)]
+    assert (groups, items) in shapes and (sectors, sectors) in shapes  # the walk reaches the inputs' arrays
+    assert (groups, sectors) not in shapes
 
 
 def test_check_inputs_are_the_lines_validate_prints(data_dir, capsys):
