@@ -6,12 +6,12 @@ The long-format files (rate schedule, expenditure, concordance, category
 map) need at least their named columns in every row, and further fields are
 ignored. The IO table, and the run tables ``gstio report`` reads, need
 exactly the header's width in every row. Blank rows are skipped (except
-inside the IO table's sector block, which is positional). Each file but the
-expenditure file is read once, into the list of its lines, and only that
-list is parsed; the expenditure file is streamed, and read again only for
-its row walk or to locate an overflow. Every load error names the file, line
-and column, 1-based: the header is line 1. A byte that is not UTF-8, or a
-cell longer than ``csv.field_size_limit()``, is reported at its line.
+inside the IO table's sector block, which is positional). Each file is read
+once: the expenditure file is streamed, and each other file is read into the
+list of its lines. A file is read again only to locate an overflow or a byte
+that is not UTF-8. Every load error names the file, line and column, 1-based:
+the header is line 1. A byte that is not UTF-8, or a cell longer than
+``csv.field_size_limit()``, is reported at its line.
 
 IO table (``load_io_table``)::
 
@@ -58,15 +58,14 @@ Expenditure (``load_expenditure``), long format::
     finite: the row whose amount, summed in file order, makes it overflow is
     an error at its amount.
 
-    The file is read in blocks of EXPENDITURE_BLOCK_LINES lines, each parsed
-    in one numpy pass, so only a block's lines and cell strings are held at
-    a time. When numpy cannot vouch for a block (a quote, a blank line, a
-    block longer than the csv field limit, a cell numpy declines, an amount
-    that is not finite or is negative, an unknown dimension, a redefined
-    group or an empty id) the whole file is read again and its rows are
-    walked one by one with ``csv``, which locates the first error in file
-    order. Either way the rows are added into the matrix by one code path,
-    so the matrix has the same bits.
+    The file is read once, in blocks of EXPENDITURE_BLOCK_LINES lines, each
+    parsed in one numpy pass, so only a block's lines and cell strings are
+    held at a time. A block numpy cannot vouch for (a quote, a blank line, a
+    block longer than the csv field limit, a cell numpy declines, a bad
+    amount, dimension or id, a redefined group) is walked alone, row by row
+    with ``csv``, which reads on from the file to end a record that starts in
+    the block and locates the first error in file order. Either way the rows
+    are added into the matrix by one code path, so the matrix has the same bits.
 
 Concordance (``load_concordance``)::
 
@@ -175,9 +174,10 @@ def _record(records, *, path, start: int = 0) -> tuple[int, list[str]] | None:
         raise ParseError(f"unreadable csv record: {exc}", path=path, line=line) from None
 
 
-def _numbered(records, *, path, start: int = 0) -> Iterator[tuple[int, list[str]]]:
-    """``(line, row)`` for each non-blank record of a csv reader, as :func:`_record` reads it."""
-    while record := _record(records, path=path, start=start):
+def _numbered(records, *, path, start: int = 0, stop: float = math.inf) -> Iterator[tuple[int, list[str]]]:
+    """``(line, row)`` for each non-blank record of a csv reader, as :func:`_record` reads it,
+    that starts in the first ``stop`` lines of the reader's source."""
+    while records.line_num < stop and (record := _record(records, path=path, start=start)):
         if record[1] and record[1] != [""]:
             yield record
 
@@ -191,10 +191,21 @@ def _rows(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
 def _records(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """``(line, cells)`` for each non-blank data row of a file whose header starts with ``header``,
     ``cells`` being the row's first ``len(header)`` fields."""
-    found, rows = _rows(path)
-    width = len(header)
-    if tuple(found[:width]) != header:
+    rows = csv.reader(_read_lines(path))
+    _check_header(_record(rows, path=path), header, path=path)
+    yield from _fields(_numbered(rows, path=path), len(header), path=path)
+
+
+def _check_header(record: tuple[int, list[str]] | None, header: tuple[str, ...], *, path) -> None:
+    """Raise unless the header ``record``, as :func:`_record` reads it, starts with ``header``."""
+    if record is None:
+        raise SchemaError("empty file", path=path, line=1)
+    if tuple(record[1][: len(header)]) != header:
         raise SchemaError(f"header must start with {','.join(header)}", path=path, line=1, column=1)
+
+
+def _fields(rows, width: int, *, path) -> Iterator[tuple[int, list[str]]]:
+    """``(line, cells)`` for each ``(line, row)`` of ``rows``, ``cells`` being the row's first ``width`` fields."""
     for line, row in rows:
         if len(row) < width:
             message = f"expected at least {width} fields, got {len(row)}"
@@ -519,11 +530,41 @@ def load_expenditure(path, *, basis: ExpenditureBasis = ExpenditureBasis.ITEM_CO
 
 
 def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix, dict[str, int]]:
-    """The matrix ``load_expenditure`` returns, and the line where each item code first appears."""
-    rows = _parse_expenditure_blocks(path) or _walk_expenditure_rows(path)
-    groups, group_lines, item_lines, row_groups, row_items, amounts = rows
+    """The matrix ``load_expenditure`` returns, and the line where each item code first appears, from one
+    read of the file; a byte that is not UTF-8 anywhere in it is reported before a row error."""
+    groups: dict[str, tuple[GroupDimension, str]] = {}
+    group_lines: dict[str, int] = {}
+    item_lines: dict[str, int] = {}
+    # per block: each row's group's first line, its item's first line, its amount
+    columns: list = [[], [], []]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            try:
+                records = csv.reader(handle)
+                _check_header(_record(records, path=path), EXPENDITURE_COLUMNS, path=path)
+                line = records.line_num + 1
+                while block := list(islice(handle, EXPENDITURE_BLOCK_LINES)):
+                    # the walk reads on from the file to end a record that starts in the block
+                    records = csv.reader(chain(block, handle))
+                    parsed = _parse_expenditure_block(block, line, groups, group_lines, item_lines)
+                    if parsed is None:
+                        rows = _numbered(records, path=path, start=line - 1, stop=len(block))
+                        parsed = _walk_expenditure_rows(rows, groups, group_lines, item_lines, path=path)
+                    line += records.line_num or len(block)  # the lines the walk read, if it ran
+                    for k, part in enumerate(parsed):
+                        columns[k].append(part)
+            except LoadError:
+                while handle.read(1 << 16):  # a byte that is not UTF-8 later in the file comes first
+                    pass
+                raise
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path=path) from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(ParseError, path) from None
     if not groups:
         raise SchemaError("no expenditure rows", path=path, line=1)
+    # join each column, and let go of its blocks, before the next
+    row_groups, row_items, amounts = (np.concatenate(columns.pop(0)) for _ in range(3))
     # a line brings in at most one new group and one new item, so first lines
     # ascend in dict order and locate each row's group row and item column;
     # bincount adds duplicate rows in file order, as 0.0 + a + b + ...
@@ -543,30 +584,18 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
     return matrix, item_lines
 
 
-def _walk_expenditure_rows(path):
-    """The expenditure rows read one by one with ``csv``, each checked as it is met.
-
-    Returns each group's dimension and label and first line, each item's
-    first line, and per row its group's and item's first lines and its
-    amount, all in file order. The first error in file order raises at its
-    line and column.
-    """
-    groups: dict[str, tuple[GroupDimension, str]] = {}
-    group_lines: dict[str, int] = {}
-    item_lines: dict[str, int] = {}
+def _walk_expenditure_rows(rows, groups: dict, group_lines: dict, item_lines: dict, *, path):
+    """What ``_parse_expenditure_block`` returns, for ``(line, row)`` csv ``rows`` checked one by one;
+    the first error in file order raises at its line and column."""
     row_groups, row_items, amounts = [], [], []
-    for line, (group_id, dim_token, label, item_code, amount_cell) in _records(path, EXPENDITURE_COLUMNS):
+    for line, (group_id, dim_token, label, item_code, amount_cell) in _fields(rows, len(EXPENDITURE_COLUMNS), path=path):
         if not group_id:
             raise SchemaError("empty group_id", path=path, line=line, column=1)
         dimension = _token(_DIMENSION_TOKENS, dim_token, "dimension", path=path, line=line)
         row_groups.append(group_lines.setdefault(group_id, line))
         if groups.setdefault(group_id, (dimension, label)) != (dimension, label):
-            raise SchemaError(
-                f"group {group_id!r} redefined with different dimension/label",
-                path=path,
-                line=line,
-                column=1,
-            )
+            message = f"group {group_id!r} redefined with different dimension/label"
+            raise SchemaError(message, path=path, line=line, column=1)
         if not item_code:
             raise SchemaError("empty item_code", path=path, line=line, column=4)
         amount = _cell_float(amount_cell, path=path, line=line, column=5)
@@ -574,54 +603,21 @@ def _walk_expenditure_rows(path):
             raise ParseError(f"amount must be nonnegative, got {amount}", path=path, line=line, column=5)
         row_items.append(item_lines.setdefault(item_code, line))
         amounts.append(amount)
-    return groups, group_lines, item_lines, row_groups, row_items, amounts
-
-
-def _parse_expenditure_blocks(path):
-    """What ``_walk_expenditure_rows`` returns, from one numpy pass per block of lines, or None.
-
-    None means numpy cannot vouch for a block (see ``_parse_expenditure_block``)
-    or the file is one the walk must judge: a header other than the walk
-    reads, no rows, a byte that is not UTF-8, or an empty id.
-    """
-    groups: dict[str, tuple[GroupDimension, str]] = {}
-    group_lines: dict[str, int] = {}
-    item_lines: dict[str, int] = {}
-    # per block: each row's group's first line, its item's first line, its amount
-    columns: tuple[list, list, list] = ([], [], [])
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            header = handle.readline().rstrip("\r\n")
-            if any(char in header for char in _UNVOUCHED) or tuple(header.split(",")[:5]) != EXPENDITURE_COLUMNS:
-                return None
-            if len(header) > csv.field_size_limit():
-                return None
-            line = 2
-            while block := list(islice(handle, EXPENDITURE_BLOCK_LINES)):
-                parsed = _parse_expenditure_block(block, line, groups, group_lines, item_lines)
-                if parsed is None:
-                    return None
-                for column, part in zip(columns, parsed):
-                    column.append(part)
-                line += len(block)
-    except (OSError, UnicodeDecodeError):
-        return None
-    if not groups or "" in groups or "" in item_lines:
-        return None
-    return groups, group_lines, item_lines, *map(np.concatenate, columns)
+    return np.array(row_groups, np.intp), np.array(row_items, np.intp), np.array(amounts, float)
 
 
 def _parse_expenditure_block(block: list[str], line: int, groups: dict, group_lines: dict, item_lines: dict):
     """Each row's group's first line, item's first line and amount, for ``block``: the lines from ``line`` on.
 
     Adds the block's new groups and items to the three dicts of
-    ``_parse_expenditure_blocks``. Returns None unless every line is one row
-    of five fields without a quote, NUL or \\x1c-\\x1f (which numpy strips
-    around a number and ``float`` rejects), every amount is finite and
+    ``_load_expenditure``. Returns None unless every line is one row of five
+    fields without a quote, NUL or \\x1c-\\x1f (which numpy strips around a
+    number and ``float`` rejects), no id is empty, every amount is finite and
     nonnegative, and each row repeats the dimension token and label of its
     group's first row in the block, which name the group's dimension and
     label. numpy reads a subset of what ``float`` reads, so an accepted
-    amount has the walk's bits.
+    amount has the walk's bits. A declined block may have added groups and
+    items, but only as the walk adds them, or beside an empty item code it raises at.
     """
     n = len(block)
     # numpy skips a blank line, which the walk numbers, and warns when every
@@ -640,7 +636,7 @@ def _parse_expenditure_block(block: list[str], line: int, groups: dict, group_li
     ids, tokens, labels = rows["group_id"], rows["dimension"], rows["label"]
     starts: dict[str, int] = {}
     first = np.fromiter(map(starts.setdefault, ids, range(n)), np.intp, n)  # each row's group's first row
-    if (tokens != tokens[first]).any() or (labels != labels[first]).any():
+    if "" in starts or (tokens != tokens[first]).any() or (labels != labels[first]).any():
         return None
     first_lines = np.empty(n, np.intp)
     for group_id, k in starts.items():
@@ -649,6 +645,8 @@ def _parse_expenditure_block(block: list[str], line: int, groups: dict, group_li
             return None
         first_lines[k] = group_lines.setdefault(group_id, line + k)
     item_first_lines = np.fromiter(map(item_lines.setdefault, rows["item_code"], range(line, line + n)), np.intp, n)
+    if "" in item_lines:
+        return None
     return first_lines[first], item_first_lines, amounts
 
 

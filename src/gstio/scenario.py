@@ -295,8 +295,10 @@ def check_inputs(inputs: ScenarioInputs) -> list[Check]:
     expenditure, weights = inputs.expenditure, inputs.weights
     if weights is not None:
         before = expenditure.totals()
+        # blocks of 1,024 to 2,047 groups, so no groups × sectors matrix is formed
+        blocks = np.split(expenditure.values, range(1024, len(before) - 1023, 1024))
         with np.errstate(over="ignore"):  # mapped totals near the float maximum may round past it
-            mapped = (expenditure.values @ weights).sum(axis=1)
+            mapped = np.concatenate([(block @ weights).sum(axis=1) for block in blocks])
         err = float(np.max(np.abs(mapped - before) / before))
         line = f"{len(expenditure.items)} items, concordance conserves totals to {err:.3e}"
         checks.append(Check(f"expenditure: {len(expenditure.groups)} groups, {line}", True))

@@ -1,5 +1,6 @@
 """Tests for CSV loading, validation errors with positions, and concordance mapping."""
 
+import csv
 import dataclasses
 import io
 import sys
@@ -781,13 +782,23 @@ class TestLoadExpenditure:
     @example(data=f"{EXPENDITURE_HEADER}\ng1,income,low,a,1\ng1,income,low,b,1\x1c\n".encode())
     @example(data=f"{EXPENDITURE_HEADER}\n".encode())
     @example(data=b"")
+    # a byte that is not UTF-8 after the rows, past the third block
+    @example(data=(EXPENDITURE_HEADER + "\ng1,income,low,food,1" * 7).encode() + b"\n\xff\n")
+    # a quoted cell that spans the boundary of the first two blocks, and a bad amount after it
+    @example(data=f'{EXPENDITURE_HEADER}\ng1,income,low,a,1\ng1,income,low,b,1\ng2,income,"m\nid",a,1\n'
+             "g2,income,\"m\nid\",b,2\ng1,income,low,c,x\n".encode())
+    # a block that ends in blank lines
+    @example(data=f"{EXPENDITURE_HEADER}\ng1,income,low,a,1\n\n\n\n\ng1,income,low,b,2\n".encode())
+    # a late block with a cell longer than the csv field limit
+    @example(data=(f"{EXPENDITURE_HEADER}\n" + "g1,income,low,a,1\n" * 4 + "g1,income,low,"
+                   + "b" * (csv.field_size_limit() + 1) + ",1\n").encode())
     def test_block_path_agrees_with_the_row_walk(self, tmp_path, data):
         path = tmp_path / "e.csv"
         path.write_bytes(data)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "EXPENDITURE_BLOCK_LINES", 3)
             read = _expenditure_outcome(path)
-            patch.setattr(ingest, "_parse_expenditure_blocks", lambda path: None)
+            patch.setattr(ingest, "_parse_expenditure_block", lambda *args: None)
             assert read == _expenditure_outcome(path)
 
     @pytest.mark.parametrize(
@@ -820,30 +831,41 @@ class TestLoadExpenditure:
         ],
     )
     @pytest.mark.filterwarnings("error")
-    def test_block_path_declines_what_it_cannot_vouch_for(self, tmp_path, monkeypatch, rows):
-        # the odd rows start the file's second block of three lines
-        monkeypatch.setattr(ingest, "EXPENDITURE_BLOCK_LINES", 3)
-        path = _write(tmp_path, "e.csv", f"{EXPENDITURE_HEADER}\n" + "g1,income,low,fuel,2\n" * 3 + f"{rows}\n")
-        assert ingest._parse_expenditure_blocks(path) is None
+    def test_block_path_declines_what_it_cannot_vouch_for(self, rows):
+        # the odd rows are the file's second block, after a first block of three lines
+        dicts = {}, {}, {}
+        assert ingest._parse_expenditure_block(["g1,income,low,fuel,2\n"] * 3, 2, *dicts) is not None
+        assert ingest._parse_expenditure_block(list(io.StringIO(f"{rows}\n", newline="")), 5, *dicts) is None
 
-    @pytest.mark.parametrize(
-        "data",
-        [
-            b"",
-            EXPENDITURE_HEADER.encode() + b"\n",
-            (EXPENDITURE_HEADER + "\ng1,income,low,food,1" * 7).encode() + b"\n\xff\n",
-        ],
-        ids=["empty", "header-only", "late-non-utf8"],
-    )
-    def test_block_path_leaves_files_without_rows_or_text_to_the_walk(self, tmp_path, monkeypatch, data):
+    @pytest.mark.parametrize("quoted_row", [0, 16, 32], ids=["first-block", "middle-block", "last-block"])
+    def test_a_declined_block_alone_is_walked(self, tmp_path, monkeypatch, quoted_row):
+        # the only quoted label is in one of eleven blocks of three lines
         monkeypatch.setattr(ingest, "EXPENDITURE_BLOCK_LINES", 3)
-        path = tmp_path / "e.csv"
-        path.write_bytes(data)
-        assert ingest._parse_expenditure_blocks(path) is None
+        walk, walked, opened = ingest._walk_expenditure_rows, [], []
+
+        def counting_walk(*args, **kwargs):
+            rows = walk(*args, **kwargs)
+            walked.append(len(rows[-1]))
+            return rows
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "_walk_expenditure_rows", counting_walk)
+        monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+        rows = [f"g{h},income,label {h},item{j},{h + j}" for h in range(3) for j in range(11)]
+        plain = _write(tmp_path, "plain.csv", "\n".join([EXPENDITURE_HEADER, *rows, ""]))
+        label = f"label {quoted_row // 11}"
+        rows[quoted_row] = rows[quoted_row].replace(label, f'"{label}"')
+        quoted = _write(tmp_path, "quoted.csv", "\n".join([EXPENDITURE_HEADER, *rows, ""]))
+        read = _expenditure_outcome(quoted)
+        assert (walked, opened) == ([3], [quoted])
+        assert read == _expenditure_outcome(plain)
 
     def test_block_path_runs_on_a_plain_file(self, tmp_path, monkeypatch):
         # a silent fallback to the row walk, e.g. on an older numpy, fails here
-        def no_walk(path):
+        def no_walk(*args, **kwargs):
             raise AssertionError("the expenditure rows were walked")
 
         monkeypatch.setattr(ingest, "_walk_expenditure_rows", no_walk)
@@ -857,6 +879,20 @@ class TestLoadExpenditure:
         # holding the file's lines, or a view of the amounts that keeps a block's strings, costs more
         path = tmp_path / "e.csv"
         _write_expenditure(path, 800, 100, seed=6)  # 80,000 rows
+        load_expenditure(path)
+        tracemalloc.start()
+        try:
+            load_expenditure(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
+
+    def test_load_memory_is_bounded_when_a_block_is_walked(self, tmp_path):
+        # the walked first block is read on its own, not with every line of the file
+        path = tmp_path / "e.csv"
+        _write_expenditure(path, 800, 100, seed=6)  # 80,000 rows
+        path.write_text(path.read_text(encoding="utf-8").replace(",label 0,", ',"label 0",', 1), encoding="utf-8")
         load_expenditure(path)
         tracemalloc.start()
         try:
