@@ -150,10 +150,10 @@ def _table_files(run_dir: Path) -> dict[str, Path]:
 
 def _table_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The header of a run table and its ``(line, row)`` pairs, each row as wide as the header."""
-    header, records = _rows(path)
-    rows = list(records)
-    for line, row in rows:
-        _require_width(row, len(header), path=path, line=line)
+    with _rows(path) as (header, records):
+        rows = list(records)
+        for line, row in rows:
+            _require_width(row, len(header), path=path, line=line)
     return header, rows
 
 

@@ -6,12 +6,21 @@ The long-format files (rate schedule, expenditure, concordance, category
 map) need at least their named columns in every row, and further fields are
 ignored. The IO table, and the run tables ``gstio report`` reads, need
 exactly the header's width in every row. Blank rows are skipped (except
-inside the IO table's sector block, which is positional). Each file is read
-once: the expenditure file is streamed, and each other file is read into the
-list of its lines. A file is read again only to locate an overflow or a byte
-that is not UTF-8. Every load error names the file, line and column, 1-based:
-the header is line 1. A byte that is not UTF-8, or a cell longer than
+inside the IO table's sector block, which is positional). Every file is
+streamed, once, and read again only to locate an overflow or a byte that is
+not UTF-8. Every load error names the file, line and column, 1-based: the
+header is line 1, and a line ends at \\n, \\r or \\r\\n, as ``csv`` splits
+them. A byte that is not UTF-8, or a cell longer than
 ``csv.field_size_limit()``, is reported at its line.
+
+The IO table's sector rows and the expenditure rows are read in blocks of
+BLOCK_LINES lines, each parsed in one numpy pass. A block numpy cannot vouch
+for (a blank line, an overlong line, a cell numpy declines or that is not a
+finite number, a row out of place, and for expenditure a quote or a bad
+dimension or id) is walked alone, row by row with ``csv``, which reads on
+from the file to end a record that starts in the block and locates the first
+error in file order. numpy reads a subset of what ``float`` reads, so either
+way the numbers have the same bits.
 
 IO table (``load_io_table``)::
 
@@ -29,15 +38,8 @@ IO table (``load_io_table``)::
     because the two only ever enter as their sum). Primary rows leave the
     three demand-side cells empty. No Z, EXPORTS or primary-input cell may
     be negative; FINAL_DEMAND may (an inventory change), and OUTPUT must be
-    positive.
-
-    The sector block is parsed in one numpy pass. Only when numpy declines
-    it, for an error or for a cell such as ``1_000`` that Python's
-    ``float`` reads and numpy does not, are its rows walked one by one with
-    ``csv``: the walk locates the error at its cell, or reads the cell as
-    ``float`` does. Either way the first error in file order is reported,
-    also when the block is short of rows: a bad cell before the end of the
-    file comes before the missing rows.
+    positive. A block short of sector rows is reported after its first bad
+    cell: a bad cell before the end of the file comes before the missing rows.
 
 Rate schedule (``load_rate_schedule``)::
 
@@ -56,16 +58,8 @@ Expenditure (``load_expenditure``), long format::
     dimension is one of income, ethnicity. group_id and item_code must not
     be empty. Duplicate (group, item) rows sum. Each group's total must be
     finite: the row whose amount, summed in file order, makes it overflow is
-    an error at its amount.
-
-    The file is read once, in blocks of EXPENDITURE_BLOCK_LINES lines, each
-    parsed in one numpy pass, so only a block's lines and cell strings are
-    held at a time. A block numpy cannot vouch for (a quote, a blank line, a
-    block longer than the csv field limit, a cell numpy declines, a bad
-    amount, dimension or id, a redefined group) is walked alone, row by row
-    with ``csv``, which reads on from the file to end a record that starts in
-    the block and locates the first error in file order. Either way the rows
-    are added into the matrix by one code path, so the matrix has the same bits.
+    an error at its amount. The rows of every block are added into the matrix
+    by one code path, so its bits do not depend on how a block was read.
 
 Concordance (``load_concordance``)::
 
@@ -84,10 +78,10 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
-from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -119,42 +113,56 @@ _CATEGORY_TOKENS = {c.value: c for c in RateCategory}
 
 _DIMENSION_TOKENS = {d.value: d for d in GroupDimension}
 
-# lines of the expenditure file parsed in one numpy pass; larger blocks are
-# no faster, and hold more lines and cell strings at a time
-EXPENDITURE_BLOCK_LINES = 256
+# lines parsed in one numpy pass; larger blocks are no faster, and hold more
+# lines and cell strings at a time
+BLOCK_LINES = 256
 _EXPENDITURE_DTYPE = [(name, object) for name in EXPENDITURE_COLUMNS[:4]] + [("amount", float)]
-# a quote may open a cell that spans lines; NUL and \x1c-\x1f are read
-# differently by numpy and csv or float
-_UNVOUCHED = '"\x00\x1c\x1d\x1e\x1f'
+# NUL and \x1c-\x1f are read differently by numpy and csv or float
+_UNVOUCHED = "\x00\x1c\x1d\x1e\x1f"
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of ``path`` with their endings, split at \\n, \\r and \\r\\n as ``csv`` splits them."""
+@contextmanager
+def _csv_file(path) -> Iterator[tuple[list[str], int, TextIO]]:
+    """The header row of CSV file ``path``, the line after it, and the file, open just past the header.
+
+    Raises a ParseError when the file cannot be read or is not UTF-8, and a
+    SchemaError when it is empty. On a LoadError raised inside the ``with``,
+    the rest of the file is read first, so that a byte that is not UTF-8
+    anywhere in the file is reported in its place.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            lines = handle.readlines()
+            try:
+                records = csv.reader(handle)
+                header = _record(records, path=path)
+                if header is None:
+                    raise SchemaError("empty file", path=path, line=1)
+                yield header[1], records.line_num + 1, handle
+            except LoadError:
+                while handle.read(1 << 16):
+                    pass
+                raise
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
     except UnicodeDecodeError:
         raise _not_utf8(ParseError, path) from None
-    if not lines:
-        raise SchemaError("empty file", path=path, line=1)
-    return lines
 
 
 def _not_utf8(error: type[LoadError], path) -> LoadError:
     """``error`` at the line of the first byte of ``path`` that is not UTF-8.
 
     Called only after a read of the file has failed, so a good file is read
-    once. The failed read's offset counts from its own buffer, so the bytes
-    are decoded again from the start of the file to find the line.
+    once. The failed read's offset counts from its own buffer, so the file is
+    read again from its start, a line at a time, its lines split as ``csv``
+    splits them and as universal newlines do.
     """
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return error(f"not UTF-8: byte 0x{data[exc.start]:02x}", path=path, line=line)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        for line, text in enumerate(handle, start=1):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                # surrogateescape decodes each byte that is not UTF-8 to U+DC00 plus the byte
+                return error(f"not UTF-8: byte 0x{ord(text[exc.start]) - 0xDC00:02x}", path=path, line=line)
     return error("not UTF-8", path=path)  # the file changed after the failed read
 
 
@@ -175,42 +183,81 @@ def _record(records, *, path, start: int = 0) -> tuple[int, list[str]] | None:
 
 
 def _numbered(records, *, path, start: int = 0, stop: float = math.inf) -> Iterator[tuple[int, list[str]]]:
-    """``(line, row)`` for each non-blank record of a csv reader, as :func:`_record` reads it,
-    that starts in the first ``stop`` lines of the reader's source."""
+    """``(line, row)`` for each record of a csv reader, as :func:`_record` reads it, that starts in the
+    first ``stop`` lines of the reader's source; a blank line is the row ``[]``."""
     while records.line_num < stop and (record := _record(records, path=path, start=start)):
-        if record[1] and record[1] != [""]:
-            yield record
+        yield record
 
 
-def _rows(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """The header row of a CSV file, and ``(line, row)`` for each non-blank row after it."""
-    rows = csv.reader(_read_lines(path))
-    return _record(rows, path=path)[1], _numbered(rows, path=path)
+@contextmanager
+def _rows(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]]]:
+    """The header row of a CSV file, and ``(line, row)`` for each non-blank row after it, read inside the ``with``."""
+    with _csv_file(path) as (header, line, handle):
+        rows = _numbered(csv.reader(handle), path=path, start=line - 1)
+        yield header, ((line, row) for line, row in rows if row and row != [""])
 
 
-def _records(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+@contextmanager
+def _records(path, header: tuple[str, ...]) -> Iterator[Iterator[tuple[int, list[str]]]]:
     """``(line, cells)`` for each non-blank data row of a file whose header starts with ``header``,
-    ``cells`` being the row's first ``len(header)`` fields."""
-    rows = csv.reader(_read_lines(path))
-    _check_header(_record(rows, path=path), header, path=path)
-    yield from _fields(_numbered(rows, path=path), len(header), path=path)
+    ``cells`` being the row's first ``len(header)`` fields, read inside the ``with``."""
+    with _rows(path) as (row, rows):
+        _check_header(row, header, path=path)
+        yield _fields(rows, len(header), path=path)
 
 
-def _check_header(record: tuple[int, list[str]] | None, header: tuple[str, ...], *, path) -> None:
-    """Raise unless the header ``record``, as :func:`_record` reads it, starts with ``header``."""
-    if record is None:
-        raise SchemaError("empty file", path=path, line=1)
-    if tuple(record[1][: len(header)]) != header:
+def _check_header(row: list[str], header: tuple[str, ...], *, path) -> None:
+    """Raise unless the header ``row`` starts with ``header``."""
+    if tuple(row[: len(header)]) != header:
         raise SchemaError(f"header must start with {','.join(header)}", path=path, line=1, column=1)
 
 
 def _fields(rows, width: int, *, path) -> Iterator[tuple[int, list[str]]]:
-    """``(line, cells)`` for each ``(line, row)`` of ``rows``, ``cells`` being the row's first ``width`` fields."""
+    """``(line, cells)`` for each non-blank ``(line, row)`` of ``rows``, ``cells`` being the row's first
+    ``width`` fields."""
     for line, row in rows:
+        if not row or row == [""]:
+            continue
         if len(row) < width:
             message = f"expected at least {width} fields, got {len(row)}"
             raise ParseError(message, path=path, line=line, column=len(row) + 1)
         yield line, row[:width]
+
+
+def _blocks(handle, line: int, parse, walk, *, path, records: float = math.inf) -> Iterator[tuple[tuple, int]]:
+    """Read ``handle``, open at file line ``line``, in blocks of up to BLOCK_LINES lines and ``records`` records.
+
+    Yields, for each block, ``parse(block, line)``, one numpy pass over its
+    lines from ``line`` on, or, when that returns None, ``walk(rows)`` of the
+    ``(line, row)`` csv records that start in the block, which reads on from
+    the file to end the last of them; and the line after what was read. For
+    a finite ``records``, the first item of a result has one entry per record.
+    """
+    while records and (block := list(islice(handle, min(BLOCK_LINES, records)))):
+        reader = csv.reader(chain(block, handle))
+        parsed = parse(block, line)
+        if parsed is None:
+            parsed = walk(_numbered(reader, path=path, start=line - 1, stop=len(block)))
+        line += reader.line_num or len(block)  # the lines the walk read, if it ran
+        records -= len(parsed[0])
+        yield parsed, line
+
+
+def _loadtxt(block: list[str], dtype, unvouched: str):
+    """The rows of ``block`` as one structured ``np.loadtxt`` parses them, or None where numpy may read them
+    otherwise than csv: its first line is blank (numpy skips a blank line, which csv numbers, and warns when
+    every line is), a line is longer than the csv field limit (numpy reads such a cell, which csv refuses), a
+    character of ``unvouched`` occurs, or numpy declines a cell."""
+    text, limit = "".join(block), csv.field_size_limit()
+    # a block no longer than the limit has no line longer than it
+    too_long = len(text) > limit and max(map(len, block)) > limit
+    if not block[0].strip() or too_long or any(char in text for char in unvouched):
+        return None
+    del text  # a second copy of the block, not to be held through numpy's pass
+    try:
+        return np.loadtxt(block, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except ValueError:
+        return None
 
 
 def _token(tokens: dict, cell: str, what: str, *, path, line: int):
@@ -248,78 +295,39 @@ def _require_width(row: list[str], width: int, *, path, line: int) -> None:
         )
 
 
-def _parse_sector_block(lines: list[str], ids: tuple[str, ...]):
-    """Parse the sector rows, the first ``n`` of ``lines``, in one numpy pass.
+def _parse_sector_block(block: list[str], line: int, ids: tuple[str, ...], first: int):
+    """The names, cells and lines of the sector rows in ``block``, its lines from ``line`` on, in one numpy pass.
 
-    ``lines`` are the table's lines after its header. Returns the sector
-    names and the ``n × (n + 3)`` numeric cells, or None when numpy cannot
-    vouch for the block: then ``_walk_sector_rows`` reads it as csv records
-    and raises its error. The block is accepted only when it holds ``n``
-    rows of the header's width, in header order, whose cells are all finite
-    numbers, and its last record ends on its own line; numpy reads a subset
-    of what ``float`` reads, so an accepted block has the walk's values.
+    ``first`` sector rows precede the block. Returns None, for
+    ``_walk_sector_rows`` to read the block, unless each line is one row of
+    the header's width, the rows follow header order, their cells are all
+    finite numbers, and the last record ends on its own line.
     """
-    n = len(ids)
-    block = lines[:n]
-    # numpy skips a blank line, which the walk rejects, and warns when every
-    # line is; it strips \x1c-\x1f around a number, which float rejects; it
-    # reads a cell longer than the field limit, which csv refuses
-    if len(block) < n or not block[0].strip("\r\n") or max(map(len, block)) > csv.field_size_limit():
-        return None
-    if any(sep in line for line in block for sep in "\x1c\x1d\x1e\x1f"):
-        return None
-    try:
-        rows = np.loadtxt(
-            block,
-            dtype=[("id", object), ("name", object), ("cells", float, (n + 3,))],
-            delimiter=",",
-            quotechar='"',
-            comments=None,
-            ndmin=1,
-        )
-    except ValueError:
-        return None
-    if tuple(rows["id"]) != ids or not np.isfinite(rows["cells"]).all():
+    rows = _loadtxt(block, [("id", object), ("name", object), ("cells", float, (len(ids) + 3,))], _UNVOUCHED)
+    if rows is None or tuple(rows["id"]) != ids[first : first + len(block)] or not np.isfinite(rows["cells"]).all():
         return None
     # numpy ends the last row at the end of the block even inside an open
-    # quote, where csv reads on; so csv reads that row again to decide
-    last = csv.reader(lines[n - 1 :])
-    try:
-        next(last)
-    except csv.Error:
-        return None
+    # quote, where csv reads on; so csv reads that line, and one more, to decide
+    last = csv.reader([block[-1], ""])
+    next(last)
     if last.line_num != 1:
         return None
-    return list(rows["name"]), rows["cells"]
+    return list(rows["name"]), rows["cells"], range(line, line + len(block))
 
 
-def _walk_sector_rows(records, ids: tuple[str, ...], *, path) -> tuple[list[str], np.ndarray, list[int]]:
-    """The sector names, cells and lines of the next ``n`` csv ``records``, checked row by row.
-
-    ``records`` is the table's csv reader, just past its header; it is left
-    just past the block, at the primary-input rows. Raises at the first
-    error in file order, at its line and column: a block cut short by the
-    end of the file is reported after the rows it does hold.
-    """
+def _walk_sector_rows(rows, ids: tuple[str, ...], first: int, *, path) -> tuple[list[str], list, list[int]]:
+    """The names, cells and lines of ``(line, row)`` csv ``rows``, the sector rows from sector ``first`` on,
+    checked row by row; the first error in file order raises at its line and column."""
     n = len(ids)
-    names, lines = [], []
-    cells = np.zeros((n, n + 3))
-    for i in range(n):
-        record = _record(records, path=path)
-        if record is None:
-            raise SchemaError(f"expected {n} sector rows, found {i}", path=path, line=records.line_num)
-        line, row = record
+    names, cells, lines = [], [], []
+    for i, (line, row) in enumerate(rows, start=first):
         _require_width(row, n + 5, path=path, line=line)
         if row[0] != ids[i]:
-            raise SchemaError(
-                f"sector rows must follow header order; expected {ids[i]!r}, got {row[0]!r}",
-                path=path,
-                line=line,
-                column=1,
-            )
+            message = f"sector rows must follow header order; expected {ids[i]!r}, got {row[0]!r}"
+            raise SchemaError(message, path=path, line=line, column=1)
         names.append(row[1])
         lines.append(line)
-        cells[i] = [_cell_float(cell, path=path, line=line, column=j) for j, cell in enumerate(row[2:], start=3)]
+        cells.append([_cell_float(cell, path=path, line=line, column=j) for j, cell in enumerate(row[2:], start=3)])
     return names, cells, lines
 
 
@@ -329,59 +337,64 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
     Raises :class:`Unbalanced` beyond BALANCE_TOLERANCE unless
     ``allow_unbalanced``; the report is returned either way.
     """
-    lines = _read_lines(path)
-    records = csv.reader(lines)
-    header = _record(records, path=path)[1]
-    if header[:2] != ["sector_id", "sector_name"]:
-        raise SchemaError(
-            "header must start with sector_id,sector_name", path=path, line=1, column=1
-        )
-    if tuple(header[-3:]) != DEMAND_COLUMNS:
-        raise SchemaError(
-            f"header must end with {','.join(DEMAND_COLUMNS)}", path=path, line=1, column=max(len(header) - 2, 3)
-        )
-    ids = tuple(header[2:-3])
-    n = len(ids)
-    if n == 0:
-        raise SchemaError("no sector columns in header", path=path, line=1, column=3)
+    with _csv_file(path) as (header, line, handle):
+        if header[:2] != ["sector_id", "sector_name"]:
+            raise SchemaError("header must start with sector_id,sector_name", path=path, line=1, column=1)
+        if tuple(header[-3:]) != DEMAND_COLUMNS:
+            message = f"header must end with {','.join(DEMAND_COLUMNS)}"
+            raise SchemaError(message, path=path, line=1, column=max(len(header) - 2, 3))
+        ids = tuple(header[2:-3])
+        n = len(ids)
+        if n == 0:
+            raise SchemaError("no sector columns in header", path=path, line=1, column=3)
 
-    block = _parse_sector_block(lines[records.line_num :], ids)
-    start = 0  # lines before the source of ``records``
-    if block is None:
-        names, cells, sector_lines = _walk_sector_rows(records, ids, path=path)
-    else:
-        (names, cells), start = block, records.line_num + n
-        sector_lines = list(range(records.line_num + 1, start + 1))
-        records = csv.reader(lines[start:])
+        # the sector block is its first n records, blank ones included; each
+        # block is read after the rows before it, so len(names) counts them
+        names, sector_lines, cells = [], [], np.empty((n, n + 3))
+        blocks = _blocks(
+            handle,
+            line,
+            lambda block, start: _parse_sector_block(block, start, ids, len(names)),
+            lambda rows: _walk_sector_rows(rows, ids, len(names), path=path),
+            path=path,
+            records=n,
+        )
+        for (block_names, block_cells, block_lines), line in blocks:
+            cells[len(names) : len(names) + len(block_names)] = block_cells
+            names += block_names
+            sector_lines += block_lines
+        if len(names) < n:
+            raise SchemaError(f"expected {n} sector rows, found {len(names)}", path=path, line=line - 1)
+
+        primary: dict[str, np.ndarray] = {}
+        primary_lines = []
+        for line, row in _numbered(csv.reader(handle), path=path, start=line - 1):
+            if not row or not row[0]:
+                continue
+            _require_width(row, len(header), path=path, line=line)
+            label = row[0]
+            if label in primary:
+                raise SchemaError(f"duplicate primary-input row {label}", path=path, line=line, column=1)
+            if label not in (LABOR_ROW, CAPITAL_ROW, VALUE_ADDED_ROW, IMPORTS_ROW, INDIRECT_TAX_ROW):
+                raise SchemaError(f"unknown row label {label!r}", path=path, line=line, column=1)
+            values = enumerate(row[2 : 2 + n], start=3)
+            primary[label] = np.array([_cell_float(cell, path=path, line=line, column=j) for j, cell in values])
+            primary_lines.append(line)
     Z = cells[:, :n]
     f, e, x = cells[:, n:].T
 
-    primary: dict[str, np.ndarray] = {}
-    primary_lines = []
-    for line, row in _numbered(records, path=path, start=start):
-        if not row[0]:
-            continue
-        _require_width(row, len(header), path=path, line=line)
-        label = row[0]
-        if label in primary:
-            raise SchemaError(f"duplicate primary-input row {label}", path=path, line=line, column=1)
-        if label not in (LABOR_ROW, CAPITAL_ROW, VALUE_ADDED_ROW, IMPORTS_ROW, INDIRECT_TAX_ROW):
-            raise SchemaError(f"unknown row label {label!r}", path=path, line=line, column=1)
-        values = enumerate(row[2 : 2 + n], start=3)
-        primary[label] = np.array([_cell_float(cell, path=path, line=line, column=j) for j, cell in values])
-        primary_lines.append(line)
-
     # Z, EXPORTS and the primary inputs must not be negative; FINAL_DEMAND may
     # be (an inventory change), and OUTPUT has its own check below
-    signed = np.zeros((n + len(primary), n + 3))
-    signed[:n] = cells
-    signed[:n, [n, n + 2]] = 0.0
-    signed[n:, :n] = np.reshape(list(primary.values()), (-1, n))
-    negative = signed < 0
+    primary_cells = np.reshape(list(primary.values()), (-1, n))
+    negative = np.zeros((n + len(primary), n + 3), bool)
+    np.less(cells, 0, out=negative[:n])
+    negative[:n, [n, n + 2]] = False
+    np.less(primary_cells, 0, out=negative[n:, :n])
     if negative.any():
         row, column = np.unravel_index(negative.argmax(), negative.shape)
+        value = cells[row, column] if row < n else primary_cells[row - n, column]
         raise ParseError(
-            f"must not be negative, got {float(signed[row, column])}",
+            f"must not be negative, got {float(value)}",
             path=path,
             line=[*sector_lines, *primary_lines][row],
             column=int(column) + 3,
@@ -477,24 +490,25 @@ def load_rate_schedule(
     n = len(sectors)
     categories: list[RateCategory | None] = [None] * n
     shares = np.ones(n)
-    for line, (sector_id, token, share_cell) in _records(path, ("sector_id", "category", "standard_share")):
-        try:
-            index = sectors.index(sector_id)
-        except KeyError:
-            raise UnknownSector(f"unknown sector {sector_id!r}", path=path, line=line, column=1) from None
-        if categories[index] is not None:
-            raise SchemaError(f"duplicate entry for sector {sector_id!r}", path=path, line=line, column=1)
-        category = _token(_CATEGORY_TOKENS, token, "category", path=path, line=line)
-        if share_cell.strip() == "":
-            share = 1.0 if category is RateCategory.STANDARD_RATED else 0.0
-        else:
-            share = _cell_float(share_cell, path=path, line=line, column=3)
-        if not 0.0 <= share <= 1.0:
-            raise InvalidShare(
-                f"standard_share must lie in [0, 1], got {share}", path=path, line=line, column=3
-            )
-        categories[index] = category
-        shares[index] = share
+    with _records(path, ("sector_id", "category", "standard_share")) as records:
+        for line, (sector_id, token, share_cell) in records:
+            try:
+                index = sectors.index(sector_id)
+            except KeyError:
+                raise UnknownSector(f"unknown sector {sector_id!r}", path=path, line=line, column=1) from None
+            if categories[index] is not None:
+                raise SchemaError(f"duplicate entry for sector {sector_id!r}", path=path, line=line, column=1)
+            category = _token(_CATEGORY_TOKENS, token, "category", path=path, line=line)
+            if share_cell.strip() == "":
+                share = 1.0 if category is RateCategory.STANDARD_RATED else 0.0
+            else:
+                share = _cell_float(share_cell, path=path, line=line, column=3)
+            if not 0.0 <= share <= 1.0:
+                raise InvalidShare(
+                    f"standard_share must lie in [0, 1], got {share}", path=path, line=line, column=3
+                )
+            categories[index] = category
+            shares[index] = share
 
     warnings = []
     for i, category in enumerate(categories):
@@ -535,32 +549,17 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
     groups: dict[str, tuple[GroupDimension, str]] = {}
     group_lines: dict[str, int] = {}
     item_lines: dict[str, int] = {}
-    # per block: each row's group's first line, its item's first line, its amount
-    columns: list = [[], [], []]
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            try:
-                records = csv.reader(handle)
-                _check_header(_record(records, path=path), EXPENDITURE_COLUMNS, path=path)
-                line = records.line_num + 1
-                while block := list(islice(handle, EXPENDITURE_BLOCK_LINES)):
-                    # the walk reads on from the file to end a record that starts in the block
-                    records = csv.reader(chain(block, handle))
-                    parsed = _parse_expenditure_block(block, line, groups, group_lines, item_lines)
-                    if parsed is None:
-                        rows = _numbered(records, path=path, start=line - 1, stop=len(block))
-                        parsed = _walk_expenditure_rows(rows, groups, group_lines, item_lines, path=path)
-                    line += records.line_num or len(block)  # the lines the walk read, if it ran
-                    for k, part in enumerate(parsed):
-                        columns[k].append(part)
-            except LoadError:
-                while handle.read(1 << 16):  # a byte that is not UTF-8 later in the file comes first
-                    pass
-                raise
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path) from exc
-    except UnicodeDecodeError:
-        raise _not_utf8(ParseError, path) from None
+    with _csv_file(path) as (header, line, handle):
+        _check_header(header, EXPENDITURE_COLUMNS, path=path)
+        blocks = _blocks(
+            handle,
+            line,
+            lambda block, start: _parse_expenditure_block(block, start, groups, group_lines, item_lines),
+            lambda rows: _walk_expenditure_rows(rows, groups, group_lines, item_lines, path=path),
+            path=path,
+        )
+        # each row's group's first line, its item's first line and its amount, an array per block
+        columns = list(zip(*(parsed for parsed, _ in blocks)))
     if not groups:
         raise SchemaError("no expenditure rows", path=path, line=1)
     # join each column, and let go of its blocks, before the next
@@ -620,18 +619,13 @@ def _parse_expenditure_block(block: list[str], line: int, groups: dict, group_li
     items, but only as the walk adds them, or beside an empty item code it raises at.
     """
     n = len(block)
-    # numpy skips a blank line, which the walk numbers, and warns when every
-    # line is; it reads a cell longer than the field limit, which csv refuses
-    text = "".join(block)
-    if not block[0].strip() or any(char in text for char in _UNVOUCHED) or len(text) > csv.field_size_limit():
-        return None
-    try:
-        rows = np.loadtxt(block, dtype=_EXPENDITURE_DTYPE, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
+    # a quote may open a cell that spans lines
+    rows = _loadtxt(block, _EXPENDITURE_DTYPE, '"' + _UNVOUCHED)
+    if rows is None or len(rows) != n:
         return None
     # a copy, as a view of the field would keep the block's strings alive
     amounts = rows["amount"].copy()
-    if len(rows) != n or not ((amounts >= 0) & (amounts < np.inf)).all():
+    if not ((amounts >= 0) & (amounts < np.inf)).all():
         return None
     ids, tokens, labels = rows["group_id"], rows["dimension"], rows["label"]
     starts: dict[str, int] = {}
@@ -659,14 +653,15 @@ def _overflow(path, values: np.ndarray, group_ids) -> ParseError:
     overflow, the group's last row is named.
     """
     running, last = {}, {}
-    for line, (group, *_, amount) in _records(path, EXPENDITURE_COLUMNS):
-        running[group] = running.get(group, 0.0) + float(amount)  # inf, without a warning
-        last[group] = line
-        if math.isinf(running[group]):
-            break
-    else:
-        with np.errstate(over="ignore"):
-            group = group_ids[int(np.flatnonzero(~np.isfinite(values.sum(axis=1)))[0])]
+    with _records(path, EXPENDITURE_COLUMNS) as records:
+        for line, (group, *_, amount) in records:
+            running[group] = running.get(group, 0.0) + float(amount)  # inf, without a warning
+            last[group] = line
+            if math.isinf(running[group]):
+                break
+        else:
+            with np.errstate(over="ignore"):
+                group = group_ids[int(np.flatnonzero(~np.isfinite(values.sum(axis=1)))[0])]
     return ParseError(f"amount makes the total of group {group!r} overflow", path=path, line=last[group], column=5)
 
 
@@ -751,14 +746,15 @@ class Concordance:
 def load_concordance(path, sectors: SectorSet) -> Concordance:
     links = []
     lines = []
-    for line, (item_code, sector_id, weight_cell) in _records(path, ("item_code", "sector_id", "weight")):
-        if sector_id not in sectors:
-            raise UnknownSector(f"unknown sector {sector_id!r}", path=path, line=line, column=2)
-        weight = _cell_float(weight_cell, path=path, line=line, column=3)
-        if not 0.0 < weight <= 1.0:
-            raise InvalidShare(f"weight must lie in (0, 1], got {weight}", path=path, line=line, column=3)
-        links.append(ConcordanceLink(item_code=item_code, sector_id=sector_id, weight=weight))
-        lines.append(line)
+    with _records(path, ("item_code", "sector_id", "weight")) as records:
+        for line, (item_code, sector_id, weight_cell) in records:
+            if sector_id not in sectors:
+                raise UnknownSector(f"unknown sector {sector_id!r}", path=path, line=line, column=2)
+            weight = _cell_float(weight_cell, path=path, line=line, column=3)
+            if not 0.0 < weight <= 1.0:
+                raise InvalidShare(f"weight must lie in (0, 1], got {weight}", path=path, line=line, column=3)
+            links.append(ConcordanceLink(item_code=item_code, sector_id=sector_id, weight=weight))
+            lines.append(line)
     try:
         return Concordance(sectors=sectors, links=tuple(links))
     except DimensionMismatch as exc:
@@ -776,12 +772,13 @@ def save_concordance(concordance: Concordance, path) -> None:
 def load_category_map(path) -> CategoryMap:
     categories: list[str] = []
     assignments: dict[str, str] = {}
-    for line, (code, category) in _records(path, ("code", "category")):
-        if code in assignments:
-            raise SchemaError(f"duplicate code {code!r}", path=path, line=line, column=1)
-        if category not in categories:
-            categories.append(category)
-        assignments[code] = category
+    with _records(path, ("code", "category")) as records:
+        for line, (code, category) in records:
+            if code in assignments:
+                raise SchemaError(f"duplicate code {code!r}", path=path, line=line, column=1)
+            if category not in categories:
+                categories.append(category)
+            assignments[code] = category
     if not assignments:
         raise SchemaError("no category assignments", path=path, line=1)
     return CategoryMap(categories=tuple(categories), assignments=assignments)

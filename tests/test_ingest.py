@@ -231,8 +231,14 @@ def test_row_loaders_share_one_dialect(tmp_path, name):
     assert (info.value.line, info.value.column) == (4, column)
 
 
+# a table whose line 5 holds a byte that is not UTF-8
+BAD_BYTE_TABLE = (IO_HEADER + "a,A,0,0,1,0,1\nb,B,0,0,1,0,1\n" + PRIMARY_ROWS).encode()
+BAD_BYTE_TABLE = BAD_BYTE_TABLE.replace(b"IMPORTS,,", b"IMPORTS,,\xff")
 NON_UTF8_CASES = {
     "io_table_header": (load_io_table, IO_HEADER.encode().replace(b"OUTPUT", b"OUT\xffPUT"), 1),
+    # lines end at \r and \r\n as csv splits them
+    "io_table_cr": (load_io_table, BAD_BYTE_TABLE.replace(b"\n", b"\r"), 5),
+    "io_table_crlf": (load_io_table, BAD_BYTE_TABLE.replace(b"\n", b"\r\n"), 5),
     # far enough down that the bad byte is not in the reader's first buffer
     "expenditure_row": (
         load_expenditure,
@@ -468,22 +474,30 @@ class TestLoadIOTable:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block_lines", [1, 2, 3, ingest.BLOCK_LINES])
     @given(text=_sector_tables())
     # an open quote in the last sector cell, where csv reads on into the next line
     @example(text=IO_HEADER + 'a,A,0,0,1,0,1\nb,B,0,0,1,0,"1\n' + PRIMARY_ROWS)
+    # a quoted name whose cell spans the boundary of one- and two-line blocks
+    @example(text="sector_id,sector_name,a,b,c,FINAL_DEMAND,EXPORTS,OUTPUT\n"
+             'a,A,0,0,0,1,0,1\nb,"B\nfirm",0,0,0,1,0,1\nc,C,0,0,0,1,0,1\n'
+             "VALUE_ADDED,,1,1,1,,,\nIMPORTS,,0,0,0,,,\nINDIRECT_TAX,,0,0,0,,,\n")
+    # an open quote on the last line of a one-line block, not of the sector block
+    @example(text=IO_HEADER + 'a,A,0,0,1,0,"1\nb,B,0,0,1,0,1\n' + PRIMARY_ROWS)
     # \x1c after a number, which numpy strips and float rejects
     @example(text=IO_HEADER + "a,A,0,0,1,0,1\x1c\nb,B,0,0,1,0,1\n" + PRIMARY_ROWS)
     # only blank lines where the sector rows belong
     @example(text=IO_HEADER + "\n\n" + PRIMARY_ROWS)
     # lines that end in \r alone
     @example(text=(IO_HEADER + "a,A,0,0,1,0,1\nb,B,0,0,1,0,1\n" + PRIMARY_ROWS).replace("\n", "\r"))
-    def test_one_pass_parse_agrees_with_the_row_walk(self, tmp_path, text):
+    def test_one_pass_parse_agrees_with_the_row_walk(self, tmp_path, block_lines, text):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "_parse_sector_block", lambda lines, ids: None)
-            walked = _load_outcome(path)
-        assert _load_outcome(path) == walked
+            patch.setattr(ingest, "BLOCK_LINES", block_lines)
+            read = _load_outcome(path)
+            patch.setattr(ingest, "_parse_sector_block", lambda *args: None)
+            assert read == _load_outcome(path)
 
     def test_one_pass_parse_runs_on_quoted_names(self, tmp_path, monkeypatch):
         # a silent fallback to the row walk, e.g. on an older numpy, fails here
@@ -501,6 +515,20 @@ class TestLoadIOTable:
         assert loaded.sectors == table.sectors
         for name in ("Z", "f", "e", "labor", "capital", "imports", "indirect_tax", "x"):
             np.testing.assert_array_equal(getattr(loaded, name).view(np.int64), getattr(table, name).view(np.int64))
+
+    def test_load_memory_holds_no_copy_of_the_lines(self, tmp_path, monkeypatch):
+        # the table's own arrays take about 0.8 of the file's size, and its lines, held whole, more than the file
+        monkeypatch.setattr(ingest, "BLOCK_LINES", 16)
+        path = tmp_path / "t.csv"
+        save_io_table(helpers.random_balanced_table(np.random.default_rng(3), 400), path)  # 3.2 MB
+        load_io_table(path)
+        tracemalloc.start()
+        try:
+            load_io_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * path.stat().st_size
 
     @pytest.mark.parametrize(
         ("header", "message", "column"),
@@ -796,7 +824,7 @@ class TestLoadExpenditure:
         path = tmp_path / "e.csv"
         path.write_bytes(data)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "EXPENDITURE_BLOCK_LINES", 3)
+            patch.setattr(ingest, "BLOCK_LINES", 3)
             read = _expenditure_outcome(path)
             patch.setattr(ingest, "_parse_expenditure_block", lambda *args: None)
             assert read == _expenditure_outcome(path)
@@ -840,7 +868,7 @@ class TestLoadExpenditure:
     @pytest.mark.parametrize("quoted_row", [0, 16, 32], ids=["first-block", "middle-block", "last-block"])
     def test_a_declined_block_alone_is_walked(self, tmp_path, monkeypatch, quoted_row):
         # the only quoted label is in one of eleven blocks of three lines
-        monkeypatch.setattr(ingest, "EXPENDITURE_BLOCK_LINES", 3)
+        monkeypatch.setattr(ingest, "BLOCK_LINES", 3)
         walk, walked, opened = ingest._walk_expenditure_rows, [], []
 
         def counting_walk(*args, **kwargs):
@@ -900,6 +928,22 @@ class TestLoadExpenditure:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
+
+    def test_load_memory_is_bounded_when_a_total_overflows(self, tmp_path):
+        # the overflowing row is located by reading the file again a row at a time, not by holding its lines
+        path = tmp_path / "e.csv"
+        _write_expenditure(path, 800, 100, seed=6)  # 80,000 rows
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("g0000,income,label 0,item000,1e308\n" * 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="overflow") as info:
+                load_expenditure(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.line, info.value.column) == (80_003, 5)
         assert peak < 2 * path.stat().st_size
 
 

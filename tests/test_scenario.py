@@ -160,9 +160,10 @@ def test_readme_example_loads(tmp_path):
     assert config.concordance == (tmp_path / "conf" / "concordance.csv").resolve()
 
 
-def test_non_utf8_scenario_names_its_line(tmp_path):
+@pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"])
+def test_non_utf8_scenario_names_its_line(tmp_path, newline):
     path = _scenario(tmp_path, MINIMAL)
-    path.write_bytes(MINIMAL.encode().replace(b"sched.csv", b"sched\xff.csv"))
+    path.write_bytes(MINIMAL.encode().replace(b"sched.csv", b"sched\xff.csv").replace(b"\n", newline))
     with pytest.raises(SchemaError, match="not UTF-8: byte 0xff") as info:
         load_scenario(path)
     assert info.value.line == 3
