@@ -2,12 +2,17 @@
 
 Three subcommands:
 
-* ``validate`` — load a set of input files and print the checks of
+* ``validate`` — load a scenario's input files and print the checks of
   :func:`~gstio.scenario.check_inputs`, exit 0 iff every one passes.
-* ``run`` — execute one scenario file and write its report CSVs atomically
+* ``run`` — execute one scenario and write its report CSVs atomically
   (everything is staged to a temp directory and renamed into place).
 * ``report`` — render a finished run directory as aligned text, raw CSV, or
   label/value series files for plotting.
+
+``validate`` and ``run`` build one :class:`~gstio.scenario.ScenarioConfig` in
+``_config``: the scenario file with each flag given in place of its key, so
+``validate SCENARIO`` checks what ``run SCENARIO`` runs. Without a scenario,
+``validate`` reads ``--table`` and ``--schedule`` (then required) at rate 0.06.
 
 Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical failure. Every error
 path prints a single line starting with ``ERROR <code>:`` to stderr. ``run``
@@ -32,7 +37,7 @@ from .incidence import expenditure_change_on_items  # noqa: F401  (bench/tracing
 from .ingest import _cell_float, _require_width, _rows, _write_csv
 from .price_model import MaskedInputTreatment
 from .scenario import GAPS_TABLE, INCIDENCE_TABLE, PRICE_TABLE, SUMMARY_TABLE, ScenarioConfig, ScenarioResult
-from .scenario import check_inputs, load_inputs, load_scenario, run_scenario, run_tables
+from .scenario import check_inputs, load_scenario, run_scenario, run_tables
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,15 +57,28 @@ class _Parser(argparse.ArgumentParser):
 class _Override(argparse.Action):
     """Store a flag's value parsed as the scenario key its dest names, paths from the cwd.
 
-    A value that key's parser rejects is a usage error that names the flag.
+    An empty value (absent in a scenario file) or one that key's parser
+    rejects is a usage error that names the flag.
     """
 
     def __call__(self, parser, namespace, value, option_string=None):
         parse = {spec.name: spec for spec in fields(ScenarioConfig)}[self.dest].metadata["parse"]
         try:
+            if not value:
+                raise ValueError(f"{self.dest} is empty")
             setattr(namespace, self.dest, parse(value, self.dest, Path.cwd()))
         except ValueError as exc:
             raise argparse.ArgumentError(self, str(exc)) from None
+
+
+def _config(args) -> ScenarioConfig:
+    """``args.scenario`` with each flag given in place of its key; validate's file flags stay as typed."""
+    given = {spec.name: value for spec in fields(ScenarioConfig) if (value := getattr(args, spec.name, None)) is not None}
+    if args.scenario is not None:
+        return replace(load_scenario(args.scenario), **given)
+    if missing := [flag for flag, key in (("--table", "io_table"), ("--schedule", "rate_schedule")) if key not in given]:
+        args.parser.error(f"the following arguments are required: {', '.join(missing)}")
+    return ScenarioConfig(**{"gst_rate": 0.06, "output_dir": None} | given)
 
 
 def _number_formatter(full_precision: bool):
@@ -75,7 +93,7 @@ def _number_formatter(full_precision: bool):
 
 
 def cmd_validate(args) -> int:
-    checks = check_inputs(load_inputs(args))  # validate's flags are stored under ScenarioConfig's field names
+    checks = check_inputs(_config(args))
     for check in checks:
         print(check.line)
     if not all(check.passed for check in checks):
@@ -98,14 +116,7 @@ def _write_run_outputs(result: ScenarioResult, target: Path, fmt) -> None:
 
 
 def cmd_run(args) -> int:
-    config = load_scenario(args.scenario)
-    # a flag whose dest names a ScenarioConfig field overrides it when given
-    overrides = {
-        spec.name: getattr(args, spec.name)
-        for spec in fields(config)
-        if getattr(args, spec.name, None) is not None
-    }
-    config = replace(config, **overrides)
+    config = _config(args)
     result = run_scenario(config)
     for warning in result.inputs.schedule_warnings:
         print(f"warning: {warning}")
@@ -277,18 +288,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gstio", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    validate = sub.add_parser("validate", help="check input files and report problems")
-    # dests are ScenarioConfig's field names, which load_inputs reads
-    validate.add_argument("--table", dest="io_table", metavar="TABLE", required=True, help="IO table CSV")
-    validate.add_argument(
-        "--schedule", dest="rate_schedule", metavar="SCHEDULE", required=True, help="rate schedule CSV"
-    )
+    # a flag's dest is the ScenarioConfig field it sets in _config; None is not given
+    validate = sub.add_parser("validate", help="check a scenario's input files and report problems")
+    validate.add_argument("scenario", nargs="?", help="scenario config file, checked as run runs it")
+    validate.add_argument("--table", dest="io_table", metavar="TABLE", help="IO table CSV")
+    validate.add_argument("--schedule", dest="rate_schedule", metavar="SCHEDULE", help="rate schedule CSV")
     validate.add_argument("--expenditure", help="household expenditure CSV")
     validate.add_argument("--concordance", help="item-to-sector concordance CSV")
     validate.add_argument("--category-map", help="reporting category map CSV")
-    validate.add_argument("--gst-rate", type=float, default=0.06)
-    validate.add_argument("--allow-unbalanced", action="store_true")
-    validate.set_defaults(func=cmd_validate)
+    validate.add_argument("--gst-rate", type=float)
+    validate.add_argument("--allow-unbalanced", action="store_const", const=True)
+    validate.set_defaults(func=cmd_validate, parser=validate)
 
     run = sub.add_parser("run", help="execute a scenario and write report CSVs")
     run.add_argument("scenario", help="scenario config file")
@@ -314,10 +324,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:  # a usage error, which _config reports too
+        return int(exc.code or 0)
     except (GstioError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_VALIDATION

@@ -1,14 +1,15 @@
 """Scenario configuration and execution: one INI file describes one simulation
 run, and ``run_scenario`` executes it from the IO table to household incidence.
 
-``gstio validate`` and ``gstio run`` read and check their inputs through one
-load stage, ``load_inputs``, which reads every input file that is given. So
-``run`` reports every input error, a category map that leaves codes out
-included, before any numerical error, and ``validate`` prints its checks
-only once every input has loaded: a failing load prints none before its
-``ERROR`` line. Those checks are ``check_inputs``'s, which decides what is
-valid; it computes ``run``'s household tables with ``run``'s own code, so
-a group that ``run`` refuses fails ``validate`` too.
+``gstio validate`` and ``gstio run`` read one ``ScenarioConfig``'s inputs
+through one load stage, ``load_inputs``, which reads every input file that
+is given and resolves the base groups. So ``run`` reports every input
+error, a category map that leaves codes out included, before any numerical
+error, and ``validate`` prints its checks only once every input has loaded:
+a failing load prints none before its ``ERROR`` line. Those checks are
+``check_inputs``'s, which decides what is valid; it prices the scenario as
+``run`` does and computes ``run``'s household tables with ``run``'s own
+code, so a group that ``run`` refuses fails ``validate`` too.
 
 Frozen concrete syntax (paths are resolved relative to the config file)::
 
@@ -30,7 +31,7 @@ Frozen concrete syntax (paths are resolved relative to the config file)::
     full_precision = false
     allow_unbalanced = false
 
-The file is split at ``\\n`` only. A ``;`` at a line's start or after
+A line ends at ``\\n``, ``\\r`` or ``\\r\\n``. A ``;`` at a line's start or after
 whitespace starts a comment; the rest of the line is stripped, and skipped
 if then empty or starting with ``#``. A line indented deeper than its
 section's last key continues that key's value (joined with ``\\n``, blank
@@ -226,7 +227,8 @@ class ScenarioInputs:
     """A scenario's input files, loaded and checked against each other.
 
     ``expenditure`` and ``weights`` are :func:`~gstio.ingest.load_household`'s, spending in
-    the file's codes; ``unmapped`` holds those codes that ``category_map`` leaves out.
+    the file's codes; ``unmapped`` holds those codes that ``category_map`` leaves out, and
+    ``base_groups`` each dimension's base group, one entry per dimension that has groups.
     """
 
     table: IOTable
@@ -237,14 +239,11 @@ class ScenarioInputs:
     weights: np.ndarray | None
     category_map: CategoryMap | None
     unmapped: tuple[str, ...]
+    base_groups: dict[GroupDimension, str]
 
 
 def load_inputs(config: ScenarioConfig) -> ScenarioInputs:
-    """Read and check every input file that ``config`` names, in the order of its keys.
-
-    Reads the input keys, ``gst_rate`` and ``allow_unbalanced`` only, which
-    ``gstio validate``'s parsed flags carry too.
-    """
+    """Read and check every input file that ``config`` names, in the order of its keys, then its base groups."""
     table, balance = load_io_table(config.io_table, allow_unbalanced=config.allow_unbalanced)
     schedule, warnings = load_rate_schedule(config.rate_schedule, table.sectors, gst_rate=config.gst_rate)
     household = (None, None)
@@ -255,7 +254,8 @@ def load_inputs(config: ScenarioConfig) -> ScenarioInputs:
     category_map = load_category_map(config.category_map) if config.category_map else None
     expenditure = household[0]
     unmapped = () if category_map is None or expenditure is None else category_map.unmapped(expenditure.items)
-    return ScenarioInputs(table, balance, schedule, tuple(warnings), *household, category_map, unmapped)
+    base_groups = {} if expenditure is None else _resolve_base_groups(expenditure, config.base_groups)
+    return ScenarioInputs(table, balance, schedule, tuple(warnings), *household, category_map, unmapped, base_groups)
 
 
 class Check(NamedTuple):
@@ -274,16 +274,17 @@ def _productivity(label: str, report: ProductivityReport) -> Check:
     return Check(f"productivity ({label}): {radius} {'pass' if report.passed else 'FAIL'}", report.passed)
 
 
-def check_inputs(inputs: ScenarioInputs) -> list[Check]:
-    """``gstio validate``'s checks of loaded ``inputs``, in its order; the inputs are valid iff all pass.
+def check_inputs(config: ScenarioConfig) -> list[Check]:
+    """``gstio validate``'s checks of ``config``'s inputs, in its order; the scenario is valid iff all pass.
 
-    Balance, productivity without the mask, the schedule's warnings,
-    productivity with it, expenditure and category-map coverage. When these
-    pass and expenditure is given, ``run``'s household tables are computed
-    at the schedule's rate under ``run``'s defaults (drop, no exempt option,
-    each dimension's first group id as base): a group whose numbers overflow
+    Loads the inputs as :func:`run_scenario` does, so a load error is raised
+    as there. Then balance, productivity without the mask, the schedule's
+    warnings, productivity with it, expenditure and category-map coverage.
+    When these pass and expenditure is given, ``run``'s household tables are
+    computed from the scenario's prices: a group whose numbers overflow
     fails one more check.
     """
+    inputs = load_inputs(config)
     table, balance = inputs.table, inputs.balance
     residuals = f"max row residual {balance.max_row_residual:.3e}, max column residual {balance.max_column_residual:.3e}"
     checks = [Check(f"table: {table.n} sectors, {residuals}", True)]
@@ -309,9 +310,8 @@ def check_inputs(inputs: ScenarioInputs) -> list[Check]:
     elif inputs.category_map is not None:
         checks.append(Check(f"category map: {len(inputs.category_map.categories)} categories, total over items", True))
     if expenditure is not None and all(check.passed for check in checks):
-        delta = _expenditure_change(inputs, simulate_prices(bundle, inputs.schedule))
         try:
-            _household_tables(inputs, delta, _resolve_base_groups(expenditure, {}))
+            _household_tables(inputs, _expenditure_change(inputs, _price_level(config, bundle, inputs.schedule)))
         except DimensionMismatch as exc:
             checks.append(Check(f"household report: {exc} FAIL", False))
     return checks
@@ -328,7 +328,10 @@ class ScenarioResult:
     price_level: np.ndarray
     summary: PriceChangeSummary
     delta: np.ndarray | None  # ΔE on inputs.expenditure's codes, which the household tables read
-    base_groups: dict[GroupDimension, str]
+
+    @property
+    def base_groups(self) -> dict[GroupDimension, str]:
+        return self.inputs.base_groups
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -336,30 +339,20 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     inputs = load_inputs(config)
     if inputs.unmapped:
         raise UnmappedItem(inputs.unmapped, context="category map")
-    expenditure = inputs.expenditure
-    base_groups = {} if expenditure is None else _resolve_base_groups(expenditure, config.base_groups)
 
     bundle = derive_coefficients(inputs.table, check_balance=False)
     baseline = baseline_prices(bundle)
-    price_level = simulate_prices(
-        bundle,
-        inputs.schedule,
-        masked_input_treatment=config.masked_input_treatment,
-        exempt_retains_input_tax=config.exempt_retains_input_tax,
-    )
+    price_level = _price_level(config, bundle, inputs.schedule)
     summary = price_change_summary(price_level, output=inputs.table.x)
 
-    delta = None if expenditure is None else _expenditure_change(inputs, price_level)
-    return ScenarioResult(
-        config=config,
-        inputs=inputs,
-        bundle=bundle,
-        baseline=baseline,
-        price_level=price_level,
-        summary=summary,
-        delta=delta,
-        base_groups=base_groups,
-    )
+    delta = None if inputs.expenditure is None else _expenditure_change(inputs, price_level)
+    return ScenarioResult(config, inputs, bundle, baseline, price_level, summary, delta)
+
+
+def _price_level(config: ScenarioConfig, bundle: CoefficientBundle, schedule: RateSchedule) -> np.ndarray:
+    """The post-reform prices of ``schedule`` under ``config``'s treatment and exempt option."""
+    treatment, exempt = config.masked_input_treatment, config.exempt_retains_input_tax
+    return simulate_prices(bundle, schedule, masked_input_treatment=treatment, exempt_retains_input_tax=exempt)
 
 
 def _expenditure_change(inputs: ScenarioInputs, price_level: np.ndarray) -> np.ndarray:
@@ -368,9 +361,7 @@ def _expenditure_change(inputs: ScenarioInputs, price_level: np.ndarray) -> np.n
     return expenditure_change_on_items(inputs.expenditure, item_prices)
 
 
-def _resolve_base_groups(
-    expenditure: ExpenditureMatrix, requested: dict[GroupDimension, str]
-) -> dict[GroupDimension, str]:
+def _resolve_base_groups(expenditure: ExpenditureMatrix, requested: dict[GroupDimension, str]):
     resolved: dict[GroupDimension, str] = {}
     for dimension in GroupDimension:
         ids = sorted(g.group_id for g in expenditure.groups if g.dimension is dimension)
@@ -411,17 +402,17 @@ def run_tables(result: ScenarioResult) -> dict[str, tuple[list[str], list[list[s
     }
     if inputs.expenditure is None:
         return tables
-    return tables | _household_tables(inputs, result.delta, result.base_groups)
+    return tables | _household_tables(inputs, result.delta)
 
 
-def _household_tables(inputs: ScenarioInputs, delta: np.ndarray, base_groups: dict[GroupDimension, str]):
+def _household_tables(inputs: ScenarioInputs, delta: np.ndarray):
     """The household tables of :func:`run_tables` from ``inputs.expenditure`` and its ΔE ``delta``.
 
     Every table takes a group's totals from that one matrix, so a category
     table's TOTAL row repeats the group's ``incidence_by_group`` row. A group
     whose numbers overflow is a ``DimensionMismatch``.
     """
-    expenditure, category_map = inputs.expenditure, inputs.category_map
+    expenditure, category_map, base_groups = inputs.expenditure, inputs.category_map, inputs.base_groups
     groups = expenditure.groups
     if category_map is not None:
         report = category_report(expenditure, delta, category_map)

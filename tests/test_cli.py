@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gstio import ExpenditureBasis, GstioError, MaskedInputTreatment, cli, load_expenditure, load_scenario
+from gstio import ExpenditureBasis, GstioError, MaskedInputTreatment, ScenarioConfig, cli, load_expenditure, load_scenario
 from gstio import run_scenario, run_tables
 from gstio.cli import main
 
@@ -256,6 +256,48 @@ class TestValidate:
         if run_code:
             assert capsys.readouterr().err.startswith("ERROR NonProductive:")
 
+    @pytest.mark.parametrize("given", [[], ["--table", "t.csv"], ["--schedule", "s.csv"]], ids=["none", "table", "schedule"])
+    def test_flags_alone_need_table_and_schedule(self, capsys, given):
+        missing = [flag for flag in ("--table", "--schedule") if flag not in given]
+        assert main(["validate", *given]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"ERROR Usage: the following arguments are required: {', '.join(missing)}"
+
+    def test_flags_set_the_config_that_is_checked(self, data_dir, monkeypatch):
+        seen = []
+
+        def record(config):
+            seen.append(config)
+            return []
+
+        monkeypatch.setattr(cli, "check_inputs", record)
+        scenario = data_dir / "scenario.cfg"
+        flags = ["--table", "t.csv", "--category-map", "m.csv", "--gst-rate", "0.1", "--allow-unbalanced"]
+        assert main(["validate", str(scenario)]) == 0
+        assert main(["validate", str(scenario), *flags]) == 0
+        assert main(["validate", "--schedule", "./s.csv", *flags]) == 0
+        assert seen[0] == load_scenario(scenario)
+        # a file flag keeps the string given
+        overrides = {"io_table": "t.csv", "category_map": "m.csv", "gst_rate": 0.1, "allow_unbalanced": True}
+        assert seen[1] == replace(seen[0], **overrides)
+        assert seen[2] == ScenarioConfig(rate_schedule="./s.csv", output_dir=None, **overrides)
+
+    @pytest.mark.parametrize("unmapped", [False, True], ids=["all codes mapped", "unmapped codes"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unknown_base_group_is_the_same_error(self, data_dir, tmp_path, capsys, command, unmapped):
+        # the base group is an input error, reported before a category map that leaves codes out
+        for name in ("io_table.csv", "rate_schedule.csv", "expenditure.csv", "concordance.csv", "category_map.csv"):
+            shutil.copy(data_dir / name, tmp_path)
+        if unmapped:
+            cmap = tmp_path / "category_map.csv"
+            cmap.write_text(_read(cmap).replace("misc,misc_goods_services\n", ""), encoding="utf-8")
+        scenario = _read(data_dir / "scenario.cfg").replace("income:inc1", "income:inc9")
+        (tmp_path / "scenario.cfg").write_text(scenario, encoding="utf-8")
+        assert main([command, str(tmp_path / "scenario.cfg")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ERROR UnknownBaseGroup: base group 'inc9' not among income groups: inc1, inc2, inc3\n"
+
     def test_incomplete_category_map_fails_validation(self, tmp_path, data_dir, capsys):
         cmap = tmp_path / "partial.csv"
         cmap.write_text("code,category\nfood,food_nonalcoholic\n", encoding="utf-8")
@@ -376,8 +418,8 @@ def test_overflowing_expenditure_is_one_located_error(data_dir, tmp_path, comman
     "command, case",
     [
         # a run case's id is its case alone
-        pytest.param(command, case, id=case if command == "run" else f"{case}, validate")
-        for command in ("run", "validate")
+        pytest.param(command, case, id=case if command == "run" else f"{case}, {command}")
+        for command in ("run", "validate", "validate scenario")
         for case in (
             "post-reform total",
             "without category map",
@@ -386,7 +428,10 @@ def test_overflowing_expenditure_is_one_located_error(data_dir, tmp_path, comman
             "weights above 1",  # misc's weights sum to 1 + 5e-10, so its mapped spending passes the float maximum
             "two float maximum groups",  # the category report goes first, in file order
             "two float maximum groups without category map",  # the gaps table, by dimension then id
+            "masked inputs at baseline without category map",
         )
+        # validate's flags set no treatment and no exempt option
+        if (command, case) != ("validate", "masked inputs at baseline without category map")
     ],
 )
 def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, command, case):
@@ -403,6 +448,10 @@ def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, command
     elif case.startswith("two float maximum groups"):
         group = "a9" if no_map else "b9"
         spend += "b9,income,x,misc,1.7976931348623157e308\na9,income,y,misc,1.7976931348623157e308\n"
+    elif case.startswith("masked inputs at baseline"):  # the ser price rises 2.8 %; under drop every price falls
+        scenario = scenario.replace("treatment = drop", "treatment = baseline")
+        scenario = scenario.replace("exempt_retains_input_tax = false", "exempt_retains_input_tax = true")
+        spend += "inc1,income,<1000,rent,1.76e308\n"
     else:  # every price rises, so the group's post-reform total overflows
         rate = "0.9"
         scenario = scenario.replace("gst_rate = 0.06", f"gst_rate = {rate}")
@@ -416,6 +465,8 @@ def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, command
     (tmp_path / "expenditure.csv").write_text(spend, encoding="utf-8")
     if command == "run":
         argv = ["run", str(tmp_path / "scenario.cfg"), "-o", str(tmp_path / "out")]
+    elif command == "validate scenario":
+        argv = ["validate", str(tmp_path / "scenario.cfg")]
     else:
         argv = ["validate", "--gst-rate", rate]
         names = ["io_table", "rate_schedule", "expenditure", "concordance", "category_map"]
@@ -659,16 +710,27 @@ class TestRun:
             full_precision=True,
         )
 
-    def test_override_a_field_parser_rejects_is_a_usage_error(self, data_dir, tmp_path, capsys):
-        code = main(["run", str(data_dir / "scenario.cfg"), "-o", str(tmp_path / "x\ny")])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("x\ny", "output_dir continues on an indented line; a path is one line"),
+            ("", "output_dir is empty"),  # not the cwd, which --force would replace
+        ],
+        ids=["newline", "empty"],
+    )
+    def test_override_a_field_parser_rejects_is_a_usage_error(
+        self, data_dir, tmp_path, monkeypatch, capsys, value, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "keep.txt").write_text("kept", encoding="utf-8")
+        code = main(["run", str(data_dir / "scenario.cfg"), "-o", value, "--force"])
         err = capsys.readouterr().err
         assert code == 1
         errors = [line for line in err.splitlines() if line.startswith("ERROR")]
-        assert errors == [
-            "ERROR Usage: argument --output-dir/-o: output_dir continues on an indented line; a path is one line"
-        ]
+        assert errors == [f"ERROR Usage: argument --output-dir/-o: {message}"]
         assert "Traceback" not in err
-        assert not list(tmp_path.iterdir())
+        assert [path.name for path in tmp_path.iterdir()] == ["keep.txt"]
+        assert _read(tmp_path / "keep.txt") == "kept"
 
     def test_full_precision_widens_but_agrees(self, data_dir, tmp_path):
         short_dir, full_dir = tmp_path / "short", tmp_path / "full"

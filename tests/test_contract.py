@@ -5,11 +5,12 @@ or of one of its five CSV inputs either runs, or fails with one
 error, ``EmptyGroup`` and ``UnmappedItem`` names its file and line, but a
 file-level ``missing …`` error and a category map that leaves codes out.
 
-``gstio validate`` on a CSV mutant's five inputs agrees with ``run``: it
-passes where ``run`` runs, and prints ``run``'s ERROR line and nothing else
-where ``run`` fails to load. Where ``run`` fails after loading, on a category
-map that leaves codes out, a non-productive table or a group whose report
-numbers overflow, ``validate`` prints its checks and fails them.
+``gstio validate`` on a mutant's scenario agrees with ``run``: it passes
+where ``run`` runs, and prints ``run``'s ERROR line and nothing else where
+``run`` fails to load. Where ``run`` fails after loading, on a category map
+that leaves codes out, a non-productive table or a group whose report
+numbers overflow, ``validate`` prints its checks and fails them. On a CSV
+mutant, ``validate`` on the five inputs as flags does the same, to the byte.
 
 ``gstio report`` on a finished run directory with one table mutated either
 renders it, as text and as plot series, or fails with exit 2 and one
@@ -108,15 +109,13 @@ def run_outcome(scenario: Path) -> str:
     return err
 
 
-def check_validate_agrees(data: Path, run_err: str) -> None:
-    """``gstio validate`` on the five CSV inputs in ``data`` agrees with a run
-    of its scenario that printed ``run_err``; see the module docstring."""
-    argv = ["validate"]
-    for flag, name in zip(VALIDATE_FLAGS, CSV_INPUTS):
-        argv += [flag, str(data / name)]
+def check_validate_agrees(argv: list[str], run_err: str) -> tuple[int, str, str]:
+    """``gstio validate`` with ``argv`` agrees with a run of the same scenario
+    that printed ``run_err``; see the module docstring. Returns its exit code,
+    stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(["validate", *argv])
     out, err = out.getvalue(), err.getvalue()
     if not run_err:
         assert (code, err) == (0, ""), err
@@ -126,6 +125,7 @@ def check_validate_agrees(data: Path, run_err: str) -> None:
         assert "category map: MISSING codes" in out or " FAIL\n" in out, out
     else:
         assert (code, out, err) == (2, "", run_err)
+    return code, out, err
 
 
 def _appendix_copy(tmp: str) -> Path:
@@ -158,6 +158,7 @@ def test_scenario_mutants_run_or_fail_with_one_located_error(kind, line, token, 
         err = run_outcome(scenario)
         if err.startswith(f"ERROR SchemaError: {scenario}:") and "missing section" not in err:
             assert re.match(rf"ERROR SchemaError: {re.escape(str(scenario))}:\d+: ", err), err
+        check_validate_agrees([str(scenario)], err)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
@@ -190,7 +191,8 @@ def test_csv_mutants_run_or_fail_with_one_located_error(name, kind, line, column
         located = re.match(rf"ERROR (?:{LOCATED_ERRORS}): [^:]+(:\d+)?", err)
         if located and not located.group(1) and "(category map)" not in err:
             assert err[located.end() :].startswith(": missing "), err
-        check_validate_agrees(data, err)
+        flags = [arg for flag, name in zip(VALIDATE_FLAGS, CSV_INPUTS) for arg in (flag, str(data / name))]
+        assert check_validate_agrees([str(data / "scenario.cfg")], err) == check_validate_agrees(flags, err)
 
 
 def check_report(run_dir: Path, table: Path, fmt: str, out: Path) -> None:

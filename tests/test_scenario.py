@@ -114,14 +114,16 @@ SCHEMA_ERRORS = [
 ]
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"], ids=["LF", "CR", "CRLF"])
 @pytest.mark.parametrize(
     "old, new, message, line",
     SCHEMA_ERRORS,
     ids=["-".join(case[:3]) for case in SCHEMA_ERRORS],  # the line is left out of the id
 )
-def test_schema_errors(tmp_path, old, new, message, line):
+def test_schema_errors(tmp_path, old, new, message, line, newline):
     assert old in MINIMAL
     path = _scenario(tmp_path, MINIMAL.replace(old, new))
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
     with pytest.raises(SchemaError, match=re.escape(message)) as info:
         load_scenario(path)
     assert info.value.path == str(path)
@@ -222,7 +224,7 @@ def test_check_inputs_are_the_lines_validate_prints(data_dir, capsys):
         argv += [f"--{flag}", str(getattr(config, flag.replace("-", "_")))]
     assert main(argv) == 0
     printed = capsys.readouterr().out.splitlines()
-    assert [check.line for check in check_inputs(load_inputs(config))] == printed[:-1]
+    assert [check.line for check in check_inputs(config)] == printed[:-1]
     assert printed[-1] == "VALIDATION OK"
 
 
