@@ -17,7 +17,7 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "appendix3"
 def main() -> None:
     result = run_scenario(load_scenario(DATA / "scenario.cfg"))
     inputs = result.inputs
-    print(f"loaded {inputs.table.n} sectors, worst balance residual {inputs.balance.max_row_residual:.2e}")
+    print(f"loaded {inputs.bundle.n} sectors, worst balance residual {inputs.balance.max_row_residual:.2e}")
     for w in inputs.schedule_warnings:
         print("warning:", w)
     tables = {name: rows for name, (_, rows) in run_tables(result).items()}

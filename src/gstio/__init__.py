@@ -78,7 +78,6 @@ from .io_model import (
     balance_report,
     derive_coefficients,
     leontief_inverse,
-    quantity_model,
     spectral_radius,
 )
 from .price_model import (

@@ -61,14 +61,24 @@ class _Override(argparse.Action):
     rejects is a usage error that names the flag.
     """
 
+    def parse(self, value: str):
+        key_parser = {spec.name: spec for spec in fields(ScenarioConfig)}[self.dest].metadata["parse"]
+        return key_parser(value, self.dest, Path.cwd())
+
     def __call__(self, parser, namespace, value, option_string=None):
-        parse = {spec.name: spec for spec in fields(ScenarioConfig)}[self.dest].metadata["parse"]
         try:
             if not value:
                 raise ValueError(f"{self.dest} is empty")
-            setattr(namespace, self.dest, parse(value, self.dest, Path.cwd()))
+            setattr(namespace, self.dest, self.parse(value))
         except ValueError as exc:
             raise argparse.ArgumentError(self, str(exc)) from None
+
+
+class _AsTyped(_Override):
+    """A ``validate`` file flag: kept as typed, so errors name the path as given; an empty one is refused."""
+
+    def parse(self, value: str) -> str:
+        return value
 
 
 def _config(args) -> ScenarioConfig:
@@ -291,11 +301,13 @@ def _build_parser() -> _Parser:
     # a flag's dest is the ScenarioConfig field it sets in _config; None is not given
     validate = sub.add_parser("validate", help="check a scenario's input files and report problems")
     validate.add_argument("scenario", nargs="?", help="scenario config file, checked as run runs it")
-    validate.add_argument("--table", dest="io_table", metavar="TABLE", help="IO table CSV")
-    validate.add_argument("--schedule", dest="rate_schedule", metavar="SCHEDULE", help="rate schedule CSV")
-    validate.add_argument("--expenditure", help="household expenditure CSV")
-    validate.add_argument("--concordance", help="item-to-sector concordance CSV")
-    validate.add_argument("--category-map", help="reporting category map CSV")
+    validate.add_argument("--table", dest="io_table", metavar="TABLE", action=_AsTyped, help="IO table CSV")
+    validate.add_argument(
+        "--schedule", dest="rate_schedule", metavar="SCHEDULE", action=_AsTyped, help="rate schedule CSV"
+    )
+    validate.add_argument("--expenditure", action=_AsTyped, help="household expenditure CSV")
+    validate.add_argument("--concordance", action=_AsTyped, help="item-to-sector concordance CSV")
+    validate.add_argument("--category-map", action=_AsTyped, help="reporting category map CSV")
     validate.add_argument("--gst-rate", type=float)
     validate.add_argument("--allow-unbalanced", action="store_const", const=True)
     validate.set_defaults(func=cmd_validate, parser=validate)

@@ -151,28 +151,27 @@ def expenditure_change_on_items(matrix: ExpenditureMatrix, item_prices: np.ndarr
 
 
 @dataclass(frozen=True)
-class GroupCategoryBreakdown:
-    """One group's row block of the category table.
+class CategoryReport:
+    """The category table of every group, as read-only arrays with one row per group in the matrix's order.
 
-    Shares are percent of the group total (base and post columns each sum to
-    100, so ``share_change`` sums to 0); ``pct_change`` is the percent change
-    of spending within each category (0 where the base is 0).
+    ``base_share``, ``post_share``, ``share_change`` and ``pct_change`` are
+    groups × categories. Shares are percent of the group total (a row of
+    ``base_share`` or ``post_share`` sums to 100, so one of ``share_change``
+    sums to 0); ``pct_change`` is the percent change of spending within each
+    category (0 where the base is 0). The ``total_*`` arrays hold one number
+    per group; the totals sum a group's category cells, so they may differ in
+    the last digits from :meth:`ExpenditureMatrix.totals`, which is what a run
+    directory prints in its TOTAL rows.
     """
 
-    group: HouseholdGroup
+    categories: tuple[str, ...]
     base_share: np.ndarray
     post_share: np.ndarray
     share_change: np.ndarray
     pct_change: np.ndarray
-    total_before: float
-    total_after: float
-    total_pct_change: float
-
-
-@dataclass(frozen=True)
-class CategoryReport:
-    categories: tuple[str, ...]
-    rows: tuple[GroupCategoryBreakdown, ...]
+    total_before: np.ndarray
+    total_after: np.ndarray
+    total_pct_change: np.ndarray
 
 
 def category_report(
@@ -180,12 +179,7 @@ def category_report(
     delta: np.ndarray,
     category_map: CategoryMap,
 ) -> CategoryReport:
-    """Aggregate E and ΔE into reporting categories, for every group at once.
-
-    Each group's ``total_*`` fields sum its category cells, so they may
-    differ in the last digits from :meth:`ExpenditureMatrix.totals`, which
-    is what a run directory prints in its TOTAL rows.
-    """
+    """Aggregate E and ΔE into reporting categories, for every group at once."""
     delta = np.asarray(delta, dtype=float)
     if delta.shape != expenditure.values.shape:
         raise DimensionMismatch(
@@ -210,11 +204,10 @@ def category_report(
         pct = np.where(base != 0, 100.0 * (post - base) / base, 0.0)
         total_pct = purchasing_power_change(total_before, total_after)
     _refuse_overflow(expenditure.groups, total_before, total_after, base_share, post_share, pct, total_pct)
-    share_change = post_share - base_share
-    for table in (base_share, post_share, share_change, pct):
-        table.setflags(write=False)  # so is each group's row view of it
-    columns = base_share, post_share, share_change, pct, *(t.tolist() for t in (total_before, total_after, total_pct))
-    return CategoryReport(categories=categories, rows=tuple(map(GroupCategoryBreakdown, expenditure.groups, *columns)))
+    arrays = base_share, post_share, post_share - base_share, pct, total_before, total_after, total_pct
+    for array in arrays:
+        array.setflags(write=False)
+    return CategoryReport(categories, *arrays)
 
 
 def _refuse_overflow(groups: Sequence[HouseholdGroup], *tables: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""Input-output table model and the classical Leontief quantity machinery.
+"""Input-output table model, its coefficients and the Leontief inverse.
 
 The accounting identity behind everything here is
 
@@ -434,16 +434,3 @@ def leontief_inverse(A: np.ndarray) -> np.ndarray:
     A = _square(A)
     return _solve_productive(A, np.eye(len(A)))
 
-
-def quantity_model(L: np.ndarray, f: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Gross output needed to serve final demand plus exports: L @ (f + e)."""
-    L = np.asarray(L, dtype=float)
-    f = np.asarray(f, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise DimensionMismatch(f"square inverse required, got shape {L.shape}")
-    if f.shape != (L.shape[0],) or e.shape != (L.shape[0],):
-        raise DimensionMismatch(
-            f"demand columns must have length {L.shape[0]}, got {f.shape} and {e.shape}"
-        )
-    return L @ (f + e)

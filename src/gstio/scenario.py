@@ -3,10 +3,11 @@ run, and ``run_scenario`` executes it from the IO table to household incidence.
 
 ``gstio validate`` and ``gstio run`` read one ``ScenarioConfig``'s inputs
 through one load stage, ``load_inputs``, which reads every input file that
-is given and resolves the base groups. So ``run`` reports every input
-error, a category map that leaves codes out included, before any numerical
-error, and ``validate`` prints its checks only once every input has loaded:
-a failing load prints none before its ``ERROR`` line. Those checks are
+is given, resolves the base groups and derives the table's coefficients once.
+So ``run`` reports every input error, a category map that leaves codes out
+included, before any numerical error, and ``validate`` prints its checks only
+once every input has loaded: a failing load prints none before its ``ERROR``
+line. Those checks are
 ``check_inputs``'s, which decides what is valid; it prices the scenario as
 ``run`` does and computes ``run``'s household tables with ``run``'s own
 code, so a group that ``run`` refuses fails ``validate`` too.
@@ -60,7 +61,7 @@ from .errors import DimensionMismatch, SchemaError, UnknownBaseGroup, UnmappedIt
 from .incidence import CategoryMap, ExpenditureMatrix, GroupDimension, category_report
 from .incidence import _refuse_overflow, expenditure_change_on_items, gap_ratios, purchasing_power_change
 from .ingest import _not_utf8, load_category_map, load_concordance, load_household, load_io_table, load_rate_schedule
-from .io_model import BalanceReport, CoefficientBundle, IOTable, derive_coefficients
+from .io_model import BalanceReport, CoefficientBundle, derive_coefficients
 from .price_model import MaskedInputTreatment, PriceChangeSummary, RateSchedule, baseline_prices, check_gst_rate
 from .price_model import price_change_summary, simulate_prices
 
@@ -226,12 +227,16 @@ def load_scenario(path) -> ScenarioConfig:
 class ScenarioInputs:
     """A scenario's input files, loaded and checked against each other.
 
-    ``expenditure`` and ``weights`` are :func:`~gstio.ingest.load_household`'s, spending in
-    the file's codes; ``unmapped`` holds those codes that ``category_map`` leaves out, and
-    ``base_groups`` each dimension's base group, one entry per dimension that has groups.
+    The IO table is kept as what the price model reads of it: its coefficients
+    ``bundle`` (so its sectors) and its OUTPUT column ``x``; its flows are not
+    kept. ``expenditure`` and ``weights`` are :func:`~gstio.ingest.load_household`'s,
+    spending in the file's codes; ``unmapped`` holds those codes that
+    ``category_map`` leaves out, and ``base_groups`` each dimension's base
+    group, one entry per dimension that has groups.
     """
 
-    table: IOTable
+    bundle: CoefficientBundle
+    x: np.ndarray
     balance: BalanceReport
     schedule: RateSchedule
     schedule_warnings: tuple[str, ...]
@@ -243,7 +248,10 @@ class ScenarioInputs:
 
 
 def load_inputs(config: ScenarioConfig) -> ScenarioInputs:
-    """Read and check every input file that ``config`` names, in the order of its keys, then its base groups."""
+    """Read and check every input file that ``config`` names, in the order of its keys, then its base groups.
+
+    Then derive the table's coefficients without a second balance check, so its flows are freed on return.
+    """
     table, balance = load_io_table(config.io_table, allow_unbalanced=config.allow_unbalanced)
     schedule, warnings = load_rate_schedule(config.rate_schedule, table.sectors, gst_rate=config.gst_rate)
     household = (None, None)
@@ -255,7 +263,10 @@ def load_inputs(config: ScenarioConfig) -> ScenarioInputs:
     expenditure = household[0]
     unmapped = () if category_map is None or expenditure is None else category_map.unmapped(expenditure.items)
     base_groups = {} if expenditure is None else _resolve_base_groups(expenditure, config.base_groups)
-    return ScenarioInputs(table, balance, schedule, tuple(warnings), *household, category_map, unmapped, base_groups)
+    bundle = derive_coefficients(table, check_balance=False)
+    return ScenarioInputs(
+        bundle, table.x, balance, schedule, tuple(warnings), *household, category_map, unmapped, base_groups
+    )
 
 
 class Check(NamedTuple):
@@ -285,10 +296,9 @@ def check_inputs(config: ScenarioConfig) -> list[Check]:
     fails one more check.
     """
     inputs = load_inputs(config)
-    table, balance = inputs.table, inputs.balance
+    bundle, balance = inputs.bundle, inputs.balance
     residuals = f"max row residual {balance.max_row_residual:.3e}, max column residual {balance.max_column_residual:.3e}"
-    checks = [Check(f"table: {table.n} sectors, {residuals}", True)]
-    bundle = derive_coefficients(table, check_balance=False)
+    checks = [Check(f"table: {bundle.n} sectors, {residuals}", True)]
     checks.append(_productivity("unmasked", productivity_check(bundle.A)))
     checks += [Check(f"warning: {warning}", True) for warning in inputs.schedule_warnings]
     checks.append(_productivity("masked", productivity_check(bundle.A, inputs.schedule.standard_share)))
@@ -323,7 +333,6 @@ class ScenarioResult:
 
     config: ScenarioConfig
     inputs: ScenarioInputs
-    bundle: CoefficientBundle
     baseline: np.ndarray
     price_level: np.ndarray
     summary: PriceChangeSummary
@@ -340,13 +349,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     if inputs.unmapped:
         raise UnmappedItem(inputs.unmapped, context="category map")
 
-    bundle = derive_coefficients(inputs.table, check_balance=False)
-    baseline = baseline_prices(bundle)
-    price_level = _price_level(config, bundle, inputs.schedule)
-    summary = price_change_summary(price_level, output=inputs.table.x)
+    baseline = baseline_prices(inputs.bundle)
+    price_level = _price_level(config, inputs.bundle, inputs.schedule)
+    summary = price_change_summary(price_level, output=inputs.x)
 
     delta = None if inputs.expenditure is None else _expenditure_change(inputs, price_level)
-    return ScenarioResult(config, inputs, bundle, baseline, price_level, summary, delta)
+    return ScenarioResult(config, inputs, baseline, price_level, summary, delta)
 
 
 def _price_level(config: ScenarioConfig, bundle: CoefficientBundle, schedule: RateSchedule) -> np.ndarray:
@@ -386,7 +394,7 @@ def run_tables(result: ScenarioResult) -> dict[str, tuple[list[str], list[list[s
     order, then by group id; a group's categories in the map's order, then TOTAL.
     """
     inputs, summary = result.inputs, result.summary
-    sectors = inputs.table.sectors
+    sectors = inputs.bundle.sectors
     prices = zip(sectors.ids, sectors.names, result.baseline, result.price_level, summary.pct_change)
     summary_rows = [
         ["riser_count", summary.riser_count],
@@ -444,10 +452,10 @@ def _household_tables(inputs: ScenarioInputs, delta: np.ndarray):
         "group_id", "label", "category", "base_share", "post_share", "share_point_change", "pct_change_within"
     ]  # fmt: skip
     tables |= {f"category_table_{dimension.value}": (category_header, []) for dimension in base_groups}
+    columns = report.base_share, report.post_share, report.share_change, report.pct_change
     for h, (dimension, group_id, label, before, after, pct_change, *_) in zip(order, gap_rows):
-        b = report.rows[h]
         rows = tables[f"category_table_{dimension}"][1]
-        for category, *values in zip(report.categories, b.base_share, b.post_share, b.share_change, b.pct_change):
+        for category, *values in zip(report.categories, *(column[h] for column in columns)):
             rows.append([group_id, label, category, *values])
         rows.append([group_id, label, "TOTAL", before, after, "", pct_change])
     return tables

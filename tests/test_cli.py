@@ -214,6 +214,27 @@ class TestValidate:
         assert captured.err.startswith(f"ERROR ParseError: {missing}: cannot read file:")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("form", ["scenario", "flags"])
+    @pytest.mark.parametrize(
+        "flag, key",
+        [
+            ("--table", "io_table"),
+            ("--schedule", "rate_schedule"),
+            ("--expenditure", "expenditure"),
+            ("--concordance", "concordance"),
+            ("--category-map", "category_map"),
+        ],
+    )
+    def test_empty_file_flag_is_a_usage_error(self, appendix_args, data_dir, capsys, flag, key, form):
+        # not an absent key, which would drop the scenario's file from the checks
+        given = [str(data_dir / "scenario.cfg")] if form == "scenario" else appendix_args
+        code = main(["validate", *given, flag, ""])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
+        assert errors == [f"ERROR Usage: argument {flag}: {key} is empty"]
+
     def test_productive_periodic_table_passes(self, tmp_path, capsys):
         # A = [[0, .2], [.3, 0]] is bipartite, so power iteration oscillates
         # and its bracket stays open; the verdict is the solver's, and it is productive

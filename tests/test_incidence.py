@@ -1,5 +1,7 @@
 """Tests for household incidence: expenditure changes, category tables, gaps."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,10 +112,9 @@ class TestCategoryReport:
         cmap = CategoryMap(categories=("c1", "c2"), assignments={"a": "c1", "b": "c2"})
         delta = expenditure_change(matrix, np.array([0.95, 0.95]))
         report = category_report(matrix, delta, cmap)
-        row = report.rows[0]
-        np.testing.assert_allclose(row.base_share, [50.0, 50.0], atol=1e-12)
-        np.testing.assert_allclose(row.share_change, [0.0, 0.0], atol=1e-12)
-        assert row.total_pct_change == pytest.approx(-5.0)
+        np.testing.assert_allclose(report.base_share, [[50.0, 50.0]], atol=1e-12)
+        np.testing.assert_allclose(report.share_change, [[0.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(report.total_pct_change, [-5.0])
 
     def test_share_identities_on_synthetic_fixture(self):
         matrix = _matrix([[120.0, 40.0, 240.0], [10.0, 300.0, 55.0]])
@@ -123,26 +124,25 @@ class TestCategoryReport:
         )
         dp = np.array([0.9204, 0.9146, 0.9980])
         report = category_report(matrix, expenditure_change(matrix, dp), cmap)
-        for h, row in enumerate(report.rows):
-            assert row.base_share.sum() == pytest.approx(100.0, abs=1e-9)
-            assert row.post_share.sum() == pytest.approx(100.0, abs=1e-9)
-            assert row.share_change.sum() == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_allclose(report.base_share.sum(axis=1), 100.0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(report.post_share.sum(axis=1), 100.0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(report.share_change.sum(axis=1), 0.0, atol=1e-9)
+        for h, spend in enumerate(matrix.values):
             # brute-force recomputation straight from the matrix
-            spend = matrix.values[h]
             base_food = spend[0]
             post = dp * spend
-            assert row.base_share[0] == pytest.approx(100 * base_food / spend.sum())
-            assert row.post_share[0] == pytest.approx(100 * post[0] / post.sum())
-            assert row.pct_change[0] == pytest.approx(100 * (post[0] - base_food) / base_food)
+            assert report.base_share[h, 0] == pytest.approx(100 * base_food / spend.sum())
+            assert report.post_share[h, 0] == pytest.approx(100 * post[0] / post.sum())
+            assert report.pct_change[h, 0] == pytest.approx(100 * (post[0] - base_food) / base_food)
 
     def test_single_category_group_is_inert(self):
         matrix = _matrix([[75.0, 25.0]], items=("a", "b"))
         cmap = CategoryMap(categories=("all",), assignments={"a": "all", "b": "all"})
         delta = expenditure_change(matrix, np.array([0.8, 1.3]))
-        row = category_report(matrix, delta, cmap).rows[0]
-        assert row.base_share[0] == pytest.approx(100.0)
-        assert row.post_share[0] == pytest.approx(100.0)
-        assert row.share_change[0] == pytest.approx(0.0)
+        report = category_report(matrix, delta, cmap)
+        assert report.base_share[0, 0] == pytest.approx(100.0)
+        assert report.post_share[0, 0] == pytest.approx(100.0)
+        assert report.share_change[0, 0] == pytest.approx(0.0)
 
     def test_unmapped_code_listed(self):
         matrix = _matrix([[1.0, 2.0]], items=("a", "b"))
@@ -173,13 +173,12 @@ class TestCategoryReport:
         delta = expenditure_change(matrix, rng.uniform(0.5, 1.5, size=items))
         report = category_report(matrix, delta, cmap)
         assert report.categories == names
-        assert [row.group for row in report.rows] == list(matrix.groups)
-        for row, expected in zip(report.rows, _reference_rows(matrix, delta, cmap)):
-            fields = (row.base_share, row.post_share, row.share_change, row.pct_change)
-            assert all(not field.flags.writeable for field in fields)
-            fields += (row.total_before, row.total_after, row.total_pct_change)
-            assert [type(field) for field in fields[4:]] == [float, float, float]
-            assert [_bits(field) for field in fields] == [_bits(value) for value in expected]
+        arrays = [getattr(report, spec.name) for spec in fields(report)[1:]]  # every field after categories
+        assert [array.shape for array in arrays] == [(groups, categories)] * 4 + [(groups,)] * 3
+        assert not any(array.flags.writeable for array in arrays)
+        # column k of the reference rows is array k, group by group
+        for array, expected in zip(arrays, zip(*_reference_rows(matrix, delta, cmap))):
+            assert _bits(array) == _bits(np.array(expected))
 
     def test_overflowing_group_total_rejected_at_construction(self):
         # every cell is finite, their sum is not; the check itself does not warn
@@ -275,10 +274,9 @@ class TestScaleInvariance:
         scaled = _matrix(values * scale)
         rep1 = category_report(base, expenditure_change(base, dp), cmap)
         rep2 = category_report(scaled, expenditure_change(scaled, dp), cmap)
-        for r1, r2 in zip(rep1.rows, rep2.rows):
-            np.testing.assert_allclose(r1.base_share, r2.base_share, rtol=1e-9)
-            np.testing.assert_allclose(r1.share_change, r2.share_change, atol=1e-9)
-            assert r1.total_pct_change == pytest.approx(r2.total_pct_change, rel=1e-9)
+        np.testing.assert_allclose(rep1.base_share, rep2.base_share, rtol=1e-9)
+        np.testing.assert_allclose(rep1.share_change, rep2.share_change, atol=1e-9)
+        np.testing.assert_allclose(rep1.total_pct_change, rep2.total_pct_change, rtol=1e-9)
         totals1 = {g: float(v) for g, v in zip(base.group_ids, base.totals())}
         totals2 = {g: float(v) for g, v in zip(scaled.group_ids, scaled.totals())}
         r1 = gap_ratios(totals1, "g1")
@@ -291,9 +289,8 @@ class TestScaleInvariance:
         delta = expenditure_change(matrix, np.ones(2))
         cmap = CategoryMap(categories=("c",), assignments={"s1": "c", "s2": "c"})
         report = category_report(matrix, delta, cmap)
-        for row in report.rows:
-            np.testing.assert_array_equal(row.share_change, np.zeros(1))
-            assert row.total_pct_change == 0.0
+        np.testing.assert_array_equal(report.share_change, np.zeros((2, 1)))
+        np.testing.assert_array_equal(report.total_pct_change, np.zeros(2))
         totals = {g: float(v) for g, v in zip(matrix.group_ids, matrix.totals())}
         before = gap_ratios(totals, "g1")
         after = gap_ratios({g: t + float(d) for (g, t), d in zip(totals.items(), delta.sum(axis=1))}, "g1")

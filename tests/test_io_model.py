@@ -1,4 +1,4 @@
-"""Tests for the flow-table model, coefficient derivation and quantity model."""
+"""Tests for the flow-table model, coefficient derivation and the Leontief inverse."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from gstio import (
     leontief_inverse,
     masked_inverse,
     productivity_check,
-    quantity_model,
     spectral_radius,
 )
 from gstio.io_model import PRODUCTIVITY_EPSILON, _LiveBlock, _solve_productive
@@ -208,6 +207,14 @@ class TestLeontiefInverse:
         L = leontief_inverse(A)
         np.testing.assert_allclose(L @ (np.eye(3) - A), np.eye(3), atol=1e-10)
 
+    def test_recovers_gross_output_of_balanced_table(self):
+        # the quantity model: x = L(f + e)
+        rng = np.random.default_rng(47)
+        for _ in range(5):
+            table = helpers.random_balanced_table(rng, 6)
+            L = leontief_inverse(derive_coefficients(table).A)
+            np.testing.assert_allclose(L @ (table.f + table.e), table.x, rtol=1e-8)
+
 
 def _productive(M) -> bool:
     """The dense-eigenvalue oracle for the solve kernel's verdict."""
@@ -367,29 +374,6 @@ class TestReducedSolve:
         inverse = masked_inverse(A, shares)
         for j in np.flatnonzero(shares == 0.0):
             np.testing.assert_array_equal(inverse[:, j], np.eye(n)[:, j])
-
-
-class TestQuantityModel:
-    def test_identity_inverse_passes_demand_through(self):
-        f = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(quantity_model(np.eye(3), f, np.zeros(3)), f)
-
-    def test_zero_demand_gives_zero_output(self):
-        L = leontief_inverse(np.full((4, 4), 0.1))
-        np.testing.assert_array_equal(quantity_model(L, np.zeros(4), np.zeros(4)), np.zeros(4))
-
-    def test_recovers_gross_output_of_balanced_table(self):
-        rng = np.random.default_rng(47)
-        for _ in range(5):
-            table = helpers.random_balanced_table(rng, 6)
-            bundle = derive_coefficients(table)
-            L = leontief_inverse(bundle.A)
-            x = quantity_model(L, table.f, table.e)
-            np.testing.assert_allclose(x, table.x, rtol=1e-8)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            quantity_model(np.eye(3), np.zeros(2), np.zeros(3))
 
 
 class TestBalanceReport:

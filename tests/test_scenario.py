@@ -16,6 +16,7 @@ from gstio import (
     UnknownBaseGroup,
     UnmappedItem,
     check_inputs,
+    derive_coefficients,
     load_household,
     load_inputs,
     load_scenario,
@@ -176,9 +177,11 @@ def test_unreadable_scenario(tmp_path):
         load_scenario(tmp_path / "missing.cfg")
 
 
-def test_load_inputs_holds_every_input(data_dir):
+def test_load_inputs_holds_every_input(data_dir, appendix_table):
     inputs = load_inputs(load_scenario(data_dir / "scenario.cfg"))
-    assert inputs.table.sectors.ids == ("agr", "ind", "ser")
+    assert inputs.bundle.sectors.ids == ("agr", "ind", "ser")
+    np.testing.assert_array_equal(inputs.bundle.A, derive_coefficients(appendix_table).A)
+    np.testing.assert_array_equal(inputs.x, appendix_table.x)
     assert inputs.balance.max_row_residual == 0.0
     assert inputs.schedule.standard_share.tolist() == [0.0, 1.0, 1.0]
     assert inputs.schedule_warnings == ()
@@ -205,7 +208,7 @@ def test_a_run_holds_no_groups_by_sectors_matrix(data_dir):
     config = load_scenario(data_dir / "scenario.cfg")
     result = run_scenario(config)
     groups, items, sectors = 5, 6, 3
-    matrix, weights = load_household(config.expenditure, config.concordance, result.inputs.table.sectors)
+    matrix, weights = load_household(config.expenditure, config.concordance, result.inputs.bundle.sectors)
     assert matrix.basis is ExpenditureBasis.ITEM_CODES
     assert matrix.items == ("food", "fuel", "rent", "transport", "apparel", "misc")
     assert (len(matrix.groups), weights.shape) == (groups, (items, sectors))
@@ -213,8 +216,11 @@ def test_a_run_holds_no_groups_by_sectors_matrix(data_dir):
     np.testing.assert_array_equal(result.inputs.weights, weights)
     assert result.delta.shape == (groups, items)
     shapes = [array.shape for array in _arrays(result)]
-    assert (groups, items) in shapes and (sectors, sectors) in shapes  # the walk reaches the inputs' arrays
+    assert (groups, items) in shapes  # the walk reaches the inputs' arrays
     assert (groups, sectors) not in shapes
+    # one sectors × sectors array: once A = Z x̂⁻¹ is derived, the table's flows Z are not kept
+    square = {id(array) for array in _arrays(result) if array.shape == (sectors, sectors)}
+    assert square == {id(result.inputs.bundle.A)}
 
 
 def test_check_inputs_are_the_lines_validate_prints(data_dir, capsys):
