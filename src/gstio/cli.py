@@ -308,7 +308,7 @@ def _build_parser() -> _Parser:
     validate.add_argument("--expenditure", action=_AsTyped, help="household expenditure CSV")
     validate.add_argument("--concordance", action=_AsTyped, help="item-to-sector concordance CSV")
     validate.add_argument("--category-map", action=_AsTyped, help="reporting category map CSV")
-    validate.add_argument("--gst-rate", type=float)
+    validate.add_argument("--gst-rate", action=_Override)
     validate.add_argument("--allow-unbalanced", action="store_const", const=True)
     validate.set_defaults(func=cmd_validate, parser=validate)
 

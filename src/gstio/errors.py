@@ -32,7 +32,12 @@ class BasisMismatch(GstioError):
 
 
 class ZeroOutput(GstioError):
-    """Some sector's gross output is <= 0, below one of its input cells or tiny beside its flows."""
+    """Some sector's gross output is <= 0, below an input cell or tiny beside its flows; from a file, at its cell."""
+
+    def __init__(self, message, *, path=None, line=None, column=None):
+        self.line = line
+        self.column = column
+        super().__init__(_located(message, path, line, column))
 
 
 class Unbalanced(GstioError):

@@ -35,11 +35,14 @@ IO table (``load_io_table``)::
     Sector rows appear in header order. The primary-input rows follow; a
     single combined VALUE_ADDED row may replace LABOR + CAPITAL (it is
     stored as capital with labor = 0, which changes nothing downstream
-    because the two only ever enter as their sum). Primary rows leave the
-    three demand-side cells empty. No Z, EXPORTS or primary-input cell may
-    be negative; FINAL_DEMAND may (an inventory change), and OUTPUT must be
-    positive. A block short of sector rows is reported after its first bad
-    cell: a bad cell before the end of the file comes before the missing rows.
+    because the two only ever enter as their sum). Primary rows leave
+    sector_name and the three demand-side cells empty; a row with an empty
+    label is blank only if all its cells are. No Z, EXPORTS or primary-input
+    cell may be negative; FINAL_DEMAND may (an inventory change), and OUTPUT
+    must be positive. Each row is checked as it is read, so of two bad cells
+    the first in file order is reported, and the rules about the whole table
+    (missing rows, an OUTPUT too small for its flows, balance) come last. A
+    block short of sector rows is reported after its first bad cell.
 
 Rate schedule (``load_rate_schedule``)::
 
@@ -126,9 +129,9 @@ def _csv_file(path) -> Iterator[tuple[list[str], int, TextIO]]:
     """The header row of CSV file ``path``, the line after it, and the file, open just past the header.
 
     Raises a ParseError when the file cannot be read or is not UTF-8, and a
-    SchemaError when it is empty. On a LoadError raised inside the ``with``,
-    the rest of the file is read first, so that a byte that is not UTF-8
-    anywhere in the file is reported in its place.
+    SchemaError when it is empty. On a LoadError or ZeroOutput raised inside
+    the ``with``, the rest of the file is read first, so that a byte that is
+    not UTF-8 anywhere in the file is reported in its place.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -138,7 +141,7 @@ def _csv_file(path) -> Iterator[tuple[list[str], int, TextIO]]:
                 if header is None:
                     raise SchemaError("empty file", path=path, line=1)
                 yield header[1], records.line_num + 1, handle
-            except LoadError:
+            except (LoadError, ZeroOutput):
                 while handle.read(1 << 16):
                     pass
                 raise
@@ -278,13 +281,15 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _cell_float(cell: str, *, path, line: int, column: int) -> float:
+def _cell_float(cell: str, *, path, line: int, column: int, nonnegative: bool = False) -> float:
     try:
         value = float(cell)
     except ValueError:
         raise ParseError(f"not a number: {cell!r}", path=path, line=line, column=column) from None
     if not math.isfinite(value):
         raise ParseError(f"not a finite number: {cell!r}", path=path, line=line, column=column)
+    if nonnegative and value < 0:
+        raise ParseError(f"must not be negative, got {value}", path=path, line=line, column=column)
     return value
 
 
@@ -301,10 +306,16 @@ def _parse_sector_block(block: list[str], line: int, ids: tuple[str, ...], first
     ``first`` sector rows precede the block. Returns None, for
     ``_walk_sector_rows`` to read the block, unless each line is one row of
     the header's width, the rows follow header order, their cells are all
-    finite numbers, and the last record ends on its own line.
+    finite numbers that keep the walk's sign rules, and the last record ends
+    on its own line.
     """
-    rows = _loadtxt(block, [("id", object), ("name", object), ("cells", float, (len(ids) + 3,))], _UNVOUCHED)
-    if rows is None or tuple(rows["id"]) != ids[first : first + len(block)] or not np.isfinite(rows["cells"]).all():
+    n = len(ids)
+    rows = _loadtxt(block, [("id", object), ("name", object), ("cells", float, (n + 3,))], _UNVOUCHED)
+    if rows is None or tuple(rows["id"]) != ids[first : first + len(block)]:
+        return None
+    cells = rows["cells"]
+    negative = (cells[:, :n] < 0).any() or (cells[:, n + 1] < 0).any()
+    if not np.isfinite(cells).all() or negative or (cells[:, n + 2] <= 0).any():
         return None
     # numpy ends the last row at the end of the block even inside an open
     # quote, where csv reads on; so csv reads that line, and one more, to decide
@@ -312,13 +323,15 @@ def _parse_sector_block(block: list[str], line: int, ids: tuple[str, ...], first
     next(last)
     if last.line_num != 1:
         return None
-    return list(rows["name"]), rows["cells"], range(line, line + len(block))
+    return list(rows["name"]), cells, range(line, line + len(block))
 
 
 def _walk_sector_rows(rows, ids: tuple[str, ...], first: int, *, path) -> tuple[list[str], list, list[int]]:
     """The names, cells and lines of ``(line, row)`` csv ``rows``, the sector rows from sector ``first`` on,
-    checked row by row; the first error in file order raises at its line and column."""
+    checked row by row; the first error in file order raises at its line and column. A Z or EXPORTS cell
+    must not be negative, and OUTPUT must be positive."""
     n = len(ids)
+    signed = (n + 3, n + 5)  # FINAL_DEMAND, and OUTPUT, which is checked on its own
     names, cells, lines = [], [], []
     for i, (line, row) in enumerate(rows, start=first):
         _require_width(row, n + 5, path=path, line=line)
@@ -327,7 +340,11 @@ def _walk_sector_rows(rows, ids: tuple[str, ...], first: int, *, path) -> tuple[
             raise SchemaError(message, path=path, line=line, column=1)
         names.append(row[1])
         lines.append(line)
-        cells.append([_cell_float(cell, path=path, line=line, column=j) for j, cell in enumerate(row[2:], start=3)])
+        values = enumerate(row[2:], start=3)
+        cells.append([_cell_float(c, path=path, line=line, column=j, nonnegative=j not in signed) for j, c in values])
+        if cells[-1][-1] <= 0:
+            message = f"OUTPUT of sector {ids[i]} must be strictly positive"
+            raise ZeroOutput(message, path=path, line=line, column=n + 5)
     return names, cells, lines
 
 
@@ -367,9 +384,8 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
             raise SchemaError(f"expected {n} sector rows, found {len(names)}", path=path, line=line - 1)
 
         primary: dict[str, np.ndarray] = {}
-        primary_lines = []
         for line, row in _numbered(csv.reader(handle), path=path, start=line - 1):
-            if not row or not row[0]:
+            if not any(row):
                 continue
             _require_width(row, len(header), path=path, line=line)
             label = row[0]
@@ -377,56 +393,37 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
                 raise SchemaError(f"duplicate primary-input row {label}", path=path, line=line, column=1)
             if label not in (LABOR_ROW, CAPITAL_ROW, VALUE_ADDED_ROW, IMPORTS_ROW, INDIRECT_TAX_ROW):
                 raise SchemaError(f"unknown row label {label!r}", path=path, line=line, column=1)
-            values = enumerate(row[2 : 2 + n], start=3)
-            primary[label] = np.array([_cell_float(cell, path=path, line=line, column=j) for j, cell in values])
-            primary_lines.append(line)
+            labels = {label, *primary}
+            if VALUE_ADDED_ROW in labels and labels & {LABOR_ROW, CAPITAL_ROW}:
+                message = f"{VALUE_ADDED_ROW} cannot be combined with {LABOR_ROW}/{CAPITAL_ROW}"
+                raise SchemaError(message, path=path, line=line, column=1)
+            values = []
+            for j, cell in enumerate(row[1:], start=2):
+                if 3 <= j < n + 3:
+                    values.append(_cell_float(cell, path=path, line=line, column=j, nonnegative=True))
+                elif cell:
+                    message = f"{label} row must leave {header[j - 1]} empty, got {cell!r}"
+                    raise SchemaError(message, path=path, line=line, column=j)
+            primary[label] = np.array(values)
     Z = cells[:, :n]
     f, e, x = cells[:, n:].T
 
-    # Z, EXPORTS and the primary inputs must not be negative; FINAL_DEMAND may
-    # be (an inventory change), and OUTPUT has its own check below
-    primary_cells = np.reshape(list(primary.values()), (-1, n))
-    negative = np.zeros((n + len(primary), n + 3), bool)
-    np.less(cells, 0, out=negative[:n])
-    negative[:n, [n, n + 2]] = False
-    np.less(primary_cells, 0, out=negative[n:, :n])
-    if negative.any():
-        row, column = np.unravel_index(negative.argmax(), negative.shape)
-        value = cells[row, column] if row < n else primary_cells[row - n, column]
-        raise ParseError(
-            f"must not be negative, got {float(value)}",
-            path=path,
-            line=[*sector_lines, *primary_lines][row],
-            column=int(column) + 3,
-        )
-
-    if VALUE_ADDED_ROW in primary and (LABOR_ROW in primary or CAPITAL_ROW in primary):
-        raise SchemaError(
-            f"{VALUE_ADDED_ROW} cannot be combined with {LABOR_ROW}/{CAPITAL_ROW}", path=path
-        )
     if VALUE_ADDED_ROW in primary:
-        labor = np.zeros(n)
-        capital = primary[VALUE_ADDED_ROW]
-    elif LABOR_ROW in primary and CAPITAL_ROW in primary:
-        labor = primary[LABOR_ROW]
-        capital = primary[CAPITAL_ROW]
-    else:
-        raise SchemaError(
-            f"missing value-added rows: need {VALUE_ADDED_ROW} or both {LABOR_ROW} and {CAPITAL_ROW}",
-            path=path,
-        )
+        primary |= {LABOR_ROW: np.zeros(n), CAPITAL_ROW: primary[VALUE_ADDED_ROW]}
+    if LABOR_ROW not in primary or CAPITAL_ROW not in primary:
+        message = f"missing value-added rows: need {VALUE_ADDED_ROW} or both {LABOR_ROW} and {CAPITAL_ROW}"
+        raise SchemaError(message, path=path)
     for required in (IMPORTS_ROW, INDIRECT_TAX_ROW):
         if required not in primary:
             raise SchemaError(f"missing required row {required}", path=path)
 
-    _check_output(x <= 0, ids, sector_lines, path, "must be strictly positive")
     table = IOTable(
         sectors=SectorSet(ids=ids, names=tuple(names)),
         Z=Z,
         f=f,
         e=e,
-        labor=labor,
-        capital=capital,
+        labor=primary[LABOR_ROW],
+        capital=primary[CAPITAL_ROW],
         imports=primary[IMPORTS_ROW],
         indirect_tax=primary[INDIRECT_TAX_ROW],
         x=x,
@@ -434,19 +431,15 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
     report = balance_report(table)
     # OUTPUT below one of the sector's own input cells gives a coefficient
     # above 1, and a residual overflows where OUTPUT is tiny beside its flows
-    largest_input = np.max([Z.max(axis=0), labor, capital, table.imports, table.indirect_tax], axis=0)
+    largest_input = np.max([Z.max(axis=0), table.labor, table.capital, table.imports, table.indirect_tax], axis=0)
     too_small = (x < largest_input) | np.isinf(report.row_residuals) | np.isinf(report.column_residuals)
-    _check_output(too_small, ids, sector_lines, path, "is too small for its flows")
+    if too_small.any():
+        i = int(too_small.argmax())
+        message = f"OUTPUT of sector {ids[i]} is too small for its flows"
+        raise ZeroOutput(message, path=path, line=sector_lines[i], column=n + 5)
     if not allow_unbalanced:
         report.check(table.sectors)
     return table, report
-
-
-def _check_output(bad: np.ndarray, ids: tuple[str, ...], lines: list[int], path, problem: str) -> None:
-    """Raise :class:`ZeroOutput` at the OUTPUT cell of the first sector flagged in ``bad``."""
-    if bad.any():
-        i = int(bad.argmax())
-        raise ZeroOutput(f"{path}:{lines[i]}:{len(ids) + 5}: OUTPUT of sector {ids[i]} {problem}")
 
 
 def save_io_table(table: IOTable, path) -> None:

@@ -195,12 +195,16 @@ class TestValidate:
         assert code == 2
         assert err == f"ERROR ParseError: {table}:1: not UTF-8: byte 0xff\n"
 
-    def test_out_of_range_gst_rate_exits_2(self, appendix_args, capsys):
-        code = main(["validate", *appendix_args, "--gst-rate", "1.5"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("ERROR InvalidSchedule:")
-        assert "Traceback" not in err and len(err.splitlines()) == 1
+    @pytest.mark.parametrize("rate", ["1.5", "-1", "nan"])
+    def test_out_of_range_gst_rate_is_a_usage_error(self, tmp_path, capsys, rate):
+        # refused as the scenario's gst_rate is, before any file is read
+        missing = str(tmp_path / "nope.csv")
+        code = main(["validate", "--table", missing, "--schedule", missing, "--gst-rate", rate])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
+        assert errors == [f"ERROR Usage: argument --gst-rate: gst_rate must lie in [0, 1), got {float(rate)}"]
 
     @pytest.mark.parametrize("flag", ["--concordance", "--category-map"])
     def test_every_given_input_is_read(self, appendix_args, tmp_path, capsys, flag):

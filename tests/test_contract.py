@@ -2,8 +2,8 @@
 or of one of its five CSV inputs either runs, or fails with one
 ``ERROR <Class>:`` line and a documented exit code. Every scenario
 ``SchemaError`` but a missing section names its line, and every CSV load
-error, ``EmptyGroup`` and ``UnmappedItem`` names its file and line, but a
-file-level ``missing …`` error and a category map that leaves codes out.
+error, ``EmptyGroup``, ``UnmappedItem`` and ``ZeroOutput`` names its file
+and line, but a file-level ``missing …`` error and a category map that leaves codes out.
 
 ``gstio validate`` on a mutant's scenario agrees with ``run``: it passes
 where ``run`` runs, and prints ``run``'s ERROR line and nothing else where
@@ -40,7 +40,9 @@ TOKENS = [b"zzz", b"", b"1.5", b"-1", b"nan", b"yes", b"x ; note", b"\xff"]
 
 CSV_INPUTS = ("io_table.csv", "rate_schedule.csv", "expenditure.csv", "concordance.csv", "category_map.csv")
 CSV_TOKENS = [b"zzz", b"nan", b"1e999", b"-1", b"", b"1e-320", b"1.7e308"]
-LOCATED_ERRORS = "|".join([*(cls.__name__ for cls in LoadError.__subclasses__()), "EmptyGroup", "UnmappedItem"])
+LOCATED_ERRORS = "|".join(
+    [*(cls.__name__ for cls in LoadError.__subclasses__()), "EmptyGroup", "UnmappedItem", "ZeroOutput"]
+)
 OVERFLOW = "ERROR DimensionMismatch: the report numbers of group"
 VALIDATE_FLAGS = ("--table", "--schedule", "--expenditure", "--concordance", "--category-map")
 

@@ -239,6 +239,12 @@ NON_UTF8_CASES = {
     # lines end at \r and \r\n as csv splits them
     "io_table_cr": (load_io_table, BAD_BYTE_TABLE.replace(b"\n", b"\r"), 5),
     "io_table_crlf": (load_io_table, BAD_BYTE_TABLE.replace(b"\n", b"\r\n"), 5),
+    # a row error, here an OUTPUT of 0 on line 2, is reported only after the byte is looked for
+    "io_table_zero_output": (
+        load_io_table,
+        (IO_HEADER + "a,A,0,0,1,0,0\nb,B,0,0,1,0,1\n" + PRIMARY_ROWS + "\n" * 20000).encode() + b"\xff\n",
+        20007,
+    ),
     # far enough down that the bad byte is not in the reader's first buffer
     "expenditure_row": (
         load_expenditure,
@@ -360,10 +366,7 @@ class TestLoadIOTable:
         path = _write(tmp_path, "t.csv", text)
         with pytest.raises(error) as info:
             load_io_table(path)
-        if error is ZeroOutput:
-            assert str(info.value).startswith(f"{path}:{position[0]}:{position[1]}: OUTPUT of sector b")
-        else:
-            assert (info.value.line, info.value.column) == position
+        assert (info.value.line, info.value.column) == position
 
     def test_short_sector_block_reported_after_its_rows(self, tmp_path):
         path = _write(tmp_path, "t.csv", IO_HEADER + "a,A,0,0,1,0,1\n")
@@ -380,20 +383,29 @@ class TestLoadIOTable:
     @given(
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=0, max_value=2**31),
-        st.sampled_from(("zzz", "nan", "1e999", "")),
+        st.sampled_from(("zzz", "nan", "1e999", "", "-1")),
     )
     def test_bad_token_anywhere_is_located(self, tmp_path, n, seed, token):
+        # a second bad cell after the first is not the one reported
         rng = np.random.default_rng(seed)
         ids = [f"s{i}" for i in range(n)]
         rows = [["sector_id", "sector_name", *ids, "FINAL_DEMAND", "EXPORTS", "OUTPUT"]]
         rows += [[sector_id, "", *map(repr, rng.uniform(0, 10, n + 3).tolist())] for sector_id in ids]
         rows += [[label, "", *map(repr, rng.uniform(0, 10, n).tolist()), "", "", ""] for label in PRIMARY_LABELS]
-        line = int(rng.integers(2, len(rows) + 1))
-        numeric_cells = n + 3 if line <= n + 1 else n
-        column = int(rng.integers(3, 3 + numeric_cells))
+        cells = [
+            (line, column)
+            for line in range(2, len(rows) + 1)
+            for column in range(3, 3 + (n + 3 if line <= n + 1 else n))
+            if not (token == "-1" and line <= n + 1 and column == n + 3)  # FINAL_DEMAND may be negative
+        ]
+        first = int(rng.integers(len(cells)))
+        line, column = cells[first]
         rows[line - 1][column - 1] = token
+        if first + 1 < len(cells):
+            second_line, second_column = cells[int(rng.integers(first + 1, len(cells)))]
+            rows[second_line - 1][second_column - 1] = "zzz"
         path = _write(tmp_path, "t.csv", "".join(",".join(row) + "\n" for row in rows))
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(ZeroOutput if token == "-1" and column == n + 5 else ParseError) as info:
             load_io_table(path, allow_unbalanced=True)
         assert (info.value.line, info.value.column) == (line, column)
 
@@ -448,11 +460,22 @@ class TestLoadIOTable:
             ("a,A,0,0,1,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,-1e-9,,,\n", (6, 4)),
             # the first in file order
             ("a,A,0,0,1,0,1\nb,B,-2,0,1,-1,1\nVALUE_ADDED,,-1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n", (3, 3)),
+            # before a later cell that is not a number: in the row walk, after
+            # the one-pass parse, and in the primary rows
+            ("a,A,0,-1,1,0,1\nb,B,0,zzz,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n", (2, 4)),
+            ("a,A,0,-1,1,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,zzz,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n", (2, 4)),
+            ("a,A,0,0,1,0,1\nb,B,0,0,1,0,1\nVALUE_ADDED,,-1,1,,,\nIMPORTS,,zzz,0,,,\nINDIRECT_TAX,,0,0,,,\n", (4, 3)),
+            # an OUTPUT of 0 likewise
+            ("a,A,0,0,1,0,0\nb,B,0,zzz,1,0,1\nVALUE_ADDED,,1,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n", (2, 7)),
+            ("a,A,0,0,1,0,0\nb,B,0,0,1,0,1\nVALUE_ADDED,,zzz,1,,,\nIMPORTS,,0,0,,,\nINDIRECT_TAX,,0,0,,,\n", (2, 7)),
         ],
     )
     def test_negative_cell_reported_at_its_cell(self, tmp_path, rows, position):
         path = _write(tmp_path, "t.csv", IO_HEADER + rows)
-        with pytest.raises(ParseError, match="must not be negative") as info:
+        error, message = (ParseError, "must not be negative")
+        if position[1] == 7:  # OUTPUT
+            error, message = (ZeroOutput, "OUTPUT of sector a must be strictly positive")
+        with pytest.raises(error, match=message) as info:
             load_io_table(path, allow_unbalanced=True)
         assert (info.value.line, info.value.column) == position
 
@@ -465,6 +488,25 @@ class TestLoadIOTable:
         )
         table, _ = load_io_table(path, allow_unbalanced=True)
         np.testing.assert_array_equal(table.f, [-1.0, 1.0])
+
+    def test_negative_final_demand_keeps_the_one_pass_parse(self, tmp_path, monkeypatch):
+        # the sign rules decline a block, but not for a negative FINAL_DEMAND
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the sector block was walked")
+
+        monkeypatch.setattr(ingest, "_walk_sector_rows", no_walk)
+        table = helpers.random_balanced_table(np.random.default_rng(11), 50)
+        # EXPORTS takes up what FINAL_DEMAND gives, so each row still sums to OUTPUT
+        f, e = table.f.copy(), table.e.copy()
+        moved = np.flatnonzero(f > 0)[::2]
+        e[moved] += f[moved] + 1.0
+        f[moved] = -1.0
+        table = dataclasses.replace(table, f=f, e=e)
+        path = tmp_path / "t.csv"
+        save_io_table(table, path)
+        loaded, _ = load_io_table(path)
+        np.testing.assert_array_equal(loaded.f.view(np.int64), f.view(np.int64))
+        np.testing.assert_array_equal(loaded.e.view(np.int64), e.view(np.int64))
 
     @settings(
         max_examples=60,
@@ -602,8 +644,29 @@ class TestLoadIOTable:
             + "a,A,10,20,70,0,100\nb,B,30,15,55,0,100\n"
             + "LABOR,,25,20,,,\nVALUE_ADDED,,30,35,,,\nIMPORTS,,4,9,,,\nINDIRECT_TAX,,1,1,,,\n",
         )
-        with pytest.raises(SchemaError, match="cannot be combined"):
+        with pytest.raises(SchemaError, match="cannot be combined") as info:
             load_io_table(path)
+        assert (info.value.line, info.value.column) == (5, 1)
+
+    def test_empty_label_with_numbers_is_an_unknown_row(self, tmp_path):
+        # a row whose cells are all empty is blank, and skipped
+        rows = "a,A,0,0,1,0,1\nb,B,0,0,1,0,1\n,,,,,,\n" + PRIMARY_ROWS + ",,7,7,,,\n"
+        path = _write(tmp_path, "t.csv", IO_HEADER + rows)
+        with pytest.raises(SchemaError, match="unknown row label ''") as info:
+            load_io_table(path)
+        assert (info.value.line, info.value.column) == (8, 1)
+
+    @pytest.mark.parametrize(
+        ("row", "column", "name"),
+        [("VALUE_ADDED,x,1,1,,,", 2, "sector_name"), ("VALUE_ADDED,,1,1,,,999", 7, "OUTPUT")],
+    )
+    def test_primary_row_leaves_name_and_demand_cells_empty(self, tmp_path, row, column, name):
+        # a cell that is not a number comes later in the file
+        rows = "a,A,0,0,1,0,1\nb,B,0,0,1,0,1\n" + row + "\nIMPORTS,,zzz,0,,,\nINDIRECT_TAX,,0,0,,,\n"
+        path = _write(tmp_path, "t.csv", IO_HEADER + rows)
+        with pytest.raises(SchemaError, match=f"VALUE_ADDED row must leave {name} empty") as info:
+            load_io_table(path)
+        assert (info.value.line, info.value.column) == (4, column)
 
     def test_round_trip_is_value_exact(self, tmp_path, data_dir):
         table, _ = load_io_table(data_dir / "io_table.csv")
