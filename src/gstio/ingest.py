@@ -32,10 +32,11 @@ IO table (``load_io_table``)::
     IMPORTS,,<per-sector imports>,,,
     INDIRECT_TAX,,<per-sector indirect taxes>,,,
 
-    Sector rows appear in header order. The primary-input rows follow; a
-    single combined VALUE_ADDED row may replace LABOR + CAPITAL (it is
-    stored as capital with labor = 0, which changes nothing downstream
-    because the two only ever enter as their sum). Primary rows leave
+    The header's sector ids are non-empty and distinct, and sector rows
+    appear in their order. The primary-input rows follow; a single combined
+    VALUE_ADDED row may replace LABOR + CAPITAL (it is stored as capital
+    with labor = 0, which changes nothing downstream because the two only
+    ever enter as their sum). Primary rows leave
     sector_name and the three demand-side cells empty; a row with an empty
     label is blank only if all its cells are. No Z, EXPORTS or primary-input
     cell may be negative; FINAL_DEMAND may (an inventory change), and OUTPUT
@@ -361,6 +362,12 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
             message = f"header must end with {','.join(DEMAND_COLUMNS)}"
             raise SchemaError(message, path=path, line=1, column=max(len(header) - 2, 3))
         ids = tuple(header[2:-3])
+        seen = set()
+        for column, sector_id in enumerate(ids, start=3):
+            if not sector_id or sector_id in seen:
+                message = f"duplicate sector id {sector_id!r}" if sector_id else "empty sector id"
+                raise SchemaError(message, path=path, line=1, column=column)
+            seen.add(sector_id)
         n = len(ids)
         if n == 0:
             raise SchemaError("no sector columns in header", path=path, line=1, column=3)

@@ -351,6 +351,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     baseline = baseline_prices(inputs.bundle)
     price_level = _price_level(config, inputs.bundle, inputs.schedule)
+    inputs.bundle._memo.clear()  # a run solves its mask once: the result keeps no live block
     summary = price_change_summary(price_level, output=inputs.x)
 
     delta = None if inputs.expenditure is None else _expenditure_change(inputs, price_level)

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: validation, scenario runs, determinism, report rendering."""
 
 import csv
+import gc
+import re
 import shutil
 import subprocess
 import sys
@@ -848,12 +850,65 @@ class TestEntryPoint:
         assert main([]) == 1
         assert main(["run"]) == 1
 
-    def test_module_invocation(self, data_dir, tmp_path):
-        out = tmp_path / "run"
-        proc = subprocess.run(
-            [sys.executable, "-m", "gstio", "run", str(data_dir / "scenario.cfg"), "-o", str(out)],
-            capture_output=True,
-            text=True,
+    @pytest.mark.parametrize("code", [0, 1, 2, 3], ids=["run complete", "usage", "validation failed", "non-productive"])
+    def test_each_exit_class_keeps_its_code_and_output(self, data_dir, tmp_path, capsys, code):
+        # A = [[0, 1], [1, 0]] with zero value added: ρ = 1, so validate fails and run is NonProductive
+        table, schedule = _write_table(tmp_path, "agr,Agriculture,0,100,0,0,100\nind,Industry,100,0,0,0,100\n", "0,0")
+        (tmp_path / "s.cfg").write_text(
+            "[inputs]\nio_table = t.csv\nrate_schedule = s.csv\n\n[tax]\ngst_rate = 0.06\n\n[report]\noutput_dir = out\n",
+            encoding="utf-8",
         )
-        assert proc.returncode == 0, proc.stderr
-        assert (out / "summary.csv").exists()
+        run = tmp_path / "run"
+        argv = {
+            0: ["run", str(data_dir / "scenario.cfg"), "-o", str(run), "--force"],
+            1: ["run"],
+            2: ["validate", "--table", str(table), "--schedule", str(schedule)],
+            3: ["run", str(tmp_path / "s.cfg")],
+        }[code]
+        proc = subprocess.run([sys.executable, "-m", "gstio", *argv], capture_output=True, text=True)
+        assert proc.returncode == code
+        err = proc.stderr.splitlines()
+        if code == 0:
+            assert (proc.stdout, proc.stderr) == (f"run complete: {run}\n", "")
+            assert (run / "summary.csv").exists()
+        elif code == 1:
+            assert proc.stdout == ""
+            assert err[-1] == "ERROR Usage: the following arguments are required: scenario"
+        elif code == 2:
+            assert proc.stdout.endswith("FAIL\nVALIDATION FAILED\n")
+            assert proc.stderr == "ERROR ValidationFailed: one or more checks failed (see report)\n"
+        else:
+            assert proc.stdout == ""
+            assert len(err) == 1 and err[0].startswith("ERROR NonProductive:")
+        # the same bytes as main() in process, which is what the other tests pin
+        assert main(argv) == code
+        assert capsys.readouterr() == (proc.stdout, proc.stderr)
+
+    def test_main_in_process_does_not_freeze(self, data_dir, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["run", str(data_dir / "scenario.cfg"), "-o", str(tmp_path / "run")]) == 0
+        assert main(["run"]) == 1
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("code", [0, 2], ids=["ok", "error"])
+    def test_console_script_is_the_module_entry_point(self, data_dir, tmp_path, code):
+        scripts = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+        target = re.search(r'^\[project\.scripts\]\ngstio = "([\w.]+):(\w+)"$', scripts, re.MULTILINE)
+        assert target is not None and target.groups() == ("gstio.__main__", "main")  # python -m gstio runs it
+        module, function = target.groups()
+        schedule = data_dir / "rate_schedule.csv" if code == 0 else tmp_path / "missing.csv"
+        argv = ["gstio", "validate", "--table", str(data_dir / "io_table.csv"), "--schedule", str(schedule)]
+        calls = {
+            "console script": f"code = getattr(importlib.import_module({module!r}), {function!r})()",
+            "python -m gstio": (
+                "try:\n    runpy.run_module('gstio', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n    code = exc.code"
+            ),
+        }
+        for name, call in calls.items():
+            probe = (
+                f"import gc, importlib, runpy, sys\nsys.argv = {argv!r}\nbefore = gc.get_freeze_count()\n{call}\n"
+                "print(code, before, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+            assert proc.stderr.splitlines()[-1] == f"{code} 0 True", name

@@ -581,6 +581,10 @@ class TestLoadIOTable:
             ("sector_id,sector_name,a,b,FINAL_DEMAND,OUTPUT", "header must end with FINAL_DEMAND,EXPORTS,OUTPUT", 4),
             ("sector_id", "header must start with sector_id,sector_name", 1),
             ("sector,sector_name,a,FINAL_DEMAND,EXPORTS,OUTPUT", "header must start with sector_id,sector_name", 1),
+            ("sector_id,sector_name,a,a,FINAL_DEMAND,EXPORTS,OUTPUT", "duplicate sector id 'a'", 4),
+            ("sector_id,sector_name,a,,FINAL_DEMAND,EXPORTS,OUTPUT", "empty sector id", 4),
+            # the first bad id in file order
+            ("sector_id,sector_name,a,b,,b,FINAL_DEMAND,EXPORTS,OUTPUT", "empty sector id", 5),
         ],
     )
     def test_header_error_names_its_cause(self, tmp_path, header, message, column):

@@ -223,6 +223,16 @@ def test_a_run_holds_no_groups_by_sectors_matrix(data_dir):
     assert square == {id(result.inputs.bundle.A)}
 
 
+@pytest.mark.parametrize("baseline", [False, True], ids=["drop", "baseline exempt"])
+def test_a_run_keeps_no_memo_entry(data_dir, baseline):
+    # the price model's memo holds a mask's live block; a run solves each mask once, so its result keeps none
+    config = load_scenario(data_dir / "scenario.cfg")
+    if baseline:
+        config = replace(config, masked_input_treatment=MaskedInputTreatment.BASELINE, exempt_retains_input_tax=True)
+    result = run_scenario(config)
+    assert not vars(result.inputs.bundle).get("_memo")
+
+
 def test_check_inputs_are_the_lines_validate_prints(data_dir, capsys):
     config = load_scenario(data_dir / "scenario.cfg")
     argv = ["validate", "--table", str(config.io_table), "--schedule", str(config.rate_schedule)]
