@@ -342,7 +342,3 @@ def main(argv=None) -> int:
     except (GstioError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_VALIDATION
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -283,6 +283,11 @@ def price_path(
     return prices
 
 
+def release_mask_terms(bundle: CoefficientBundle) -> None:
+    """Drop the terms :func:`price_path` keeps on ``bundle``, for a caller that solves each mask once."""
+    bundle._memo.pop(_MEMO_KEY, None)
+
+
 @dataclass(frozen=True)
 class PriceChangeSummary:
     """Aggregate view of a simulated price vector.

@@ -63,7 +63,7 @@ from .incidence import _refuse_overflow, expenditure_change_on_items, gap_ratios
 from .ingest import _not_utf8, load_category_map, load_concordance, load_household, load_io_table, load_rate_schedule
 from .io_model import BalanceReport, CoefficientBundle, derive_coefficients
 from .price_model import MaskedInputTreatment, PriceChangeSummary, RateSchedule, baseline_prices, check_gst_rate
-from .price_model import price_change_summary, simulate_prices
+from .price_model import price_change_summary, release_mask_terms, simulate_prices
 
 PRICE_TABLE = "price_changes"
 SUMMARY_TABLE = "summary"
@@ -351,7 +351,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     baseline = baseline_prices(inputs.bundle)
     price_level = _price_level(config, inputs.bundle, inputs.schedule)
-    inputs.bundle._memo.clear()  # a run solves its mask once: the result keeps no live block
+    release_mask_terms(inputs.bundle)  # a run solves its mask once: the result keeps no live block
     summary = price_change_summary(price_level, output=inputs.x)
 
     delta = None if inputs.expenditure is None else _expenditure_change(inputs, price_level)

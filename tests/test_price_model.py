@@ -30,6 +30,7 @@ from gstio import (
     simulate_prices,
 )
 from gstio.io_model import _LiveBlock
+from gstio.price_model import release_mask_terms
 
 # Frozen from the fixed-point oracle on the worked three-sector example
 # (Agr zero-rated, 6% on value added, masked inputs dropped).
@@ -444,6 +445,14 @@ class TestMaskMemo:
         np.testing.assert_array_equal(simulate_prices(bundle, half), expected)
         # the last call reuses the block the failure before it left in place
         assert len(live_block_builds) == 5
+
+    def test_released_terms_are_built_anew(self, live_block_builds, appendix_bundle, appendix_schedule):
+        expected = simulate_prices(appendix_bundle, appendix_schedule)
+        release_mask_terms(appendix_bundle)
+        assert not appendix_bundle._memo
+        release_mask_terms(appendix_bundle)  # nothing kept: nothing to drop
+        np.testing.assert_array_equal(simulate_prices(appendix_bundle, appendix_schedule), expected)
+        assert len(live_block_builds) == 2
 
     def test_checks_precede_the_lookup(self, appendix_bundle, appendix_schedule):
         simulate_prices(appendix_bundle, appendix_schedule)
