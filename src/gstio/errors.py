@@ -4,11 +4,25 @@ Two broad families matter to callers: :class:`NumericalError` (a linear
 system cannot be solved, typically a non-productive coefficient matrix) and
 everything else, which signals invalid data or mismatched inputs. The CLI
 maps the families to distinct exit codes.
+
+Any error may name its place in a file, kept as ``path``, ``line`` and ``column``
+(1-based, None where not given); its message then starts ``path:line:column: ``
+as far as they are given from the left, so a column counts only with a line.
 """
 
 
 class GstioError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __init__(self, message, *, path=None, line=None, column=None):
+        self.path = None if path is None else str(path)
+        self.line, self.column = line, column
+        if path is not None:
+            where = self.path
+            if line is not None:
+                where += f":{line}" if column is None else f":{line}:{column}"
+            message = f"{where}: {message}"
+        super().__init__(message)
 
 
 class NumericalError(GstioError):
@@ -34,11 +48,6 @@ class BasisMismatch(GstioError):
 class ZeroOutput(GstioError):
     """Some sector's gross output is <= 0, below an input cell or tiny beside its flows; from a file, at its cell."""
 
-    def __init__(self, message, *, path=None, line=None, column=None):
-        self.line = line
-        self.column = column
-        super().__init__(_located(message, path, line, column))
-
 
 class Unbalanced(GstioError):
     """Row/column accounting identities of an IO table violated beyond tolerance."""
@@ -49,7 +58,7 @@ class EmptyGroup(GstioError):
 
     def __init__(self, groups, *, path=None, line=None):
         self.groups = tuple(groups)
-        super().__init__(_located(f"groups with zero total expenditure: {', '.join(self.groups)}", path, line))
+        super().__init__(f"groups with zero total expenditure: {', '.join(self.groups)}", path=path, line=line)
 
 
 class NonPositiveBase(GstioError):
@@ -71,7 +80,7 @@ class UnmappedItem(GstioError):
         self.items = tuple(sorted(items))
         self.context = context
         suffix = f" ({context})" if context else ""
-        super().__init__(_located(f"unmapped item codes{suffix}: {', '.join(self.items)}", path, line))
+        super().__init__(f"unmapped item codes{suffix}: {', '.join(self.items)}", path=path, line=line)
 
 
 class MissingArtifact(GstioError):
@@ -79,29 +88,10 @@ class MissingArtifact(GstioError):
 
 
 class LoadError(GstioError):
-    """Error tied to a position in an input file.
-
-    Carries ``path``, ``line`` and ``column`` (1-based, None when the error
-    concerns the file as a whole) so callers can point at the offending cell.
-    """
+    """Error tied to a position in an input file, whose ``path`` it always names."""
 
     def __init__(self, message, *, path, line=None, column=None):
-        self.path = str(path)
-        self.line = line
-        self.column = column
-        super().__init__(_located(message, path, line, column))
-
-
-def _located(message, path, line=None, column=None):
-    """``message`` prefixed with ``path:line:column``, as far as they are known."""
-    if path is None:
-        return message
-    where = str(path)
-    if line is not None:
-        where += f":{line}"
-        if column is not None:
-            where += f":{column}"
-    return f"{where}: {message}"
+        super().__init__(message, path=path, line=line, column=column)
 
 
 class ParseError(LoadError):

@@ -93,6 +93,7 @@ from .errors import (
     BasisMismatch,
     DimensionMismatch,
     EmptyGroup,
+    GstioError,
     InvalidShare,
     LoadError,
     ParseError,
@@ -130,9 +131,9 @@ def _csv_file(path) -> Iterator[tuple[list[str], int, TextIO]]:
     """The header row of CSV file ``path``, the line after it, and the file, open just past the header.
 
     Raises a ParseError when the file cannot be read or is not UTF-8, and a
-    SchemaError when it is empty. On a LoadError or ZeroOutput raised inside
-    the ``with``, the rest of the file is read first, so that a byte that is
-    not UTF-8 anywhere in the file is reported in its place.
+    SchemaError when it is empty. On a GstioError raised inside the ``with``,
+    the rest of the file is read first, so that a byte that is not UTF-8
+    anywhere in the file is reported in its place.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -142,7 +143,7 @@ def _csv_file(path) -> Iterator[tuple[list[str], int, TextIO]]:
                 if header is None:
                     raise SchemaError("empty file", path=path, line=1)
                 yield header[1], records.line_num + 1, handle
-            except (LoadError, ZeroOutput):
+            except GstioError:
                 while handle.read(1 << 16):
                     pass
                 raise
@@ -827,12 +828,17 @@ def load_household(expenditure, concordance, sectors: SectorSet) -> tuple[Expend
     item code the concordance, or the sector set without one, lacks raises
     :class:`UnmappedItem` at its first line in the expenditure file.
     """
+    return _load_household(expenditure, concordance, sectors)[:2]
+
+
+def _load_household(expenditure, concordance, sectors: SectorSet):
+    """What :func:`load_household` returns, and the line where each item code first appears in ``expenditure``."""
     basis = ExpenditureBasis.SECTOR_CODES if concordance is None else ExpenditureBasis.ITEM_CODES
     matrix, item_lines = _load_expenditure(expenditure, basis)
     try:
         if concordance is None:
-            return align_expenditure(matrix, sectors), None
-        return matrix, load_concordance(concordance, sectors).weight_matrix(matrix.items)
+            return align_expenditure(matrix, sectors), None, item_lines
+        return matrix, load_concordance(concordance, sectors).weight_matrix(matrix.items), item_lines
     except UnmappedItem as exc:
         line = min(item_lines[item] for item in exc.items)
         raise UnmappedItem(exc.items, exc.context, path=expenditure, line=line) from None

@@ -60,7 +60,7 @@ from .diagnostics import ProductivityReport, productivity_check
 from .errors import DimensionMismatch, SchemaError, UnknownBaseGroup, UnmappedItem
 from .incidence import CategoryMap, ExpenditureMatrix, GroupDimension, category_report
 from .incidence import _refuse_overflow, expenditure_change_on_items, gap_ratios, purchasing_power_change
-from .ingest import _not_utf8, load_category_map, load_concordance, load_household, load_io_table, load_rate_schedule
+from .ingest import _load_household, _not_utf8, load_category_map, load_concordance, load_io_table, load_rate_schedule
 from .io_model import BalanceReport, CoefficientBundle, derive_coefficients
 from .price_model import MaskedInputTreatment, PriceChangeSummary, RateSchedule, baseline_prices, check_gst_rate
 from .price_model import price_change_summary, release_mask_terms, simulate_prices
@@ -231,8 +231,10 @@ class ScenarioInputs:
     ``bundle`` (so its sectors) and its OUTPUT column ``x``; its flows are not
     kept. ``expenditure`` and ``weights`` are :func:`~gstio.ingest.load_household`'s,
     spending in the file's codes; ``unmapped`` holds those codes that
-    ``category_map`` leaves out, and ``base_groups`` each dimension's base
-    group, one entry per dimension that has groups.
+    ``category_map`` leaves out, ``unmapped_line`` the first line of the
+    expenditure file that names one of them (None if none does), and
+    ``base_groups`` each dimension's base group, one entry per dimension
+    that has groups.
     """
 
     bundle: CoefficientBundle
@@ -244,6 +246,7 @@ class ScenarioInputs:
     weights: np.ndarray | None
     category_map: CategoryMap | None
     unmapped: tuple[str, ...]
+    unmapped_line: int | None
     base_groups: dict[GroupDimension, str]
 
 
@@ -254,18 +257,20 @@ def load_inputs(config: ScenarioConfig) -> ScenarioInputs:
     """
     table, balance = load_io_table(config.io_table, allow_unbalanced=config.allow_unbalanced)
     schedule, warnings = load_rate_schedule(config.rate_schedule, table.sectors, gst_rate=config.gst_rate)
-    household = (None, None)
+    expenditure, weights, item_lines = None, None, {}
     if config.expenditure:
-        household = load_household(config.expenditure, config.concordance, table.sectors)
+        expenditure, weights, item_lines = _load_household(config.expenditure, config.concordance, table.sectors)
     elif config.concordance:
         load_concordance(config.concordance, table.sectors)  # nothing to map, but read and checked
     category_map = load_category_map(config.category_map) if config.category_map else None
-    expenditure = household[0]
     unmapped = () if category_map is None or expenditure is None else category_map.unmapped(expenditure.items)
+    # without a concordance, a sector that no group buys is a code that the file does not name
+    unmapped_line = min((item_lines[code] for code in unmapped if code in item_lines), default=None)
     base_groups = {} if expenditure is None else _resolve_base_groups(expenditure, config.base_groups)
     bundle = derive_coefficients(table, check_balance=False)
     return ScenarioInputs(
-        bundle, table.x, balance, schedule, tuple(warnings), *household, category_map, unmapped, base_groups
+        bundle, table.x, balance, schedule, tuple(warnings), expenditure, weights, category_map, unmapped,
+        unmapped_line, base_groups,
     )
 
 
@@ -347,7 +352,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Execute the price and incidence pipeline for one scenario; every input error comes before the solve."""
     inputs = load_inputs(config)
     if inputs.unmapped:
-        raise UnmappedItem(inputs.unmapped, context="category map")
+        # a map that lacks only sectors no group buys has no such line, and is named as a whole
+        line = inputs.unmapped_line
+        path = config.category_map if line is None else config.expenditure
+        raise UnmappedItem(inputs.unmapped, "category map", path=path, line=line)
 
     baseline = baseline_prices(inputs.bundle)
     price_level = _price_level(config, inputs.bundle, inputs.schedule)

@@ -844,6 +844,21 @@ class TestReport:
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR MissingArtifact:")
 
+    def test_directory_without_price_table(self, run_dir, capsys):
+        (run_dir / "price_changes.csv").unlink()
+        assert main(["report", str(run_dir), "--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"{run_dir} does not contain price_changes.csv (not a run directory?)"
+        assert captured.err == f"ERROR MissingArtifact: {message}\n"
+
+    def test_table_not_in_the_run_directory(self, run_dir, capsys):
+        assert main(["report", str(run_dir), "--format", "text", "--table", "nope"]) == 2
+        captured = capsys.readouterr()
+        tables = "category_table_ethnicity, category_table_income, gaps, incidence_by_group, price_changes, summary"
+        assert captured.out == ""
+        assert captured.err == f"ERROR MissingArtifact: table 'nope' not in run directory; available: {tables}\n"
+
 
 class TestEntryPoint:
     def test_usage_error_exits_1(self, capsys):

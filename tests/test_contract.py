@@ -3,7 +3,7 @@ or of one of its five CSV inputs either runs, or fails with one
 ``ERROR <Class>:`` line and a documented exit code. Every scenario
 ``SchemaError`` but a missing section names its line, and every CSV load
 error, ``EmptyGroup``, ``UnmappedItem`` and ``ZeroOutput`` names its file
-and line, but a file-level ``missing …`` error and a category map that leaves codes out.
+and line, but a file-level ``missing …`` error.
 
 ``gstio validate`` on a mutant's scenario agrees with ``run``: it passes
 where ``run`` runs, and prints ``run``'s ERROR line and nothing else where
@@ -191,7 +191,7 @@ def test_csv_mutants_run_or_fail_with_one_located_error(name, kind, line, column
         err = run_outcome(data / "scenario.cfg")
         # a load error names its file and line, but a file-level "missing …"
         located = re.match(rf"ERROR (?:{LOCATED_ERRORS}): [^:]+(:\d+)?", err)
-        if located and not located.group(1) and "(category map)" not in err:
+        if located and not located.group(1):
             assert err[located.end() :].startswith(": missing "), err
         flags = [arg for flag, name in zip(VALIDATE_FLAGS, CSV_INPUTS) for arg in (flag, str(data / name))]
         assert check_validate_agrees([str(data / "scenario.cfg")], err) == check_validate_agrees(flags, err)

@@ -72,6 +72,21 @@ def _reference_rows(expenditure, delta, category_map):
         rows.append((base_share, post_share, post_share - base_share, pct, total_before, total_after, total_pct))
     return rows
 
+class TestExpenditureMatrixChecks:
+    @pytest.mark.parametrize(
+        "groups, items, values, message",
+        [
+            (_groups("g1", "g1"), ("a",), [[1.0], [2.0]], "duplicate group ids: g1"),
+            (_groups("g1"), ("a", "a"), [[1.0, 2.0]], "duplicate item codes in expenditure matrix"),
+            (_groups("g1"), ("a", "b"), [[3.0, -1.0]], "expenditure values must be nonnegative"),
+        ],
+        ids=["duplicate-groups", "duplicate-items", "negative-value"],
+    )
+    def test_constructor_refuses(self, groups, items, values, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            _matrix(values, items=items, groups=groups)
+
+
 class TestExpenditureChange:
     def test_flat_prices_no_change(self):
         matrix = _matrix([[100.0, 50.0], [10.0, 20.0]])

@@ -266,6 +266,30 @@ def test_non_utf8_byte_reported_at_its_line(tmp_path, name):
     assert (info.value.line, info.value.column) == (line, None)
 
 
+def test_a_place_prefixes_the_message_as_far_as_it_is_given():
+    assert str(GstioError("m")) == "m"
+    assert str(GstioError("m", line=3, column=5)) == "m"  # a line counts only with a path
+    assert str(GstioError("m", path="f.csv", column=5)) == "f.csv: m"  # a column only with a line
+    assert str(GstioError("m", path="f.csv", line=3)) == "f.csv:3: m"
+    assert str(GstioError("m", path="f.csv", line=3, column=5)) == "f.csv:3:5: m"
+
+
+@pytest.mark.parametrize(
+    "cls", [*LoadError.__subclasses__(), ZeroOutput, EmptyGroup, UnmappedItem], ids=lambda cls: cls.__name__
+)
+def test_every_located_error_exposes_its_place(tmp_path, cls):
+    path = tmp_path / "f.csv"
+    # EmptyGroup and UnmappedItem are named at a line, the others at a cell
+    if cls is EmptyGroup:
+        error, column = cls(["g2"], path=path, line=3), None
+    elif cls is UnmappedItem:
+        error, column = cls(["fuel"], "category map", path=path, line=3), None
+    else:
+        error, column = cls("bad cell", path=path, line=3, column=5), 5
+    assert (error.path, error.line, error.column) == (str(path), 3, column)
+    assert str(error).startswith(f"{path}:3:5: " if column else f"{path}:3: ")
+
+
 def test_inputs_are_read_without_a_text_copy(tmp_path, data_dir, monkeypatch):
     # a table with a 1_000 cell, which numpy declines, takes the row walk
     walked = _write(
@@ -707,6 +731,15 @@ class TestLoadRateSchedule:
         np.testing.assert_array_equal(schedule.standard_share, np.ones(3))
         assert len(warnings) == 3
 
+    def test_empty_share_defaults_by_category(self, tmp_path):
+        sectors = SectorSet.from_ids(("a", "b", "c"))
+        path = _write(
+            tmp_path, "s.csv", "sector_id,category,standard_share,note\na,standard,,\nb,zero_rated, ,\nc,exempt,,\n"
+        )
+        schedule, warnings = load_rate_schedule(path, sectors)
+        assert schedule.standard_share.tolist() == [1.0, 0.0, 0.0]
+        assert warnings == []
+
     def test_share_out_of_range(self, tmp_path):
         sectors = SectorSet.from_ids(("a",))
         path = _write(
@@ -807,6 +840,15 @@ class TestLoadExpenditure:
         with pytest.raises(ParseError, match="not a number: 'abc'") as info:
             load_expenditure(path)
         assert (info.value.line, info.value.column) == (4, 5)
+
+    @pytest.mark.parametrize("label", ["low", '"low"'], ids=["plain-block", "declined-block"])
+    def test_negative_amount_refused_at_its_cell(self, tmp_path, label):
+        # numpy declines a block with a quote; a plain block is declined for its negative amount alone
+        text = f"{EXPENDITURE_HEADER}\ng1,income,{label},food,10\ng1,income,{label},fuel,-2.5\n"
+        path = _write(tmp_path, "e.csv", text)
+        with pytest.raises(ParseError) as info:
+            load_expenditure(path)
+        assert str(info.value) == f"{path}:3:5: amount must be nonnegative, got -2.5"
 
     def test_empty_group_named_at_its_first_line(self, tmp_path):
         path = _write(
@@ -1170,6 +1212,12 @@ class TestCategoryMapFile:
         path = _write(tmp_path, "m.csv", "code,category\nx,c1\nx,c2\n")
         with pytest.raises(SchemaError, match="duplicate"):
             load_category_map(path)
+
+    def test_no_rows_is_a_schema_error(self, tmp_path):
+        path = _write(tmp_path, "m.csv", "code,category\n\n")
+        with pytest.raises(SchemaError) as info:
+            load_category_map(path)
+        assert str(info.value) == f"{path}:1: no category assignments"
 
 
 def load_expenditure_from_values(rows, basis=ExpenditureBasis.ITEM_CODES):

@@ -105,6 +105,27 @@ class TestRateMask:
         np.testing.assert_array_equal(rate_mask(schedule), np.eye(3))
 
 
+class TestRateScheduleChecks:
+    @pytest.mark.parametrize(
+        "categories, shares, error, message",
+        [
+            ((RateCategory.STANDARD_RATED,) * 2, [1.0, 1.0, 1.0], DimensionMismatch, "need 3 categories, got 2"),
+            (
+                (RateCategory.STANDARD_RATED,) * 2 + ("standard",),
+                [1.0, 1.0, 1.0],
+                InvalidSchedule,
+                "categories must be RateCategory members",
+            ),
+            ((RateCategory.STANDARD_RATED,) * 3, [1.0, 1.5, 1.0], InvalidSchedule, r"standard_share entries .*"),
+            ((RateCategory.STANDARD_RATED,) * 3, [1.0, -0.1, 1.0], InvalidSchedule, r"standard_share entries .*"),
+        ],
+        ids=["category-count", "not-a-category", "share-above-1", "share-below-0"],
+    )
+    def test_constructor_refuses(self, categories, shares, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            RateSchedule(helpers.APPENDIX_SECTORS, categories, np.array(shares), 0.06)
+
+
 class TestMaskedInverse:
     def test_appendix_zero_mask_matches_print(self):
         inverse = masked_inverse(helpers.APPENDIX_AT.T, np.diag([0.0, 1.0, 1.0]))

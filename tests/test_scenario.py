@@ -257,6 +257,38 @@ def test_category_map_coverage_checked_before_the_solve(data_dir, tmp_path, monk
         run_scenario(config)
 
 
+def test_category_map_error_names_the_first_line_of_a_code_it_leaves_out(data_dir, tmp_path):
+    # the map leaves out rent, first named at line 4 of the expenditure file, and misc, at line 7
+    text = (data_dir / "category_map.csv").read_text(encoding="utf-8")
+    text = text.replace("rent,housing_utilities\n", "").replace("misc,misc_goods_services\n", "")
+    (tmp_path / "map.csv").write_text(text, encoding="utf-8")
+    config = replace(load_scenario(data_dir / "scenario.cfg"), category_map=tmp_path / "map.csv")
+    assert load_inputs(config).unmapped_line == 4
+    with pytest.raises(UnmappedItem) as info:
+        run_scenario(config)
+    assert str(info.value) == f"{config.expenditure}:4: unmapped item codes (category map): misc, rent"
+    assert (info.value.path, info.value.line, info.value.column) == (str(config.expenditure), 4, None)
+
+
+@pytest.mark.parametrize("mapped", [("agr", "ind"), ("agr",)], ids=["unbought-sector", "bought-sector"])
+def test_sector_coded_category_map_error_names_its_place(data_dir, tmp_path, mapped):
+    # spending on agr (line 2) and ind (line 3), so ser is in no line: a map that lacks
+    # only ser is named as a whole, one that lacks ind too at ind's line
+    spend, cmap = tmp_path / "spend.csv", tmp_path / "map.csv"
+    spend.write_text(
+        "group_id,dimension,label,item_code,amount\ninc1,income,low,agr,60\ninc1,income,low,ind,40\n", encoding="utf-8"
+    )
+    cmap.write_text("code,category\n" + "".join(f"{code},food_nonalcoholic\n" for code in mapped), encoding="utf-8")
+    config = replace(
+        load_scenario(data_dir / "scenario.cfg"), expenditure=spend, concordance=None, category_map=cmap, base_groups={}
+    )
+    missing = ", ".join(code for code in ("ind", "ser") if code not in mapped)
+    place = cmap if "ind" in mapped else f"{spend}:3"
+    with pytest.raises(UnmappedItem) as info:
+        run_scenario(config)
+    assert str(info.value) == f"{place}: unmapped item codes (category map): {missing}"
+
+
 def test_base_group_of_a_dimension_without_groups_is_unknown(data_dir, tmp_path):
     rows = (data_dir / "expenditure.csv").read_text(encoding="utf-8").splitlines(keepends=True)
     (tmp_path / "spend.csv").write_text("".join(row for row in rows if ",ethnicity," not in row), encoding="utf-8")
