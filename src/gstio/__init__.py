@@ -8,6 +8,16 @@ price changes through household expenditure to get group-level incidence
 and consumption-gap effects.
 """
 
+import os
+import sys
+
+# OpenBLAS splits its products and factorisations, and so rounds them, by its
+# thread count, which it reads once as numpy loads. One thread unless the
+# variable says otherwise keeps a run's bits the same on every machine; a
+# program that loaded numpy first keeps its own count.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .diagnostics import (
     ProductivityReport,
     StructureDriftReport,

@@ -8,7 +8,12 @@ maps the families to distinct exit codes.
 Any error may name its place in a file, kept as ``path``, ``line`` and ``column``
 (1-based, None where not given); its message then starts ``path:line:column: ``
 as far as they are given from the left, so a column counts only with a line.
+
+Every error pickles with its message, its place and its other attributes, so
+one raised in a worker process reaches its parent whole.
 """
+
+import copyreg
 
 
 class GstioError(Exception):
@@ -23,6 +28,11 @@ class GstioError(Exception):
                 where += f":{line}" if column is None else f":{line}:{column}"
             message = f"{where}: {message}"
         super().__init__(message)
+
+    def __reduce__(self):
+        # rebuilt from the class, the message as formatted and every attribute,
+        # without the constructor, whose arguments differ by subclass
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class NumericalError(GstioError):

@@ -70,7 +70,7 @@ class HouseholdGroup:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpenditureMatrix:
     """Group × item spending (currency per month), nonnegative with positive, finite row sums."""
 
@@ -150,7 +150,7 @@ def expenditure_change_on_items(matrix: ExpenditureMatrix, item_prices: np.ndarr
     return (np.asarray(item_prices, dtype=float) - 1.0) * matrix.values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoryReport:
     """The category table of every group, as read-only arrays with one row per group in the matrix's order.
 

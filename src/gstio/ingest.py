@@ -446,7 +446,7 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
         message = f"OUTPUT of sector {ids[i]} is too small for its flows"
         raise ZeroOutput(message, path=path, line=sector_lines[i], column=n + 5)
     if not allow_unbalanced:
-        report.check(table.sectors)
+        report.check(table.sectors, path=path, lines=sector_lines)
     return table, report
 
 

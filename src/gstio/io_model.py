@@ -11,10 +11,8 @@ L = (I − A)⁻¹, which converts final demand into gross output: x = L(f + e).
 
 All containers are frozen dataclasses over read-only numpy arrays, so every
 operation is a pure function and instances can be shared across threads.
-One memo rides along: a :class:`CoefficientBundle` keeps the price model's
-live block for its most recent mask, so a rate sweep gathers it once.
-Results never depend on the memo, because a hit solves the very block a miss
-would build; concurrent callers at worst build a block twice.
+Records that hold arrays compare by identity, as an array has no single
+truth value, and hash by it too; the others compare by value.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ class SectorSet:
         return self._positions[sector_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IOTable:
     """Balanced inter-industry flow table in currency units.
 
@@ -141,7 +139,7 @@ class IOTable:
         balance_report(self).check(self.sectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientBundle:
     """Per-unit-of-output coefficients: matrix ``A`` plus exogenous cost rows.
 
@@ -171,11 +169,6 @@ class CoefficientBundle:
     def n(self) -> int:
         return len(self.sectors)
 
-    @cached_property
-    def _memo(self) -> dict:
-        # the price model's per-mask terms; outside __eq__, repr and replace
-        return {}
-
     @property
     def value_added(self) -> np.ndarray:
         """Labor plus capital coefficient per sector (the GST base)."""
@@ -186,7 +179,7 @@ class CoefficientBundle:
         return self.A.sum(axis=0) + self.labor + self.capital + self.imports + self.indirect_tax
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BalanceReport:
     """Per-sector relative residuals of the two accounting identities."""
 
@@ -212,15 +205,24 @@ class BalanceReport:
     def within(self, tolerance: float) -> bool:
         return self.max_row_residual <= tolerance and self.max_column_residual <= tolerance
 
-    def check(self, sectors: SectorSet) -> None:
-        """Raise :class:`Unbalanced`, naming the worst sectors, beyond BALANCE_TOLERANCE."""
+    def check(self, sectors: SectorSet, *, path=None, lines=None) -> None:
+        """Raise :class:`Unbalanced`, naming the worst sectors, beyond BALANCE_TOLERANCE.
+
+        Given the file ``path`` and each sector's line in it, the error is
+        placed at the OUTPUT cell of the sector with the largest residual.
+        """
         if not self.within(BALANCE_TOLERANCE):
+            place = {}
+            if path is not None:
+                worst = int(np.maximum(self.row_residuals, self.column_residuals).argmax())
+                place = dict(path=path, line=lines[worst], column=len(sectors) + 5)
             raise Unbalanced(
                 "table violates balance at relative tolerance "
                 f"{BALANCE_TOLERANCE:g} (worst row residual {self.max_row_residual:.3e} "
                 f"at sector {sectors.ids[self.worst_row_sector]}, "
                 f"worst column residual {self.max_column_residual:.3e} "
-                f"at sector {sectors.ids[self.worst_column_sector]})"
+                f"at sector {sectors.ids[self.worst_column_sector]})",
+                **place,
             )
 
 

@@ -27,6 +27,7 @@ their baseline price of 1.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,7 +71,7 @@ def _schedule_rate(rate: float) -> float:
         raise InvalidSchedule(str(exc)) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateSchedule:
     """Per-sector tax treatment under the reform.
 
@@ -171,9 +172,6 @@ def gst_coefficients(bundle: CoefficientBundle, schedule: RateSchedule) -> np.nd
     return schedule.gst_rate * (schedule.standard_share * bundle.value_added)
 
 
-_MEMO_KEY = "price_path"
-
-
 class _MaskTerms(NamedTuple):
     """The terms of :func:`price_path` that depend on the mask and not on the rate."""
 
@@ -183,10 +181,13 @@ class _MaskTerms(NamedTuple):
     input_tax_base: np.ndarray | None  # row sums of A'B̂, for the exempt option
 
 
+_kept_terms = weakref.WeakKeyDictionary()  # each live bundle's most recent _MaskTerms
+
+
 def _mask_terms(bundle: CoefficientBundle, share: np.ndarray, treatment, exempt) -> _MaskTerms:
-    """The bundle's kept terms if their key matches, else newly built ones."""
+    """The terms the price model keeps for ``bundle`` if their key matches, else newly built ones."""
     key = (share.tobytes(), treatment, None if exempt is None else exempt.tobytes())
-    terms = bundle._memo.get(_MEMO_KEY)
+    terms = _kept_terms.get(bundle)
     if terms is not None and terms.key == key:
         return terms
     return _MaskTerms(
@@ -219,8 +220,9 @@ def simulate_prices(
     non-standard share of their output — the input tax they cannot recover.
 
     This is :func:`price_path` at the one rate ``schedule.gst_rate``, so
-    calls that share a bundle and a mask reuse its live block: a loop over
-    rates gathers I − A'B̂ once per mask, and each call only solves.
+    calls that share a bundle and a mask reuse the live block the price
+    model keeps for that bundle: a loop over rates gathers I − A'B̂ once per
+    mask, and each call only solves.
     """
     return price_path(
         bundle,
@@ -251,12 +253,14 @@ def price_path(
     1e-15 relative with a live block of about 530 sectors). Raises
     :class:`InvalidSchedule` for a rate outside [0, 1).
 
-    The bundle keeps what the most recent mask built, which depends on
-    nothing but the mask: the live block of I − A'B̂, A'(1 − b̂) for the
-    baseline treatment and the row sums of A'B̂ for the exempt option. A
-    later call with the same standard shares, treatment and (with the
-    exempt option) exempt labels reuses them and gives the same bits. A mask
-    whose solve fails is not kept.
+    The price model keeps, for each live bundle, what its most recent mask
+    built, which depends on nothing but the mask: the live block of
+    I − A'B̂, A'(1 − b̂) for the baseline treatment and the row sums of A'B̂
+    for the exempt option. A later call on that bundle with the same
+    standard shares, treatment and (with the exempt option) exempt labels
+    reuses them and gives the same bits. A mask whose solve fails is not
+    kept. The terms go with the bundle, or with :func:`release_mask_terms`;
+    a copy of the bundle builds its own.
     """
     treatment = MaskedInputTreatment(masked_input_treatment)
     if schedule.sectors.ids != bundle.sectors.ids:
@@ -279,16 +283,16 @@ def price_path(
         input_tax = rates * terms.input_tax_base
         costs = costs + np.where(exempt, (1.0 - share) * input_tax, 0.0)
     prices = terms.system.solve(costs.T).T
-    bundle._memo[_MEMO_KEY] = terms  # only once solved: a non-productive mask is not kept
+    _kept_terms[bundle] = terms  # only once solved: a non-productive mask is not kept
     return prices
 
 
 def release_mask_terms(bundle: CoefficientBundle) -> None:
-    """Drop the terms :func:`price_path` keeps on ``bundle``, for a caller that solves each mask once."""
-    bundle._memo.pop(_MEMO_KEY, None)
+    """Drop the terms :func:`price_path` keeps for ``bundle``, for a caller that solves each mask once."""
+    _kept_terms.pop(bundle, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceChangeSummary:
     """Aggregate view of a simulated price vector.
 

@@ -223,7 +223,7 @@ def load_scenario(path) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioInputs:
     """A scenario's input files, loaded and checked against each other.
 
@@ -332,7 +332,7 @@ def check_inputs(config: ScenarioConfig) -> list[Check]:
     return checks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioResult:
     """Everything a report writer needs from one scenario execution."""
 

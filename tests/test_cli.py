@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import os
 import re
 import shutil
 import subprocess
@@ -606,6 +607,25 @@ class TestRun:
         assert main(["run", str(data_dir / "scenario.cfg"), "-o", str(out1)]) == 0
         assert main(["run", str(data_dir / "scenario.cfg"), "-o", str(out2)]) == 0
         assert _run_dir_bytes(out1) == _run_dir_bytes(out2)
+
+    def test_bits_do_not_depend_on_the_blas_thread_setting(self, tmp_path, monkeypatch):
+        # survey-sized inputs: a 150-sector solve, which OpenBLAS splits among its threads
+        monkeypatch.syspath_prepend(str(BENCH))
+        import gen
+
+        inputs = gen.generate(tmp_path / "inputs", 1, gen.Sizes(150, 0.3, 120, items=240))
+        scenario = gen.write_scenario(inputs, treatment="drop", exempt_retains_input_tax=False)
+        runs = []
+        for setting in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            if setting is not None:
+                env["OPENBLAS_NUM_THREADS"] = setting
+            out = tmp_path / f"run-{setting}"
+            argv = ["run", str(scenario), "-o", str(out), "--full-precision"]
+            proc = subprocess.run([sys.executable, "-m", "gstio", *argv], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(_run_dir_bytes(out))
+        assert len(runs[0]) == 6 and runs[0] == runs[1]
 
     def test_refuses_to_overwrite_without_force(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -41,7 +41,7 @@ TOKENS = [b"zzz", b"", b"1.5", b"-1", b"nan", b"yes", b"x ; note", b"\xff"]
 CSV_INPUTS = ("io_table.csv", "rate_schedule.csv", "expenditure.csv", "concordance.csv", "category_map.csv")
 CSV_TOKENS = [b"zzz", b"nan", b"1e999", b"-1", b"", b"1e-320", b"1.7e308"]
 LOCATED_ERRORS = "|".join(
-    [*(cls.__name__ for cls in LoadError.__subclasses__()), "EmptyGroup", "UnmappedItem", "ZeroOutput"]
+    [*(cls.__name__ for cls in LoadError.__subclasses__()), "EmptyGroup", "UnmappedItem", "ZeroOutput", "Unbalanced"]
 )
 OVERFLOW = "ERROR DimensionMismatch: the report numbers of group"
 VALIDATE_FLAGS = ("--table", "--schedule", "--expenditure", "--concordance", "--category-map")
@@ -177,6 +177,8 @@ def test_scenario_mutants_run_or_fail_with_one_located_error(kind, line, token, 
 @example(name="concordance.csv", kind="replace", line=2, column=2, token=b"1e-320", cut=0)
 # a file cut inside its first sector row
 @example(name="io_table.csv", kind="truncate", line=0, column=0, token=b"", cut=80)
+# a flow cell that leaves the table unbalanced
+@example(name="io_table.csv", kind="replace", line=1, column=2, token=b"1e-320", cut=0)
 # an item missing from the concordance, and one the category map leaves out
 @example(name="concordance.csv", kind="delete", line=3, column=0, token=b"", cut=0)
 @example(name="category_map.csv", kind="delete", line=2, column=0, token=b"", cut=0)

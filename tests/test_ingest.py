@@ -1,8 +1,11 @@
 """Tests for CSV loading, validation errors with positions, and concordance mapping."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import io
+import multiprocessing
+import pickle
 import sys
 import tracemalloc
 
@@ -12,10 +15,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gstio import ingest, io_model
+from gstio import errors, ingest, io_model
 from gstio import (
     Concordance,
     ConcordanceLink,
+    DimensionMismatch,
     EmptyGroup,
     ExpenditureBasis,
     ExpenditureMatrix,
@@ -288,6 +292,39 @@ def test_every_located_error_exposes_its_place(tmp_path, cls):
         error, column = cls("bad cell", path=path, line=3, column=5), 5
     assert (error.path, error.line, error.column) == (str(path), 3, column)
     assert str(error).startswith(f"{path}:3:5: " if column else f"{path}:3: ")
+
+
+def test_every_error_pickles_whole(tmp_path):
+    path = tmp_path / "f.csv"
+    classes = [cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, GstioError)]
+    assert len(classes) == 19
+    for cls in classes:
+        # each built as the code builds it
+        if cls is EmptyGroup:
+            error = cls(["g2"], path=path, line=3)
+        elif cls is UnmappedItem:
+            error = cls(["fuel"], "category map", path=path, line=3)
+        elif cls is DimensionMismatch:
+            error = ingest._bad_link("duplicate link ('food', 'agr')", 2)
+        elif issubclass(cls, (LoadError, ZeroOutput, Unbalanced)):
+            error = cls("bad cell", path=path, line=3, column=5)
+        else:
+            error = cls("no place")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls
+        assert str(copy) == str(error), cls
+        # the place, and groups, items, context or link
+        assert vars(copy) == vars(error), cls
+
+
+def test_an_error_in_a_worker_process_reaches_its_parent(tmp_path):
+    path = _write(tmp_path, "t.csv", IO_HEADER + "a,A,0,0,1,0,1\nb,B,0,zzz,1,0,1\n" + PRIMARY_ROWS)
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        future = pool.submit(load_io_table, str(path))
+        with pytest.raises(ParseError) as info:
+            future.result(timeout=120)
+    assert (info.value.path, info.value.line, info.value.column) == (str(path), 3, 4)
+    assert str(info.value).startswith(f"{path}:3:4: ")
 
 
 def test_inputs_are_read_without_a_text_copy(tmp_path, data_dir, monkeypatch):
@@ -650,7 +687,26 @@ class TestLoadIOTable:
         with pytest.raises(Unbalanced) as info:
             load_io_table(path)
         assert len(calls) == 1
-        assert str(info.value) == str(expected.value)
+        assert str(info.value) == f"{path}:2:7: {expected.value}"
+
+    @pytest.mark.parametrize("demand, line", [(15, 3), (60, 2)], ids=["column worse", "row worse"])
+    def test_unbalanced_from_a_file_names_its_place(self, tmp_path, demand, line):
+        # a's row sells demand for an OUTPUT of 10; b's column costs 30 for an OUTPUT of 10
+        text = (
+            IO_HEADER
+            + f"a,A,0,0,{demand},0,10\nb,B,0,0,10,0,10\n"
+            + "VALUE_ADDED,,10,10,,,\nIMPORTS,,0,10,,,\nINDIRECT_TAX,,0,10,,,\n"
+        )
+        path = _write(tmp_path, "t.csv", text)
+        table, _ = load_io_table(path, allow_unbalanced=True)
+        with pytest.raises(Unbalanced) as expected:
+            table.check_balance()
+        assert (expected.value.path, expected.value.line, expected.value.column) == (None, None, None)
+        with pytest.raises(Unbalanced) as info:
+            load_io_table(path)
+        # the line of the sector with the larger worst residual, at its OUTPUT cell
+        assert (info.value.path, info.value.line, info.value.column) == (str(path), line, 7)
+        assert str(info.value) == f"{path}:{line}:7: {expected.value}"
 
     def test_separate_labor_and_capital_rows(self, tmp_path):
         path = _write(

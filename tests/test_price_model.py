@@ -1,8 +1,12 @@
 """Tests for the masked cost-push price model against printed and oracle values."""
 
+import copy
+import gc
+import pickle
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +34,7 @@ from gstio import (
     simulate_prices,
 )
 from gstio.io_model import _LiveBlock
-from gstio.price_model import release_mask_terms
+from gstio.price_model import _kept_terms, release_mask_terms
 
 # Frozen from the fixed-point oracle on the worked three-sector example
 # (Agr zero-rated, 6% on value added, masked inputs dropped).
@@ -470,10 +474,33 @@ class TestMaskMemo:
     def test_released_terms_are_built_anew(self, live_block_builds, appendix_bundle, appendix_schedule):
         expected = simulate_prices(appendix_bundle, appendix_schedule)
         release_mask_terms(appendix_bundle)
-        assert not appendix_bundle._memo
+        assert appendix_bundle not in _kept_terms
         release_mask_terms(appendix_bundle)  # nothing kept: nothing to drop
         np.testing.assert_array_equal(simulate_prices(appendix_bundle, appendix_schedule), expected)
         assert len(live_block_builds) == 2
+
+    def test_a_solved_bundle_pickles_at_its_own_size(self, appendix_bundle, appendix_schedule):
+        size = len(pickle.dumps(appendix_bundle))
+        simulate_prices(appendix_bundle, appendix_schedule)
+        assert len(pickle.dumps(appendix_bundle)) == size
+
+    def test_a_copy_builds_its_own_live_block(self, live_block_builds, appendix_bundle, appendix_schedule):
+        expected = simulate_prices(appendix_bundle, appendix_schedule)
+        twin = copy.copy(appendix_bundle)
+        np.testing.assert_array_equal(simulate_prices(twin, appendix_schedule), expected)
+        assert len(live_block_builds) == 2
+        # each keeps its own: neither builds again
+        for bundle in (appendix_bundle, twin):
+            np.testing.assert_array_equal(simulate_prices(bundle, appendix_schedule), expected)
+        assert len(live_block_builds) == 2
+
+    def test_kept_terms_go_with_their_bundle(self, appendix_schedule):
+        bundle = helpers.appendix_bundle()
+        simulate_prices(bundle, appendix_schedule)
+        block = weakref.ref(_kept_terms[bundle].system)
+        del bundle
+        gc.collect()
+        assert block() is None
 
     def test_checks_precede_the_lookup(self, appendix_bundle, appendix_schedule):
         simulate_prices(appendix_bundle, appendix_schedule)

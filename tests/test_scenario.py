@@ -1,6 +1,7 @@
 """Tests for scenario file parsing (path resolution, defaults and every schema
 error) and for the load stage that reads a scenario's inputs."""
 
+import copy
 import re
 from dataclasses import is_dataclass, replace
 from pathlib import Path
@@ -15,15 +16,18 @@ from gstio import (
     SchemaError,
     UnknownBaseGroup,
     UnmappedItem,
+    category_report,
     check_inputs,
     derive_coefficients,
     load_household,
     load_inputs,
+    load_io_table,
     load_scenario,
     run_scenario,
     scenario,
 )
 from gstio.cli import main
+from gstio.price_model import _kept_terms
 
 MINIMAL = (
     "[inputs]\nio_table = io.csv\nrate_schedule = sched.csv\n\n"
@@ -230,7 +234,51 @@ def test_a_run_keeps_no_memo_entry(data_dir, baseline):
     if baseline:
         config = replace(config, masked_input_treatment=MaskedInputTreatment.BASELINE, exempt_retains_input_tax=True)
     result = run_scenario(config)
-    assert not vars(result.inputs.bundle).get("_memo")
+    assert result.inputs.bundle not in _kept_terms
+
+
+ARRAY_RECORDS = (
+    "IOTable", "CoefficientBundle", "BalanceReport", "RateSchedule", "PriceChangeSummary",
+    "ExpenditureMatrix", "CategoryReport", "ScenarioInputs", "ScenarioResult",
+)  # fmt: skip
+
+
+def _array_records(data_dir):
+    """One of each record whose fields hold arrays, from the appendix scenario, by class name."""
+    config = load_scenario(data_dir / "scenario.cfg")
+    result = run_scenario(config)
+    inputs = result.inputs
+    return {
+        "IOTable": load_io_table(config.io_table)[0],
+        "CoefficientBundle": inputs.bundle,
+        "BalanceReport": inputs.balance,
+        "RateSchedule": inputs.schedule,
+        "PriceChangeSummary": result.summary,
+        "ExpenditureMatrix": inputs.expenditure,
+        "CategoryReport": category_report(inputs.expenditure, result.delta, inputs.category_map),
+        "ScenarioInputs": inputs,
+        "ScenarioResult": result,
+    }
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_records_holding_arrays_compare_by_identity(data_dir, name):
+    # value equality would ask an array for one truth value: each record is equal to itself alone
+    record = _array_records(data_dir)[name]
+    assert type(record).__name__ == name
+    assert hash(record) == hash(record)
+    assert record == record
+    twin = copy.deepcopy(record)
+    assert not record == twin
+    assert record != twin
+
+
+def test_records_without_arrays_compare_by_value(data_dir):
+    config = load_scenario(data_dir / "scenario.cfg")
+    inputs = load_inputs(config)
+    for record in (inputs.bundle.sectors, config, inputs.expenditure.groups[0]):
+        twin = copy.deepcopy(record)
+        assert twin is not record and twin == record
 
 
 def test_check_inputs_are_the_lines_validate_prints(data_dir, capsys):
