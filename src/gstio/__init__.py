@@ -100,7 +100,6 @@ from .price_model import (
     masked_inverse,
     price_change_summary,
     price_path,
-    rate_mask,
     simulate_prices,
 )
 from .scenario import ScenarioConfig, ScenarioInputs, ScenarioResult, check_inputs, load_inputs, load_scenario

@@ -36,7 +36,7 @@ from .errors import GstioError, MissingArtifact, NumericalError
 from .incidence import expenditure_change_on_items  # noqa: F401  (bench/tracing.py times cli.expenditure_change_on_items)
 from .ingest import _cell_float, _require_width, _rows, _write_csv
 from .price_model import MaskedInputTreatment
-from .scenario import GAPS_TABLE, INCIDENCE_TABLE, PRICE_TABLE, SUMMARY_TABLE, ScenarioConfig, ScenarioResult
+from .scenario import _SECTIONS, GAPS_TABLE, INCIDENCE_TABLE, PRICE_TABLE, SUMMARY_TABLE, ScenarioConfig, ScenarioResult
 from .scenario import check_inputs, load_scenario, run_scenario, run_tables
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
 
     output_dir = config.output_dir
     inputs = [Path(args.scenario).resolve()]
-    inputs += [getattr(config, spec.name) for spec in fields(config) if spec.metadata["section"] == "inputs"]
+    inputs += [getattr(config, key) for key in _SECTIONS["inputs"]]
     held = [path for path in inputs if path is not None and path.is_relative_to(output_dir)]
     if held:
         raise GstioError(f"output directory {output_dir} holds input {held[0]}; choose one that holds no input")

@@ -95,7 +95,11 @@ class ProductivityReport:
 
 
 def productivity_check(A: np.ndarray, mask: np.ndarray | None = None) -> ProductivityReport:
-    """Decide by the solve kernel's rule whether A (or A'B̂ with a mask) is productive.
+    """Decide by the solve kernel's rule whether M = A'B̂, the price system, is productive.
+
+    ``mask`` is the share vector b of n entries, the diagonal of B̂; without
+    one b = 1, so M = A' is the baseline price system, and the schedule's
+    shares give the reform's. Either is the system the price model solves.
 
     Passes at once when M >= 0 and the bracket's first upper end, ‖M‖∞, is
     below 1 − 1e-9: then x = (I − M)⁻¹1 <= 1/(1 − ‖M‖∞) < 1e9, which is the
@@ -111,12 +115,12 @@ def productivity_check(A: np.ndarray, mask: np.ndarray | None = None) -> Product
     iterates only over its core.
     """
     A = _square(A)
-    C, m = (A.T, np.ones(len(A))) if mask is None else (A, _mask_diagonal(mask, len(A)))
-    bracket = _perron_bracket(C, m)
+    m = np.ones(len(A)) if mask is None else _mask_diagonal(mask, len(A))
+    bracket = _perron_bracket(A, m)
     passed = bracket.lowest >= 0.0 and bracket.row_bound < 1.0 - PRODUCTIVITY_EPSILON
     if not passed:
         with suppress(NonProductive):
-            _LiveBlock(C, m).solve(np.empty((len(A), 0)))
+            _LiveBlock(A, m).solve(np.empty((len(A), 0)))
             passed = True
     return ProductivityReport(bracket.lo, passed, bracket.iterations, bracket.closed, (bracket.lo, bracket.hi))
 

@@ -126,20 +126,8 @@ def baseline_prices(bundle: CoefficientBundle) -> np.ndarray:
     return _solve_productive(bundle.A.T, costs)
 
 
-def rate_mask(schedule: RateSchedule) -> np.ndarray:
-    """Diagonal mask B̂; entry i is sector i's standard-rated output share."""
-    return np.diag(schedule.standard_share)
-
-
 def _mask_diagonal(mask: np.ndarray, n: int) -> np.ndarray:
     mask = np.asarray(mask, dtype=float)
-    if mask.ndim == 2:
-        if mask.shape != (n, n):
-            raise DimensionMismatch(f"mask must be {n}x{n}, got {mask.shape}")
-        off = mask - np.diag(np.diagonal(mask))
-        if np.any(off != 0):
-            raise DimensionMismatch("mask matrix must be diagonal")
-        mask = np.diagonal(mask).copy()
     if mask.shape != (n,):
         raise DimensionMismatch(f"mask must have {n} diagonal entries, got {mask.shape}")
     return mask
@@ -148,11 +136,10 @@ def _mask_diagonal(mask: np.ndarray, n: int) -> np.ndarray:
 def masked_inverse(A: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """(I − A'B̂)⁻¹ — the Leontief price inverse with masked tax columns.
 
-    ``mask`` may be the diagonal matrix from :func:`rate_mask` or its
-    diagonal as a vector. A sector with mask 0 feeds nothing back into
-    itself: its column of the result is exactly the unit column, because the
-    solve kernel factorises only the block of nonzero columns of A'B̂, on
-    which that right-hand side is all zeros. Raises
+    ``mask`` is the share vector b, the diagonal of B̂. A sector with mask 0
+    feeds nothing back into itself: its column of the result is exactly the
+    unit column, because the solve kernel factorises only the block of
+    nonzero columns of A'B̂, on which that right-hand side is all zeros. Raises
     :class:`NonProductive` unless the solve kernel's M-matrix certificate
     proves the spectral radius of A'B̂ below 1 − 1e-9.
     """
@@ -208,8 +195,8 @@ def simulate_prices(
     """Post-reform normalized price level per sector.
 
     Solves Δp = (I − A'B̂)⁻¹ c with c = labor + capital + imports + u, where
-    u is the reform tax row from :func:`gst_coefficients` and B̂ the mask
-    from :func:`rate_mask`.
+    u is the reform tax row from :func:`gst_coefficients` and B̂ the diagonal
+    matrix of the schedule's standard shares.
 
     ``masked_input_treatment=BASELINE`` augments c by A'(1 − b̂) so inputs
     from masked sectors are charged at baseline price 1 instead of dropping

@@ -131,7 +131,12 @@ def _key(section: str, parse, **default):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One run's settings. Each field is the scenario key of the same name."""
+    """One run's settings. Each field but the last is the scenario key of the same name.
+
+    ``base_groups_place`` is no key: it is the scenario file and the line
+    that gave ``base_groups``, which an :class:`UnknownBaseGroup` names. It
+    is kept by :func:`dataclasses.replace` and left out of equality.
+    """
 
     io_table: Path = _key("inputs", _path)
     rate_schedule: Path = _key("inputs", _path)
@@ -145,11 +150,12 @@ class ScenarioConfig:
     base_groups: dict[GroupDimension, str] = _key("report", _base_groups, default_factory=dict)
     full_precision: bool = _key("report", _boolean, default=False)
     allow_unbalanced: bool = _key("report", _boolean, default=False)
+    base_groups_place: tuple[Path, int] | None = field(default=None, compare=False, repr=False)
 
 
 # section -> key -> field, in field order: [inputs], [tax], [report]
 _SECTIONS: dict[str, dict[str, Field]] = {}
-for _field in fields(ScenarioConfig):
+for _field in fields(ScenarioConfig)[:-1]:  # the keys: every field but base_groups_place
     _SECTIONS.setdefault(_field.metadata["section"], {})[_field.name] = _field
 
 
@@ -220,6 +226,8 @@ def load_scenario(path) -> ScenarioConfig:
                 values[key] = spec.metadata["parse"](value, key, path.parent)
             except ValueError as exc:
                 raise error(str(exc), line) from None
+    if "base_groups" in values:
+        values["base_groups_place"] = (path, sections["report"][1]["base_groups"][0])
     return ScenarioConfig(**values)
 
 
@@ -266,7 +274,7 @@ def load_inputs(config: ScenarioConfig) -> ScenarioInputs:
     unmapped = () if category_map is None or expenditure is None else category_map.unmapped(expenditure.items)
     # without a concordance, a sector that no group buys is a code that the file does not name
     unmapped_line = min((item_lines[code] for code in unmapped if code in item_lines), default=None)
-    base_groups = {} if expenditure is None else _resolve_base_groups(expenditure, config.base_groups)
+    base_groups = {} if expenditure is None else _resolve_base_groups(expenditure, config)
     bundle = derive_coefficients(table, check_balance=False)
     return ScenarioInputs(
         bundle, table.x, balance, schedule, tuple(warnings), expenditure, weights, category_map, unmapped,
@@ -378,7 +386,8 @@ def _expenditure_change(inputs: ScenarioInputs, price_level: np.ndarray) -> np.n
     return expenditure_change_on_items(inputs.expenditure, item_prices)
 
 
-def _resolve_base_groups(expenditure: ExpenditureMatrix, requested: dict[GroupDimension, str]):
+def _resolve_base_groups(expenditure: ExpenditureMatrix, config: ScenarioConfig):
+    requested, (path, line) = config.base_groups, config.base_groups_place or (None, None)
     resolved: dict[GroupDimension, str] = {}
     for dimension in GroupDimension:
         ids = sorted(g.group_id for g in expenditure.groups if g.dimension is dimension)
@@ -387,7 +396,9 @@ def _resolve_base_groups(expenditure: ExpenditureMatrix, requested: dict[GroupDi
         resolved[dimension] = requested[dimension] if dimension in requested else ids[0]
         if resolved[dimension] not in ids:
             raise UnknownBaseGroup(
-                f"base group {resolved[dimension]!r} not among {dimension.value} groups: {', '.join(ids) or 'none'}"
+                f"base group {resolved[dimension]!r} not among {dimension.value} groups: {', '.join(ids) or 'none'}",
+                path=path,
+                line=line,
             )
     return resolved
 

@@ -45,8 +45,8 @@ def test_criterion_1_appendix_golden_inverses():
     """Masked inverse reproduces both printed appendix matrices and the oracle."""
     A = helpers.APPENDIX_AT.T
     started = time.perf_counter()
-    inverse_zero = masked_inverse(A, np.diag([0.0, 1.0, 1.0]))
-    inverse_half = masked_inverse(A, np.diag([0.5, 1.0, 1.0]))
+    inverse_zero = masked_inverse(A, np.array([0.0, 1.0, 1.0]))
+    inverse_half = masked_inverse(A, np.array([0.5, 1.0, 1.0]))
     elapsed = time.perf_counter() - started
 
     np.testing.assert_allclose(inverse_zero, helpers.APPENDIX_INVERSE_ZERO, atol=0.02)

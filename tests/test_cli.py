@@ -86,6 +86,16 @@ def _run_dir_bytes(run_dir):
     return {p.name: p.read_bytes() for p in sorted(run_dir.glob("*.csv"))}
 
 
+# Ten sectors on x = 100 with A₀ⱼ = 1 − δ for j >= 1, A₁₀ = 1 − δ and δ = 3e-9: ρ = 1 − δ, and
+# the price system's certificate max (I − A')⁻¹1 ≈ 3.3e8 is inside the kernel's 1e9, while the
+# row sums of (I − A)⁻¹ reach 1.7e9
+NEAR_UNIT_CYCLE_ROWS = (
+    "s0,S0,0" + ",99.9999997" * 9 + ",-799.9999973,0,100\n"
+    "s1,S1,99.9999997" + ",0" * 9 + ",3e-07,0,100\n"
+    + "".join(f"s{i},S{i}" + ",0" * 10 + ",100,0,100\n" for i in range(2, 10))
+)
+
+
 def _write_table(tmp_path, rows, value_added):
     """Write t.csv from sector rows plus a VALUE_ADDED row, and an all-standard s.csv."""
     ids = [row.split(",")[0] for row in rows.splitlines()]
@@ -266,8 +276,10 @@ class TestValidate:
             ),
             # A = [[0, 1], [1, 0]]: balanced with zero value added, ρ = 1
             ("agr,Agriculture,0,100,0,0,100\nind,Industry,100,0,0,0,100\n", "0,0", 2, 3),
+            # both productivity lines decide on A', the system run solves
+            (NEAR_UNIT_CYCLE_ROWS, ",".join(["3e-07"] * 10), 0, 0),
         ],
-        ids=["bipartite-productive", "radius-one"],
+        ids=["bipartite-productive", "radius-one", "price-system-certificate"],
     )
     def test_validate_and_run_agree_on_productivity(
         self, tmp_path, capsys, rows, value_added, validate_code, run_code
@@ -324,7 +336,9 @@ class TestValidate:
         assert main([command, str(tmp_path / "scenario.cfg")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "ERROR UnknownBaseGroup: base group 'inc9' not among income groups: inc1, inc2, inc3\n"
+        # named at the scenario's base_groups line
+        message = "base group 'inc9' not among income groups: inc1, inc2, inc3"
+        assert captured.err == f"ERROR UnknownBaseGroup: {tmp_path / 'scenario.cfg'}:15: {message}\n"
 
     def test_incomplete_category_map_fails_validation(self, tmp_path, data_dir, capsys):
         cmap = tmp_path / "partial.csv"

@@ -112,6 +112,23 @@ class TestStructureDrift:
             structure_drift(m, other)
 
 
+def _drawn_matrix(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    """A random n × n matrix >= 0 of one ``kind``: positive, sparse, reducible or bipartite."""
+    A = rng.uniform(0.1, 1.0, size=(n, n))
+    if kind == "sparse":  # zero rows and columns, and cells
+        A *= rng.random((n, n)) < 0.4
+        A[rng.integers(n)] = 0.0
+        A[:, rng.integers(n)] = 0.0
+    elif kind == "reducible":  # block triangular
+        k = int(rng.integers(0, n))
+        A[k:, :k] = 0.0
+    elif kind == "bipartite":
+        k = int(rng.integers(0, n))
+        A[:k, :k] = 0.0
+        A[k:, k:] = 0.0
+    return A
+
+
 class TestProductivityCheck:
     def test_zero_matrix_passes(self):
         report = productivity_check(np.zeros((4, 4)))
@@ -190,18 +207,7 @@ class TestProductivityCheck:
     )
     def test_bracket_holds_the_eigenvalue_radius(self, seed, n, kind, masked, target_radius):
         rng = np.random.default_rng(seed)
-        A = rng.uniform(0.1, 1.0, size=(n, n))
-        if kind == "sparse":  # zero rows and columns, and cells
-            A *= rng.random((n, n)) < 0.4
-            A[rng.integers(n)] = 0.0
-            A[:, rng.integers(n)] = 0.0
-        elif kind == "reducible":  # block triangular
-            k = int(rng.integers(0, n))
-            A[k:, :k] = 0.0
-        elif kind == "bipartite":
-            k = int(rng.integers(0, n))
-            A[:k, :k] = 0.0
-            A[k:, k:] = 0.0
+        A = _drawn_matrix(rng, n, kind)
         mask = None
         if masked:
             mask = rng.uniform(0.2, 1.0, size=n)
@@ -210,7 +216,7 @@ class TestProductivityCheck:
         radius = float(np.abs(np.linalg.eigvals(A if mask is None else A.T * mask)).max())
         if radius > 0:
             A *= target_radius / radius
-        M = A if mask is None else A.T * mask
+        M = A.T if mask is None else A.T * mask
         radius = float(np.abs(np.linalg.eigvals(M)).max())
         report = productivity_check(A, mask)
         lo, hi = report.bracket
@@ -220,6 +226,18 @@ class TestProductivityCheck:
         if kind == "positive":
             assert report.converged and abs(lo - radius) <= 1e-8
         assert report.passed == self._kernel_accepts(M)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(["positive", "sparse", "reducible", "bipartite"]),
+        st.floats(min_value=0.3, max_value=1.7),
+    )
+    def test_no_mask_is_the_all_ones_mask(self, seed, n, kind, scale):
+        # both read A'B̂ with b = 1, run's baseline system
+        A = _drawn_matrix(np.random.default_rng(seed), n, kind) * scale
+        assert productivity_check(A) == productivity_check(A, np.ones(n))
 
     def test_masked_gate_allocates_no_n_by_n_array(self):
         n = 400
@@ -249,7 +267,7 @@ class TestProductivityCheck:
     @staticmethod
     def _assert_verdict_is_the_solvers(M) -> bool:
         try:
-            leontief_inverse(M)
+            leontief_inverse(M.T)  # the price system M', which the gate reads
             accepted = True
         except NonProductive:
             accepted = False

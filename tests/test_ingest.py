@@ -33,6 +33,7 @@ from gstio import (
     SchemaError,
     SectorSet,
     Unbalanced,
+    UnknownBaseGroup,
     UnknownSector,
     UnmappedItem,
     ZeroOutput,
@@ -306,6 +307,8 @@ def test_every_error_pickles_whole(tmp_path):
             error = cls(["fuel"], "category map", path=path, line=3)
         elif cls is DimensionMismatch:
             error = ingest._bad_link("duplicate link ('food', 'agr')", 2)
+        elif cls is UnknownBaseGroup:
+            error = cls("base group 'inc9' not among income groups: inc1", path=path, line=15)
         elif issubclass(cls, (LoadError, ZeroOutput, Unbalanced)):
             error = cls("bad cell", path=path, line=3, column=5)
         else:

@@ -30,7 +30,7 @@ from gstio import (
     masked_inverse,
     price_change_summary,
     price_path,
-    rate_mask,
+    productivity_check,
     simulate_prices,
 )
 from gstio.io_model import _LiveBlock
@@ -95,20 +95,6 @@ class TestBaselinePrices:
                 masked_inverse(A, np.ones(n))
 
 
-class TestRateMask:
-    def test_zero_rated_sector_masked_out(self):
-        mask = rate_mask(helpers.appendix_schedule(agr_share=0.0))
-        np.testing.assert_array_equal(mask, np.diag([0.0, 1.0, 1.0]))
-
-    def test_fractional_share(self):
-        mask = rate_mask(helpers.appendix_schedule(agr_share=0.5))
-        np.testing.assert_array_equal(mask, np.diag([0.5, 1.0, 1.0]))
-
-    def test_all_standard_is_identity(self):
-        schedule = RateSchedule.uniform_standard(helpers.APPENDIX_SECTORS, 0.06)
-        np.testing.assert_array_equal(rate_mask(schedule), np.eye(3))
-
-
 class TestRateScheduleChecks:
     @pytest.mark.parametrize(
         "categories, shares, error, message",
@@ -132,17 +118,17 @@ class TestRateScheduleChecks:
 
 class TestMaskedInverse:
     def test_appendix_zero_mask_matches_print(self):
-        inverse = masked_inverse(helpers.APPENDIX_AT.T, np.diag([0.0, 1.0, 1.0]))
+        inverse = masked_inverse(helpers.APPENDIX_AT.T, np.array([0.0, 1.0, 1.0]))
         np.testing.assert_allclose(inverse, helpers.APPENDIX_INVERSE_ZERO, atol=0.02)
 
     def test_appendix_half_mask_matches_print(self):
-        inverse = masked_inverse(helpers.APPENDIX_AT.T, np.diag([0.5, 1.0, 1.0]))
+        inverse = masked_inverse(helpers.APPENDIX_AT.T, np.array([0.5, 1.0, 1.0]))
         np.testing.assert_allclose(inverse, helpers.APPENDIX_INVERSE_HALF, atol=0.02)
 
     def test_matches_power_series_oracle(self):
         masked = helpers.APPENDIX_AT * np.array([0.0, 1.0, 1.0])
         expected = helpers.power_series_inverse(masked)
-        inverse = masked_inverse(helpers.APPENDIX_AT.T, np.diag([0.0, 1.0, 1.0]))
+        inverse = masked_inverse(helpers.APPENDIX_AT.T, np.array([0.0, 1.0, 1.0]))
         np.testing.assert_allclose(inverse, expected, atol=1e-10)
 
     def test_zero_mask_gives_identity(self):
@@ -151,7 +137,7 @@ class TestMaskedInverse:
         )
 
     def test_identity_mask_equals_plain_leontief_inverse_of_transpose(self, appendix_bundle):
-        via_mask = masked_inverse(appendix_bundle.A, np.eye(3))
+        via_mask = masked_inverse(appendix_bundle.A, np.ones(3))
         direct = leontief_inverse(appendix_bundle.A.T)
         np.testing.assert_allclose(via_mask, direct, atol=1e-12)
 
@@ -181,11 +167,12 @@ class TestMaskedInverse:
         assert dp_bumped[0] == pytest.approx(dp_base[0] + 0.05, abs=1e-12)
         np.testing.assert_array_equal(dp_bumped[1:], dp_base[1:])
 
-    def test_non_diagonal_mask_rejected(self):
-        from gstio import DimensionMismatch
-
-        with pytest.raises(DimensionMismatch, match="diagonal"):
-            masked_inverse(np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    @pytest.mark.parametrize("mask", [np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])], ids=["diagonal", "full"])
+    @pytest.mark.parametrize("call", [masked_inverse, productivity_check])
+    def test_mask_matrix_rejected(self, call, mask):
+        # a mask is the share vector, the diagonal of B̂, never B̂ itself
+        with pytest.raises(DimensionMismatch, match=r"^mask must have 2 diagonal entries, got \(2, 2\)$"):
+            call(np.zeros((2, 2)), mask)
 
 
 class TestGstCoefficients:

@@ -345,3 +345,19 @@ def test_base_group_of_a_dimension_without_groups_is_unknown(data_dir, tmp_path)
     assert run_scenario(replace(config, base_groups=income)).base_groups == income
     with pytest.raises(UnknownBaseGroup, match="base group 'nosuch' not among ethnicity groups: none"):
         run_scenario(replace(config, base_groups={**income, GroupDimension.ETHNICITY: "nosuch"}))
+
+
+def test_unknown_base_group_names_its_scenario_line(data_dir, tmp_path):
+    for name in ("io_table.csv", "rate_schedule.csv", "expenditure.csv", "concordance.csv", "category_map.csv"):
+        (tmp_path / name).write_bytes((data_dir / name).read_bytes())
+    text = (data_dir / "scenario.cfg").read_text(encoding="utf-8")
+    path = tmp_path / "scenario.cfg"
+    text = text.replace("ethnicity:eth1", "\n  ethnicity:eth9").replace("base_groups", "; a note\nbase_groups")
+    path.write_text(text, encoding="utf-8")
+    config = load_scenario(path)
+    assert config.base_groups_place == (path, 16)  # the key's line, not its value's last
+    assert config == replace(config, base_groups_place=None)
+    with pytest.raises(UnknownBaseGroup) as info:
+        load_inputs(replace(config, gst_rate=0.1))  # replace keeps the place
+    assert (info.value.path, info.value.line) == (str(path), 16)
+    assert str(info.value) == f"{path}:16: base group 'eth9' not among ethnicity groups: eth1, eth2"
