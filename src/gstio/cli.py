@@ -13,6 +13,8 @@ Three subcommands:
 ``_config``: the scenario file with each flag given in place of its key, so
 ``validate SCENARIO`` checks what ``run SCENARIO`` runs. Without a scenario,
 ``validate`` reads ``--table`` and ``--schedule`` (then required) at rate 0.06.
+Each flag is parsed as its key is, but a relative path resolves from the
+working directory: for ``validate``'s file flags as for ``run --output-dir``.
 
 Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical failure. Every error
 path prints a single line starting with ``ERROR <code>:`` to stderr. ``run``
@@ -32,9 +34,9 @@ import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .errors import GstioError, MissingArtifact, NumericalError
+from .errors import GstioError, MissingArtifact, NumericalError, ParseError
 from .incidence import expenditure_change_on_items  # noqa: F401  (bench/tracing.py times cli.expenditure_change_on_items)
-from .ingest import _cell_float, _require_width, _rows, _write_csv
+from .ingest import _cell_float, _require_width, _rows, _text, _write_csv
 from .price_model import MaskedInputTreatment
 from .scenario import _SECTIONS, GAPS_TABLE, INCIDENCE_TABLE, PRICE_TABLE, SUMMARY_TABLE, ScenarioConfig, ScenarioResult
 from .scenario import check_inputs, load_scenario, run_scenario, run_tables
@@ -61,28 +63,18 @@ class _Override(argparse.Action):
     rejects is a usage error that names the flag.
     """
 
-    def parse(self, value: str):
-        key_parser = {spec.name: spec for spec in fields(ScenarioConfig)}[self.dest].metadata["parse"]
-        return key_parser(value, self.dest, Path.cwd())
-
     def __call__(self, parser, namespace, value, option_string=None):
+        key_parser = {spec.name: spec for spec in fields(ScenarioConfig)}[self.dest].metadata["parse"]
         try:
             if not value:
                 raise ValueError(f"{self.dest} is empty")
-            setattr(namespace, self.dest, self.parse(value))
+            setattr(namespace, self.dest, key_parser(value, self.dest, Path.cwd()))
         except ValueError as exc:
             raise argparse.ArgumentError(self, str(exc)) from None
 
 
-class _AsTyped(_Override):
-    """A ``validate`` file flag: kept as typed, so errors name the path as given; an empty one is refused."""
-
-    def parse(self, value: str) -> str:
-        return value
-
-
 def _config(args) -> ScenarioConfig:
-    """``args.scenario`` with each flag given in place of its key; validate's file flags stay as typed."""
+    """``args.scenario`` with each flag given in place of its key; without one, ``validate``'s flags alone."""
     given = {spec.name: value for spec in fields(ScenarioConfig) if (value := getattr(args, spec.name, None)) is not None}
     if args.scenario is not None:
         return replace(load_scenario(args.scenario), **given)
@@ -228,7 +220,7 @@ def cmd_report(args) -> int:
     if args.format == "csv":
         if args.table is None:
             raise MissingArtifact("--format csv requires --table (one artifact at a time)")
-        sys.stdout.write(tables[args.table].read_text(encoding="utf-8"))
+        sys.stdout.write(_text(tables[args.table], ParseError, "file"))
         return EXIT_OK
 
     if args.format == "text":
@@ -301,13 +293,13 @@ def _build_parser() -> _Parser:
     # a flag's dest is the ScenarioConfig field it sets in _config; None is not given
     validate = sub.add_parser("validate", help="check a scenario's input files and report problems")
     validate.add_argument("scenario", nargs="?", help="scenario config file, checked as run runs it")
-    validate.add_argument("--table", dest="io_table", metavar="TABLE", action=_AsTyped, help="IO table CSV")
+    validate.add_argument("--table", dest="io_table", metavar="TABLE", action=_Override, help="IO table CSV")
     validate.add_argument(
-        "--schedule", dest="rate_schedule", metavar="SCHEDULE", action=_AsTyped, help="rate schedule CSV"
+        "--schedule", dest="rate_schedule", metavar="SCHEDULE", action=_Override, help="rate schedule CSV"
     )
-    validate.add_argument("--expenditure", action=_AsTyped, help="household expenditure CSV")
-    validate.add_argument("--concordance", action=_AsTyped, help="item-to-sector concordance CSV")
-    validate.add_argument("--category-map", action=_AsTyped, help="reporting category map CSV")
+    validate.add_argument("--expenditure", action=_Override, help="household expenditure CSV")
+    validate.add_argument("--concordance", action=_Override, help="item-to-sector concordance CSV")
+    validate.add_argument("--category-map", action=_Override, help="reporting category map CSV")
     validate.add_argument("--gst-rate", action=_Override)
     validate.add_argument("--allow-unbalanced", action="store_const", const=True)
     validate.set_defaults(func=cmd_validate, parser=validate)

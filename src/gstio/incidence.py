@@ -137,17 +137,15 @@ def expenditure_change(expenditure: ExpenditureMatrix, price_level: np.ndarray) 
     """ΔE[h][i] = (p_i − 1) × E[h][i]: spending change to keep the baseline basket."""
     if expenditure.basis is not ExpenditureBasis.SECTOR_CODES:
         raise BasisMismatch("expenditure must be on sector codes; map item codes first")
-    p = np.asarray(price_level, dtype=float)
-    if p.shape != (len(expenditure.items),):
-        raise DimensionMismatch(
-            f"price vector length {p.shape} does not match {len(expenditure.items)} sectors"
-        )
-    return (p - 1.0) * expenditure.values
+    return expenditure_change_on_items(expenditure, price_level)
 
 
 def expenditure_change_on_items(matrix: ExpenditureMatrix, item_prices: np.ndarray) -> np.ndarray:
-    """ΔE on the item basis, from concordance-weighted item price levels."""
-    return (np.asarray(item_prices, dtype=float) - 1.0) * matrix.values
+    """ΔE on either basis, from one price level per code of ``matrix``: on items, concordance-weighted ones."""
+    p = np.asarray(item_prices, dtype=float)
+    if p.shape != (len(matrix.items),):
+        raise DimensionMismatch(f"price vector length {p.shape} does not match {len(matrix.items)} {matrix.basis.value}")
+    return (p - 1.0) * matrix.values
 
 
 @dataclass(frozen=True, eq=False)

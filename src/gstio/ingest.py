@@ -153,6 +153,17 @@ def _csv_file(path) -> Iterator[tuple[list[str], int, TextIO]]:
         raise _not_utf8(ParseError, path) from None
 
 
+def _text(path, error: type[LoadError], what: str) -> str:
+    """The text of ``path``, newlines universal; ``error`` if the ``what`` cannot be read or is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}", path=path) from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(error, path) from None
+
+
 def _not_utf8(error: type[LoadError], path) -> LoadError:
     """``error`` at the line of the first byte of ``path`` that is not UTF-8.
 

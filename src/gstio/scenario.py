@@ -60,7 +60,7 @@ from .diagnostics import ProductivityReport, productivity_check
 from .errors import DimensionMismatch, SchemaError, UnknownBaseGroup, UnmappedItem
 from .incidence import CategoryMap, ExpenditureMatrix, GroupDimension, category_report
 from .incidence import _refuse_overflow, expenditure_change_on_items, gap_ratios, purchasing_power_change
-from .ingest import _load_household, _not_utf8, load_category_map, load_concordance, load_io_table, load_rate_schedule
+from .ingest import _load_household, _text, load_category_map, load_concordance, load_io_table, load_rate_schedule
 from .io_model import BalanceReport, CoefficientBundle, derive_coefficients
 from .price_model import MaskedInputTreatment, PriceChangeSummary, RateSchedule, baseline_prices, check_gst_rate
 from .price_model import price_change_summary, release_mask_terms, simulate_prices
@@ -105,8 +105,12 @@ def _boolean(value: str, key: str, base: Path) -> bool:
     return _BOOL_TOKENS[value.lower()]
 
 
+class _BaseGroups(dict):
+    """A ``base_groups`` from a scenario file, equal to and printed as its dict; ``place`` is its file and line."""
+
+
 def _base_groups(value: str, key: str, base: Path) -> dict[GroupDimension, str]:
-    groups: dict[GroupDimension, str] = {}
+    groups = _BaseGroups()
     for chunk in value.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -131,11 +135,11 @@ def _key(section: str, parse, **default):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One run's settings. Each field but the last is the scenario key of the same name.
+    """One run's settings: each field is the scenario key of the same name, its value parsed as in a file.
 
-    ``base_groups_place`` is no key: it is the scenario file and the line
-    that gave ``base_groups``, which an :class:`UnknownBaseGroup` names. It
-    is kept by :func:`dataclasses.replace` and left out of equality.
+    A ``base_groups`` that :func:`load_scenario` read also holds the scenario
+    file and the key's line, which an :class:`UnknownBaseGroup` names; a
+    ``base_groups`` given in its place, as a plain dict, names none.
     """
 
     io_table: Path = _key("inputs", _path)
@@ -150,25 +154,18 @@ class ScenarioConfig:
     base_groups: dict[GroupDimension, str] = _key("report", _base_groups, default_factory=dict)
     full_precision: bool = _key("report", _boolean, default=False)
     allow_unbalanced: bool = _key("report", _boolean, default=False)
-    base_groups_place: tuple[Path, int] | None = field(default=None, compare=False, repr=False)
 
 
 # section -> key -> field, in field order: [inputs], [tax], [report]
 _SECTIONS: dict[str, dict[str, Field]] = {}
-for _field in fields(ScenarioConfig)[:-1]:  # the keys: every field but base_groups_place
+for _field in fields(ScenarioConfig):
     _SECTIONS.setdefault(_field.metadata["section"], {})[_field.name] = _field
 
 
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file; see the module docstring for its syntax."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise SchemaError(f"cannot read scenario: {exc}", path=path) from exc
-    except UnicodeDecodeError:
-        raise _not_utf8(SchemaError, path) from None
+    text = _text(path, SchemaError, "scenario")
 
     def error(message: str, line: int) -> SchemaError:
         return SchemaError(message, path=path, line=line)
@@ -226,8 +223,8 @@ def load_scenario(path) -> ScenarioConfig:
                 values[key] = spec.metadata["parse"](value, key, path.parent)
             except ValueError as exc:
                 raise error(str(exc), line) from None
-    if "base_groups" in values:
-        values["base_groups_place"] = (path, sections["report"][1]["base_groups"][0])
+            if isinstance(values[key], _BaseGroups):
+                values[key].place = (path, line)
     return ScenarioConfig(**values)
 
 
@@ -387,7 +384,8 @@ def _expenditure_change(inputs: ScenarioInputs, price_level: np.ndarray) -> np.n
 
 
 def _resolve_base_groups(expenditure: ExpenditureMatrix, config: ScenarioConfig):
-    requested, (path, line) = config.base_groups, config.base_groups_place or (None, None)
+    requested = config.base_groups
+    path, line = getattr(requested, "place", (None, None))  # a plain dict, as replace gives, names no place
     resolved: dict[GroupDimension, str] = {}
     for dimension in GroupDimension:
         ids = sorted(g.group_id for g in expenditure.groups if g.dimension is dimension)

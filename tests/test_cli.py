@@ -317,10 +317,21 @@ class TestValidate:
         assert main(["validate", str(scenario), *flags]) == 0
         assert main(["validate", "--schedule", "./s.csv", *flags]) == 0
         assert seen[0] == load_scenario(scenario)
-        # a file flag keeps the string given
-        overrides = {"io_table": "t.csv", "category_map": "m.csv", "gst_rate": 0.1, "allow_unbalanced": True}
+        # a file flag is resolved from the working directory, as run's --output-dir is
+        overrides = {"io_table": Path.cwd() / "t.csv", "category_map": Path.cwd() / "m.csv", "gst_rate": 0.1}
+        overrides["allow_unbalanced"] = True
         assert seen[1] == replace(seen[0], **overrides)
-        assert seen[2] == ScenarioConfig(rate_schedule="./s.csv", output_dir=None, **overrides)
+        assert seen[2] == ScenarioConfig(rate_schedule=Path.cwd() / "s.csv", output_dir=None, **overrides)
+
+    def test_relative_file_flag_is_named_by_its_resolved_path(self, data_dir, tmp_path, monkeypatch, capsys):
+        shutil.copy(data_dir / "io_table.csv", tmp_path)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        assert main(["validate", "--table", "../io_table.csv", "--schedule", "../missing.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ERROR ParseError: {Path.cwd().parent / 'missing.csv'}: cannot read file: ")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("unmapped", [False, True], ids=["all codes mapped", "unmapped codes"])
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -825,6 +836,16 @@ class TestReport:
         out = capsys.readouterr().out
         assert code == 0
         assert out == _read(run_dir / "gaps.csv")
+
+    def test_csv_format_names_a_byte_that_is_not_utf8_as_text_does(self, run_dir, capsys):
+        gaps = run_dir / "gaps.csv"
+        lines = len(_read(gaps).splitlines())
+        gaps.write_bytes(gaps.read_bytes() + b"\xff\n")
+        for fmt in ("text", "csv"):
+            assert main(["report", str(run_dir), "--format", fmt, "--table", "gaps"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"ERROR ParseError: {gaps}:{lines + 1}: not UTF-8: byte 0xff\n"
 
     def test_csv_format_requires_table(self, run_dir, capsys):
         code = main(["report", str(run_dir), "--format", "csv"])

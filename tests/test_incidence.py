@@ -21,6 +21,7 @@ from gstio import (
     UnmappedItem,
     category_report,
     expenditure_change,
+    expenditure_change_on_items,
     gap_change_report,
     gap_ratios,
     purchasing_power_change,
@@ -117,8 +118,16 @@ class TestExpenditureChange:
 
     def test_length_mismatch_rejected(self):
         matrix = _matrix([[1.0, 2.0]])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^price vector length \(3,\) does not match 2 sectors$"):
             expenditure_change(matrix, np.ones(3))
+
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_item_prices_of_another_length_rejected(self, length):
+        # one price per item: a lone price would broadcast, two raise numpy's own error
+        matrix = _matrix([[1.0, 2.0, 3.0]], basis=ExpenditureBasis.ITEM_CODES)
+        message = rf"^price vector length \({length},\) does not match 3 items$"
+        with pytest.raises(DimensionMismatch, match=message):
+            expenditure_change_on_items(matrix, np.full(length, 1.1))
 
 
 class TestCategoryReport:

@@ -343,7 +343,7 @@ def test_base_group_of_a_dimension_without_groups_is_unknown(data_dir, tmp_path)
     config = replace(load_scenario(data_dir / "scenario.cfg"), expenditure=tmp_path / "spend.csv")
     income = {GroupDimension.INCOME_CLASS: "inc1"}
     assert run_scenario(replace(config, base_groups=income)).base_groups == income
-    with pytest.raises(UnknownBaseGroup, match="base group 'nosuch' not among ethnicity groups: none"):
+    with pytest.raises(UnknownBaseGroup, match="^base group 'nosuch' not among ethnicity groups: none$"):
         run_scenario(replace(config, base_groups={**income, GroupDimension.ETHNICITY: "nosuch"}))
 
 
@@ -355,9 +355,19 @@ def test_unknown_base_group_names_its_scenario_line(data_dir, tmp_path):
     text = text.replace("ethnicity:eth1", "\n  ethnicity:eth9").replace("base_groups", "; a note\nbase_groups")
     path.write_text(text, encoding="utf-8")
     config = load_scenario(path)
-    assert config.base_groups_place == (path, 16)  # the key's line, not its value's last
-    assert config == replace(config, base_groups_place=None)
     with pytest.raises(UnknownBaseGroup) as info:
-        load_inputs(replace(config, gst_rate=0.1))  # replace keeps the place
+        load_inputs(replace(config, gst_rate=0.1))  # replacing another key keeps the place
+    # the key's line, not its value's last
     assert (info.value.path, info.value.line) == (str(path), 16)
     assert str(info.value) == f"{path}:16: base group 'eth9' not among ethnicity groups: eth1, eth2"
+    # base groups given in place of the file's name no line of it; the place leaves equality and repr alone
+    plain = replace(config, base_groups=dict(config.base_groups))
+    assert plain == config and repr(plain) == repr(config)
+    cases = [
+        (plain.base_groups, "base group 'eth9' not among ethnicity groups: eth1, eth2"),
+        ({GroupDimension.INCOME_CLASS: "nosuch"}, "base group 'nosuch' not among income groups: inc1, inc2, inc3"),
+    ]
+    for groups, message in cases:
+        with pytest.raises(UnknownBaseGroup) as info:
+            load_inputs(replace(config, base_groups=groups))
+        assert (info.value.path, info.value.line, str(info.value)) == (None, None, message)
