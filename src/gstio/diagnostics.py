@@ -21,7 +21,7 @@ from .price_model import _mask_diagonal
 
 
 def mad(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean absolute deviation between two equal-shape matrices.
+    """Mean absolute deviation between two equal-shape, nonempty matrices.
 
     Values near zero indicate a stable structure between benchmarks.
     """
@@ -29,6 +29,8 @@ def mad(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
+    if not a.size:
+        raise DimensionMismatch(f"nonempty matrices required, got shape {a.shape}")
     return float(np.abs(a - b).mean())
 
 
@@ -112,7 +114,9 @@ def productivity_check(A: np.ndarray, mask: np.ndarray | None = None) -> Product
 
     M is never formed: the bracket and the kernel both read A'B̂ from A and
     the mask (see :func:`~gstio.io_model._perron_bracket`), and the bracket
-    iterates only over its core.
+    iterates only over its core. Given a bundle's own A, both reuse the row
+    extremes the bundle took, so only the mask's live rows are read; any
+    other array is scanned for its extremes on each call.
     """
     A = _square(A)
     m = np.ones(len(A)) if mask is None else _mask_diagonal(mask, len(A))

@@ -13,10 +13,19 @@ All containers are frozen dataclasses over read-only numpy arrays, so every
 operation is a pure function and instances can be shared across threads.
 Records that hold arrays compare by identity, as an array has no single
 truth value, and hash by it too; the others compare by value.
+
+A bundle's A is scanned once. When :class:`CoefficientBundle` checks A's
+range it takes A's row minima and maxima, and keeps them, keyed by the
+identity of that A, until A itself dies. Every reader of A'B̂ that is handed
+that very array (the productivity gate, each mask's live block, the baseline
+solve) reuses them; any other array is scanned on each call. This relies on
+a bundle's arrays staying read-only, as the price model's memo does too. An
+unpickled bundle keeps no extremes and is simply scanned.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -139,6 +148,16 @@ class IOTable:
         balance_report(self).check(self.sectors)
 
 
+# A's row minima and maxima, 2 × n, for each live bundle's A, by id(A); an
+# array cannot be hashed, only weakly referenced, so the entry goes with A.
+_row_extremes: dict[int, np.ndarray] = {}
+
+
+def _row_ends(C: np.ndarray) -> np.ndarray:
+    """C's row minima and maxima, 2 × n."""
+    return np.stack([C.min(axis=1), C.max(axis=1)])
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientBundle:
     """Per-unit-of-output coefficients: matrix ``A`` plus exogenous cost rows.
@@ -160,10 +179,13 @@ class CoefficientBundle:
         object.__setattr__(self, "A", _frozen(self.A, (n, n)))
         for name in ("labor", "capital", "imports", "indirect_tax"):
             object.__setattr__(self, name, _frozen(getattr(self, name), (n,)))
+        extremes = _row_ends(self.A)  # A's range is theirs: _frozen refused non-finite entries
         for name in ("A", "labor", "capital", "imports", "indirect_tax"):
-            arr = getattr(self, name)
+            arr = extremes if name == "A" else getattr(self, name)
             if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
                 raise DimensionMismatch(f"coefficients in {name} must lie in [0, 1]")
+        _row_extremes[id(self.A)] = extremes
+        weakref.finalize(self.A, _row_extremes.pop, id(self.A), None)
 
     @property
     def n(self) -> int:
@@ -303,8 +325,13 @@ class _Bracket(NamedTuple):
 
 
 def _column_ends(C: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ends of each column of M = Cᵀ diag(m), 2 × n, and which columns are nonzero."""
-    ends = m * np.stack([C.min(axis=1), C.max(axis=1)])
+    """The ends of each column of M = Cᵀ diag(m), 2 × n, and which columns are nonzero.
+
+    The ends are m × C's row extremes: those its bundle took when C is a
+    bundle's A, else a scan of C, so a caller's own array is read as it is now.
+    """
+    extremes = _row_extremes.get(id(C))
+    ends = m * (_row_ends(C) if extremes is None else extremes)
     return ends, ends.any(axis=0)
 
 
@@ -418,7 +445,7 @@ class _LiveBlock:
                 f"spectral radius not provably < 1 - {PRODUCTIVITY_EPSILON:g}: (I - M)^-1 1 spans "
                 f"[{certificate.min():.6g}, {certificate.max():.6g}], outside (0, {1 / PRODUCTIVITY_EPSILON:g})"
             )
-        return solution[:, :-1].reshape(rhs.shape)
+        return solution[:, :-1].reshape(rhs.shape).copy()  # C-contiguous, without the certificate
 
 
 def _solve_productive(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSchedule
-from .io_model import CoefficientBundle, SectorSet, _frozen, _LiveBlock, _solve_productive, _square
+from .io_model import CoefficientBundle, SectorSet, _frozen, _LiveBlock, _square
 
 
 class RateCategory(enum.Enum):
@@ -123,7 +123,8 @@ def baseline_prices(bundle: CoefficientBundle) -> np.ndarray:
     all-ones vector whenever the bundle came from a balanced table.
     """
     costs = _exogenous_costs(bundle, bundle.indirect_tax)
-    return _solve_productive(bundle.A.T, costs)
+    # M = A', read from the bundle's own A: not a view of it, whose row extremes were never kept
+    return _LiveBlock(bundle.A, np.ones(bundle.n)).solve(costs)
 
 
 def _mask_diagonal(mask: np.ndarray, n: int) -> np.ndarray:
@@ -301,10 +302,14 @@ class PriceChangeSummary:
 def price_change_summary(
     price_level: np.ndarray, output: np.ndarray | None = None
 ) -> PriceChangeSummary:
-    """Percent changes plus riser/decliner counts, means and the net decline."""
+    """Percent changes plus riser/decliner counts, means and the net decline.
+
+    Raises :class:`DimensionMismatch` for an empty price vector, and for
+    output weights that are not finite, are negative or sum to zero.
+    """
     p = np.asarray(price_level, dtype=float)
-    if p.ndim != 1:
-        raise DimensionMismatch(f"price vector must be 1-D, got shape {p.shape}")
+    if p.ndim != 1 or not p.size:
+        raise DimensionMismatch(f"price vector must be 1-D and nonempty, got shape {p.shape}")
     pct = (p - 1.0) * 100.0
     risers = pct[pct > 0]
     decliners = pct[pct < 0]
@@ -318,6 +323,8 @@ def price_change_summary(
             raise DimensionMismatch(
                 f"output weights must match price vector, got {weights.shape}"
             )
+        if not (np.all(weights >= 0) and 0 < weights.sum() < np.inf):  # nan fails both
+            raise DimensionMismatch("output weights must be finite and nonnegative, with a positive sum")
     weighted = float((weights * pct).sum() / weights.sum())
     return PriceChangeSummary(
         pct_change=_frozen(pct),

@@ -57,6 +57,11 @@ class TestMad:
         with pytest.raises(DimensionMismatch):
             mad(np.zeros((2, 2)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_empty_matrices_refused(self, shape):
+        with pytest.raises(DimensionMismatch, match="nonempty matrices required"):
+            mad(np.zeros(shape), np.zeros(shape))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=0.1, max_value=10))
     def test_symmetric_nonnegative_and_scales_linearly(self, seed, scale):

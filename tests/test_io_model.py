@@ -1,5 +1,10 @@
 """Tests for the flow-table model, coefficient derivation and the Leontief inverse."""
 
+import gc
+import pickle
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 from gstio import (
+    CoefficientBundle,
     DimensionMismatch,
     GstioError,
     IOTable,
@@ -17,11 +23,14 @@ from gstio import (
     balance_report,
     derive_coefficients,
     leontief_inverse,
+    baseline_prices,
     masked_inverse,
     productivity_check,
+    simulate_prices,
     spectral_radius,
 )
-from gstio.io_model import PRODUCTIVITY_EPSILON, _LiveBlock, _solve_productive
+from gstio import io_model
+from gstio.io_model import PRODUCTIVITY_EPSILON, _column_ends, _LiveBlock, _row_extremes, _solve_productive
 
 
 class TestSectorSet:
@@ -151,6 +160,93 @@ class TestDeriveCoefficients:
             derive_coefficients(broken)
         bundle = derive_coefficients(broken, check_balance=False)
         assert bundle.A[0, 0] == pytest.approx(0.16)
+
+
+def _bundle_with_edges(rng, n):
+    """A random bundle and mask with zero shares, all-zero rows of A and entries of A in [−1e-12, 0)."""
+    bundle, schedule = helpers.random_bundle_and_schedule(rng, n)
+    A = bundle.A.copy()
+    A[rng.random(n) < 0.3] = 0.0
+    A[rng.random((n, n)) < 0.2] = -rng.choice([1e-12, 5e-13, 1e-300])
+    return replace(bundle, A=A), schedule.standard_share
+
+
+class TestBundleRowExtremes:
+    """A bundle scans its A once, and every reader of that very array reuses the scan."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**31))
+    def test_column_ends_match_a_scan_of_a_copy_bitwise(self, n, seed):
+        bundle, share = _bundle_with_edges(np.random.default_rng(seed), n)
+        assert id(bundle.A) in _row_extremes
+        for m in (share, np.ones(n), np.zeros(n)):
+            stored, scanned = _column_ends(bundle.A, m), _column_ends(bundle.A.copy(), m)
+            assert stored[0].tobytes() == scanned[0].tobytes()
+            np.testing.assert_array_equal(stored[1], scanned[1])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**31))
+    def test_results_match_an_unpickled_bundle_bitwise(self, n, seed):
+        # an unpickled bundle skips __post_init__: it keeps no extremes, and its writeable A is scanned
+        rng = np.random.default_rng(seed)
+        bundle, schedule = helpers.random_bundle_and_schedule(rng, n)
+        unpickled = pickle.loads(pickle.dumps(bundle))
+        assert unpickled.A.flags.writeable and id(unpickled.A) not in _row_extremes
+        share = schedule.standard_share
+        assert productivity_check(bundle.A, share) == productivity_check(unpickled.A, share)
+        assert productivity_check(bundle.A) == productivity_check(unpickled.A)
+        for own, scanned in (
+            (simulate_prices(bundle, schedule), simulate_prices(unpickled, schedule)),
+            (baseline_prices(bundle), baseline_prices(unpickled)),
+            (masked_inverse(bundle.A, share), masked_inverse(unpickled.A, share)),
+        ):
+            assert own.tobytes() == scanned.tobytes()
+
+    def test_extremes_live_as_long_as_the_bundles_a(self):
+        bundle = helpers.appendix_bundle()  # not the fixture, which pytest holds until teardown
+        key, alive = id(bundle.A), weakref.ref(bundle.A)
+        At = helpers.APPENDIX_AT
+        np.testing.assert_array_equal(_row_extremes[key], [At.min(axis=0), At.max(axis=0)])
+        copied = replace(bundle)
+        assert id(copied.A) != key and id(copied.A) in _row_extremes
+        del bundle
+        gc.collect()
+        assert alive() is None and key not in _row_extremes
+        assert id(copied.A) in _row_extremes
+
+    def test_a_callers_array_is_judged_on_its_current_values(self):
+        A = np.array([[0.2, 0.1], [0.1, 0.2]])
+        mask = np.array([1.0, 0.5])
+        assert productivity_check(A, mask).passed
+        A *= 5.0
+        assert not productivity_check(A, mask).passed
+        A[0, 1] = -1e-3
+        with pytest.raises(DimensionMismatch):
+            productivity_check(A, mask)
+
+    @pytest.mark.parametrize("entry", [1 + 2e-12, -2e-12])
+    def test_a_just_outside_the_unit_interval_is_refused(self, appendix_bundle, entry):
+        A = appendix_bundle.A.copy()
+        A[1, 2] = entry
+        with pytest.raises(DimensionMismatch, match=r"coefficients in A must lie in \[0, 1\]"):
+            replace(appendix_bundle, A=A)
+        A[1, 2] = 1 + 1e-12 if entry > 1 else -1e-12  # the tolerance's own ends pass
+        replace(appendix_bundle, A=A)
+
+    def test_gates_and_live_blocks_never_scan_a_bundles_a(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        bundle, schedule = helpers.random_bundle_and_schedule(rng, 40)
+        masks = [schedule.standard_share, *(np.where(rng.random(40) < 0.3, 0.0, rng.random(40)) for _ in range(3))]
+        scans = []
+        row_ends = io_model._row_ends
+        monkeypatch.setattr(io_model, "_row_ends", lambda C: scans.append(C) or row_ends(C))
+        for mask in masks:
+            assert productivity_check(bundle.A, mask).passed
+            _LiveBlock(bundle.A, mask).solve(np.ones(40))
+        baseline_prices(bundle)
+        assert scans == []
+        productivity_check(bundle.A.copy(), masks[0])
+        assert len(scans) == 1
 
 
 class TestLeontiefInverse:

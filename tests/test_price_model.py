@@ -536,6 +536,31 @@ class TestMaskMemo:
         assert len(live_block_builds) == 4
 
 
+def _kept_bytes(array: np.ndarray) -> int:
+    """The bytes ``array`` keeps alive: its own, or those of the array it views."""
+    while array.base is not None:
+        array = array.base
+    return array.nbytes
+
+
+class TestSolvedArraysOwnTheirNumbers:
+    """What the kernel returns holds its own numbers, not the certificate column beside them."""
+
+    def test_price_vectors(self, appendix_bundle, appendix_schedule):
+        for prices in (
+            simulate_prices(appendix_bundle, appendix_schedule),
+            baseline_prices(appendix_bundle),
+            masked_inverse(appendix_bundle.A, appendix_schedule.standard_share),
+            leontief_inverse(appendix_bundle.A),
+            _LiveBlock(appendix_bundle.A, appendix_schedule.standard_share).solve(np.ones((3, 2))),
+        ):
+            assert prices.flags.c_contiguous and _kept_bytes(prices) == prices.nbytes
+
+    def test_price_path(self, appendix_bundle, appendix_schedule):
+        path = price_path(appendix_bundle, appendix_schedule, [0.0, 0.06, 0.1])
+        assert path.shape == (3, 3) and _kept_bytes(path) == path.nbytes
+
+
 class TestPriceChangeSummary:
     def test_one_riser_one_decliner(self):
         summary = price_change_summary(np.array([1.02, 0.98]))
@@ -561,6 +586,17 @@ class TestPriceChangeSummary:
         assert summary.decliner_mean == 0.0
         assert summary.net_decline == 0.0
         np.testing.assert_array_equal(summary.pct_change, np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "output", [[0.0, 0.0], [1.0, -1.0], [2.0, -0.5], [np.nan, 1.0], [np.inf, 1.0]]
+    )
+    def test_bad_output_weights_refused(self, output):
+        with pytest.raises(DimensionMismatch, match="output weights must be finite and nonnegative"):
+            price_change_summary(np.array([1.1, 0.9]), output=np.array(output))
+
+    def test_empty_price_vector_refused(self):
+        with pytest.raises(DimensionMismatch, match=r"1-D and nonempty, got shape \(0,\)"):
+            price_change_summary(np.ones(0))
 
     def test_output_weighting(self):
         summary = price_change_summary(np.array([1.10, 0.90]), output=np.array([3.0, 1.0]))
