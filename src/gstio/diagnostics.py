@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonProductive, ZeroValueAdded
 from .incidence import ExpenditureMatrix
-from .io_model import PRODUCTIVITY_EPSILON, CoefficientBundle, _frozen, _LiveBlock, _perron_bracket, _square
-from .price_model import _mask_diagonal
+from .io_model import PRODUCTIVITY_EPSILON, CoefficientBundle, _frozen, _LiveBlock, _perron_bracket, _system
 
 
 def mad(a: np.ndarray, b: np.ndarray) -> float:
@@ -118,8 +117,7 @@ def productivity_check(A: np.ndarray, mask: np.ndarray | None = None) -> Product
     extremes the bundle took, so only the mask's live rows are read; any
     other array is scanned for its extremes on each call.
     """
-    A = _square(A)
-    m = np.ones(len(A)) if mask is None else _mask_diagonal(mask, len(A))
+    A, m = _system(A, mask)
     bracket = _perron_bracket(A, m)
     passed = bracket.lowest >= 0.0 and bracket.row_bound < 1.0 - PRODUCTIVITY_EPSILON
     if not passed:

@@ -289,11 +289,15 @@ def derive_coefficients(table: IOTable, *, check_balance: bool = True) -> Coeffi
     )
 
 
-def _square(M) -> np.ndarray:
+def _system(M, mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """M as a nonempty square float matrix, and ``mask`` as its n diagonal entries (all ones when None)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
         raise DimensionMismatch(f"nonempty square matrix required, got shape {M.shape}")
-    return M
+    mask = np.ones(len(M)) if mask is None else np.asarray(mask, dtype=float)
+    if mask.shape != (len(M),):
+        raise DimensionMismatch(f"mask must have {len(M)} diagonal entries, got {mask.shape}")
+    return M, mask
 
 
 def spectral_radius(M: np.ndarray) -> tuple[float, int, bool]:
@@ -306,8 +310,8 @@ def spectral_radius(M: np.ndarray) -> tuple[float, int, bool]:
     below −1e-12, as the solve kernel does; for M with an entry in
     [−1e-12, 0) no bracket is proven and the result is ``(0.0, 0, False)``.
     """
-    M = _square(M)
-    bracket = _perron_bracket(M.T, np.ones(len(M)))
+    M, ones = _system(M)
+    bracket = _perron_bracket(M.T, ones)
     if bracket.lowest < -1e-12:
         raise DimensionMismatch("matrix entries must be nonnegative")
     return bracket.lo, bracket.iterations, bracket.closed
@@ -450,16 +454,17 @@ class _LiveBlock:
 
 def _solve_productive(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I − M) y = rhs, certifying ρ(M) < 1 − PRODUCTIVITY_EPSILON; see :class:`_LiveBlock`."""
-    return _LiveBlock(_square(M).T, np.ones(len(M))).solve(rhs)
+    M, ones = _system(M)
+    return _LiveBlock(M.T, ones).solve(rhs)
 
 
 def leontief_inverse(A: np.ndarray) -> np.ndarray:
     """(I − A)⁻¹ for a productive coefficient matrix A >= 0.
 
     The result dominates the identity elementwise and is nonnegative.
-    Raises :class:`NonProductive` unless the certificate of
-    :func:`_solve_productive` proves a spectral radius below 1 − 1e-9.
+    Raises :class:`NonProductive` unless the solve kernel's certificate
+    (see :class:`_LiveBlock`) proves a spectral radius below 1 − 1e-9.
     """
-    A = _square(A)
-    return _solve_productive(A, np.eye(len(A)))
+    A, ones = _system(A)
+    return _LiveBlock(A.T, ones).solve(np.eye(len(A)))
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSchedule
-from .io_model import CoefficientBundle, SectorSet, _frozen, _LiveBlock, _square
+from .io_model import CoefficientBundle, SectorSet, _frozen, _LiveBlock, _system
 
 
 class RateCategory(enum.Enum):
@@ -127,13 +127,6 @@ def baseline_prices(bundle: CoefficientBundle) -> np.ndarray:
     return _LiveBlock(bundle.A, np.ones(bundle.n)).solve(costs)
 
 
-def _mask_diagonal(mask: np.ndarray, n: int) -> np.ndarray:
-    mask = np.asarray(mask, dtype=float)
-    if mask.shape != (n,):
-        raise DimensionMismatch(f"mask must have {n} diagonal entries, got {mask.shape}")
-    return mask
-
-
 def masked_inverse(A: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """(I − A'B̂)⁻¹ — the Leontief price inverse with masked tax columns.
 
@@ -144,8 +137,8 @@ def masked_inverse(A: np.ndarray, mask: np.ndarray) -> np.ndarray:
     :class:`NonProductive` unless the solve kernel's M-matrix certificate
     proves the spectral radius of A'B̂ below 1 − 1e-9.
     """
-    A = _square(A)
-    return _LiveBlock(A, _mask_diagonal(mask, len(A))).solve(np.eye(len(A)))
+    A, mask = _system(A, mask)
+    return _LiveBlock(A, mask).solve(np.eye(len(A)))
 
 
 def gst_coefficients(bundle: CoefficientBundle, schedule: RateSchedule) -> np.ndarray:
@@ -304,8 +297,10 @@ def price_change_summary(
 ) -> PriceChangeSummary:
     """Percent changes plus riser/decliner counts, means and the net decline.
 
-    Raises :class:`DimensionMismatch` for an empty price vector, and for
-    output weights that are not finite, are negative or sum to zero.
+    Raises :class:`DimensionMismatch` for an empty price vector, for output
+    weights that are not finite, are negative or sum to zero or past the
+    float maximum, and for an output-weighted mean that is not finite, as
+    when weights times changes pass it. No numpy warning escapes the sums.
     """
     p = np.asarray(price_level, dtype=float)
     if p.ndim != 1 or not p.size:
@@ -315,17 +310,16 @@ def price_change_summary(
     decliners = pct[pct < 0]
     riser_mean = float(risers.mean()) if risers.size else 0.0
     decliner_mean = float(-decliners.mean()) if decliners.size else 0.0
-    if output is None:
-        weights = np.ones_like(pct)
-    else:
-        weights = np.asarray(output, dtype=float)
-        if weights.shape != pct.shape:
-            raise DimensionMismatch(
-                f"output weights must match price vector, got {weights.shape}"
-            )
-        if not (np.all(weights >= 0) and 0 < weights.sum() < np.inf):  # nan fails both
+    weights = np.ones_like(pct) if output is None else np.asarray(output, dtype=float)
+    if weights.shape != pct.shape:
+        raise DimensionMismatch(f"output weights must match price vector, got {weights.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum or mean past the float maximum is refused here
+        total = weights.sum()
+        if not (np.all(weights >= 0) and 0 < total < np.inf):  # nan fails both
             raise DimensionMismatch("output weights must be finite and nonnegative, with a positive sum")
-    weighted = float((weights * pct).sum() / weights.sum())
+        weighted = float((weights * pct).sum() / total)
+    if not np.isfinite(weighted):
+        raise DimensionMismatch("the output-weighted mean price change overflows: the output weights are too large")
     return PriceChangeSummary(
         pct_change=_frozen(pct),
         riser_count=int(risers.size),

@@ -7,10 +7,9 @@ is given, resolves the base groups and derives the table's coefficients once.
 So ``run`` reports every input error, a category map that leaves codes out
 included, before any numerical error, and ``validate`` prints its checks only
 once every input has loaded: a failing load prints none before its ``ERROR``
-line. Those checks are
-``check_inputs``'s, which decides what is valid; it prices the scenario as
-``run`` does and computes ``run``'s household tables with ``run``'s own
-code, so a group that ``run`` refuses fails ``validate`` too.
+line. Those checks are ``check_inputs``'s, which decides what is valid. Once
+they pass it runs ``run``'s own reform stage and household tables, so every
+number that ``run`` refuses after the load fails ``validate`` too.
 
 Frozen concrete syntax (paths are resolved relative to the config file)::
 
@@ -301,9 +300,9 @@ def check_inputs(config: ScenarioConfig) -> list[Check]:
     Loads the inputs as :func:`run_scenario` does, so a load error is raised
     as there. Then balance, productivity without the mask, the schedule's
     warnings, productivity with it, expenditure and category-map coverage.
-    When these pass and expenditure is given, ``run``'s household tables are
-    computed from the scenario's prices: a group whose numbers overflow
-    fails one more check.
+    When these pass, ``run``'s reform stage and, with expenditure, household
+    tables are computed: a price summary or a group whose numbers overflow
+    fails one more check. The productivity checks decide ``run``'s solves.
     """
     inputs = load_inputs(config)
     bundle, balance = inputs.bundle, inputs.balance
@@ -329,11 +328,15 @@ def check_inputs(config: ScenarioConfig) -> list[Check]:
         checks.append(Check(f"category map: MISSING codes {', '.join(inputs.unmapped)}", False))
     elif inputs.category_map is not None:
         checks.append(Check(f"category map: {len(inputs.category_map.categories)} categories, total over items", True))
-    if expenditure is not None and all(check.passed for check in checks):
+    if all(check.passed for check in checks):
+        label = "price summary"
         try:
-            _household_tables(inputs, _expenditure_change(inputs, _price_level(config, bundle, inputs.schedule)))
+            *_, delta = _reform(config, inputs)
+            label = "household report"
+            if delta is not None:
+                _household_tables(inputs, delta)
         except DimensionMismatch as exc:
-            checks.append(Check(f"household report: {exc} FAIL", False))
+            checks.append(Check(f"{label}: {exc} FAIL", False))
     return checks
 
 
@@ -362,25 +365,21 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         path = config.category_map if line is None else config.expenditure
         raise UnmappedItem(inputs.unmapped, "category map", path=path, line=line)
 
-    baseline = baseline_prices(inputs.bundle)
-    price_level = _price_level(config, inputs.bundle, inputs.schedule)
-    release_mask_terms(inputs.bundle)  # a run solves its mask once: the result keeps no live block
-    summary = price_change_summary(price_level, output=inputs.x)
-
-    delta = None if inputs.expenditure is None else _expenditure_change(inputs, price_level)
-    return ScenarioResult(config, inputs, baseline, price_level, summary, delta)
+    return ScenarioResult(config, inputs, baseline_prices(inputs.bundle), *_reform(config, inputs))
 
 
-def _price_level(config: ScenarioConfig, bundle: CoefficientBundle, schedule: RateSchedule) -> np.ndarray:
-    """The post-reform prices of ``schedule`` under ``config``'s treatment and exempt option."""
+def _reform(config: ScenarioConfig, inputs: ScenarioInputs):
+    """Post-reform prices (one solve, no live block kept), their summary and ΔE on the expenditure's codes, if any."""
     treatment, exempt = config.masked_input_treatment, config.exempt_retains_input_tax
-    return simulate_prices(bundle, schedule, masked_input_treatment=treatment, exempt_retains_input_tax=exempt)
-
-
-def _expenditure_change(inputs: ScenarioInputs, price_level: np.ndarray) -> np.ndarray:
-    """ΔE on ``inputs.expenditure``'s codes: its sectors, or its items at concordance-weighted sector prices."""
+    price_level = simulate_prices(
+        inputs.bundle, inputs.schedule, masked_input_treatment=treatment, exempt_retains_input_tax=exempt
+    )
+    release_mask_terms(inputs.bundle)
+    summary = price_change_summary(price_level, output=inputs.x)
+    if inputs.expenditure is None:
+        return price_level, summary, None
     item_prices = price_level if inputs.weights is None else inputs.weights @ price_level
-    return expenditure_change_on_items(inputs.expenditure, item_prices)
+    return price_level, summary, expenditure_change_on_items(inputs.expenditure, item_prices)
 
 
 def _resolve_base_groups(expenditure: ExpenditureMatrix, config: ScenarioConfig):

@@ -467,6 +467,16 @@ def test_overflowing_expenditure_is_one_located_error(data_dir, tmp_path, comman
     assert proc.stdout == ""
 
 
+# a table without expenditure whose price summary overflows: its case, then the exponent e of its
+# flows (1e{e}, OUTPUT 1e{e + 1}), the rate and the refusal
+SUMMARY_OVERFLOWS = {
+    "output weight sum": (307, "0.06", "output weights must be finite and nonnegative, with a positive sum"),
+    "output-weighted mean": (  # each price rises 37.5 %, and 1e307 × 37.5 passes the float maximum
+        306, "0.5", "the output-weighted mean price change overflows: the output weights are too large"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "command, case",
     [
@@ -482,6 +492,7 @@ def test_overflowing_expenditure_is_one_located_error(data_dir, tmp_path, comman
             "two float maximum groups",  # the category report goes first, in file order
             "two float maximum groups without category map",  # the gaps table, by dimension then id
             "masked inputs at baseline without category map",
+            *SUMMARY_OVERFLOWS,
         )
         # validate's flags set no treatment and no exempt option
         if (command, case) != ("validate", "masked inputs at baseline without category map")
@@ -494,7 +505,15 @@ def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, command
     scenario, spend = _read(data_dir / "scenario.cfg"), _read(data_dir / "expenditure.csv")
     group, rate = "inc1", "0.06"
     no_map = case.endswith("without category map")
-    if case == "category share":  # 100 × a finite cell overflows at the scenario's own rate
+    if case in SUMMARY_OVERFLOWS:  # two sectors, each buying 1e{e} from both, and no expenditure
+        e, rate, _ = SUMMARY_OVERFLOWS[case]
+        rows = "".join(f"{s},{s},1e{e},1e{e},8e{e},0,1e{e + 1}\n" for s in "ab")
+        table, schedule = _write_table(tmp_path, rows, f"8e{e},8e{e}")
+        table.replace(tmp_path / "io_table.csv")
+        schedule.replace(tmp_path / "rate_schedule.csv")
+        scenario = re.sub(r"(expenditure|concordance|category_map) = .*\n", "", scenario)
+        scenario = scenario.replace("gst_rate = 0.06", f"gst_rate = {rate}")
+    elif case == "category share":  # 100 × a finite cell overflows at the scenario's own rate
         spend = spend.replace("inc1,income,<1000,food,300\n", "inc1,income,<1000,food,1.7e308\n")
     elif case in ("float maximum group", "weights above 1"):  # a new group, its dimension's base, at the float maximum
         group, spend = "g9", spend + "g9,income,big,misc,1.7976931348623157e308\n"
@@ -524,18 +543,20 @@ def test_overflowing_report_numbers_refuse_the_group(data_dir, tmp_path, command
         argv = ["validate", "--gst-rate", rate]
         names = ["io_table", "rate_schedule", "expenditure", "concordance", "category_map"]
         flags = ["--table", "--schedule", "--expenditure", "--concordance", "--category-map"]
-        for flag, name in zip(flags, names[: 4 if no_map else 5]):
+        for flag, name in zip(flags, names[: 2 if case in SUMMARY_OVERFLOWS else 4 if no_map else 5]):
             argv += [flag, str(tmp_path / f"{name}.csv")]
     proc = subprocess.run([sys.executable, "-m", "gstio", *argv], capture_output=True, text=True)
     assert proc.returncode == 2
-    error = f"the report numbers of group {group} overflow: its spending is too large"
+    label, error = "household report", f"the report numbers of group {group} overflow: its spending is too large"
+    if case in SUMMARY_OVERFLOWS:
+        label, error = "price summary", SUMMARY_OVERFLOWS[case][2]
     if command == "run":
         assert proc.stderr == f"ERROR DimensionMismatch: {error}\n"
         assert proc.stdout == ""
         assert not (tmp_path / "out").exists()
     else:
         assert proc.stderr == "ERROR ValidationFailed: one or more checks failed (see report)\n"
-        assert proc.stdout.splitlines()[-2:] == [f"household report: {error} FAIL", "VALIDATION FAILED"]
+        assert proc.stdout.splitlines()[-2:] == [f"{label}: {error} FAIL", "VALIDATION FAILED"]
         assert "Warning" not in proc.stdout + proc.stderr
 
 

@@ -588,11 +588,21 @@ class TestPriceChangeSummary:
         np.testing.assert_array_equal(summary.pct_change, np.zeros(4))
 
     @pytest.mark.parametrize(
-        "output", [[0.0, 0.0], [1.0, -1.0], [2.0, -0.5], [np.nan, 1.0], [np.inf, 1.0]]
+        "output", [[0.0, 0.0], [1.0, -1.0], [2.0, -0.5], [np.nan, 1.0], [np.inf, 1.0], [1e308, 1e308]]
     )
     def test_bad_output_weights_refused(self, output):
+        # the last weights are finite, but their sum passes the float maximum: refused without a numpy warning
         with pytest.raises(DimensionMismatch, match="output weights must be finite and nonnegative"):
             price_change_summary(np.array([1.1, 0.9]), output=np.array(output))
+
+    # one product passes the float maximum; two of opposite sign make the sum inf − inf
+    @pytest.mark.parametrize("prices", [[1.5, 1.0], [1.5, 0.5]], ids=["inf", "inf - inf"])
+    def test_overflowing_weighted_mean_refused(self, prices):
+        with pytest.raises(DimensionMismatch, match="^the output-weighted mean price change overflows"):
+            price_change_summary(np.array(prices), output=np.array([1e307, 1e307]))
+        # below the float maximum the same weights give the same mean as ever
+        summary = price_change_summary(np.array([1.1, 1.0]), output=np.array([1e307, 1e307]))
+        assert summary.weighted_mean == (1e307 * ((1.1 - 1.0) * 100.0)) / 2e307
 
     def test_empty_price_vector_refused(self):
         with pytest.raises(DimensionMismatch, match=r"1-D and nonempty, got shape \(0,\)"):
