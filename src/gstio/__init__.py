@@ -18,14 +18,6 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .diagnostics import (
-    ProductivityReport,
-    StructureDriftReport,
-    mad,
-    productivity_check,
-    structure_drift,
-    tax_to_va_ratio,
-)
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
@@ -84,10 +76,12 @@ from .io_model import (
     BalanceReport,
     CoefficientBundle,
     IOTable,
+    ProductivityReport,
     SectorSet,
     balance_report,
     derive_coefficients,
     leontief_inverse,
+    productivity_check,
     spectral_radius,
 )
 from .price_model import (
@@ -101,6 +95,7 @@ from .price_model import (
     price_change_summary,
     price_path,
     simulate_prices,
+    tax_to_va_ratio,
 )
 from .scenario import ScenarioConfig, ScenarioInputs, ScenarioResult, check_inputs, load_inputs, load_scenario
 from .scenario import run_scenario, run_tables

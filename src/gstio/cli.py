@@ -16,12 +16,12 @@ Three subcommands:
 Each flag is parsed as its key is, but a relative path resolves from the
 working directory: for ``validate``'s file flags as for ``run --output-dir``.
 
-Exit codes: 0 ok, 1 usage, 2 validation, 3 numerical failure. Every error
-path prints a single line starting with ``ERROR <code>:`` to stderr. ``run``
-writes the tables of :func:`~gstio.scenario.run_tables`, whose rows come in a
-fixed order, with fixed float formatting (6 significant digits, or shortest
-round-trip repr with --full-precision) and no timestamps, so its outputs are
-byte-identical across runs on the same inputs.
+Exit codes: 0 ok, 1 usage, 2 validation or out of memory, 3 numerical
+failure. Every error path prints a single line starting with ``ERROR <code>:``
+to stderr. ``run`` writes the tables of :func:`~gstio.scenario.run_tables`,
+whose rows come in a fixed order, with fixed float formatting (6 significant
+digits, or shortest round-trip repr with --full-precision) and no timestamps,
+so its outputs are byte-identical across runs on the same inputs.
 """
 
 from __future__ import annotations
@@ -334,3 +334,6 @@ def main(argv=None) -> int:
     except (GstioError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_VALIDATION
+    except MemoryError as exc:  # an input too large for this host that no check refused first
+        print(f"ERROR MemoryError: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION

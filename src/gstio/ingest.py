@@ -63,7 +63,9 @@ Expenditure (``load_expenditure``), long format::
     be empty. Duplicate (group, item) rows sum. Each group's total must be
     finite: the row whose amount, summed in file order, makes it overflow is
     an error at its amount. The rows of every block are added into the matrix
-    by one code path, so its bits do not depend on how a block was read.
+    by one code path, so its bits do not depend on how a block was read. The
+    matrix is dense, groups × items: one larger than physical memory is
+    refused at the line that brought in its last group or item.
 
 Concordance (``load_concordance``)::
 
@@ -82,6 +84,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -339,7 +342,7 @@ def _parse_sector_block(block: list[str], line: int, ids: tuple[str, ...], first
     return list(rows["name"]), cells, range(line, line + len(block))
 
 
-def _walk_sector_rows(rows, ids: tuple[str, ...], first: int, *, path) -> tuple[list[str], list, list[int]]:
+def _walk_sector_rows(rows, ids: tuple[str, ...], first: int, *, path) -> tuple[list[str], np.ndarray, list[int]]:
     """The names, cells and lines of ``(line, row)`` csv ``rows``, the sector rows from sector ``first`` on,
     checked row by row; the first error in file order raises at its line and column. A Z or EXPORTS cell
     must not be negative, and OUTPUT must be positive."""
@@ -358,7 +361,7 @@ def _walk_sector_rows(rows, ids: tuple[str, ...], first: int, *, path) -> tuple[
         if cells[-1][-1] <= 0:
             message = f"OUTPUT of sector {ids[i]} must be strictly positive"
             raise ZeroOutput(message, path=path, line=line, column=n + 5)
-    return names, cells, lines
+    return names, np.array(cells), lines
 
 
 def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, BalanceReport]:
@@ -386,7 +389,7 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
 
         # the sector block is its first n records, blank ones included; each
         # block is read after the rows before it, so len(names) counts them
-        names, sector_lines, cells = [], [], np.empty((n, n + 3))
+        names, sector_lines, cells = [], [], []
         blocks = _blocks(
             handle,
             line,
@@ -396,11 +399,13 @@ def load_io_table(path, *, allow_unbalanced: bool = False) -> tuple[IOTable, Bal
             records=n,
         )
         for (block_names, block_cells, block_lines), line in blocks:
-            cells[len(names) : len(names) + len(block_names)] = block_cells
+            cells.append(block_cells)
             names += block_names
             sector_lines += block_lines
         if len(names) < n:
             raise SchemaError(f"expected {n} sector rows, found {len(names)}", path=path, line=line - 1)
+        # sized by the rows read, not by the header, which may name any number of sectors
+        cells = np.concatenate(cells)
 
         primary: dict[str, np.ndarray] = {}
         for line, row in _numbered(csv.reader(handle), path=path, start=line - 1):
@@ -574,12 +579,21 @@ def _load_expenditure(path, basis: ExpenditureBasis) -> tuple[ExpenditureMatrix,
         columns = list(zip(*(parsed for parsed, _ in blocks)))
     if not groups:
         raise SchemaError("no expenditure rows", path=path, line=1)
+    # a few rows can ask for a dense matrix of any size: refuse it before it is allocated
+    shape = (len(groups), len(item_lines))
+    size, memory = 8 * shape[0] * shape[1], os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if size > memory:
+        message = (
+            f"{shape[0]} groups x {shape[1]} items need a {size / 2**30:.1f} GiB expenditure matrix, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
+        line = max(next(reversed(group_lines.values())), next(reversed(item_lines.values())))
+        raise ParseError(message, path=path, line=line)
     # join each column, and let go of its blocks, before the next
     row_groups, row_items, amounts = (np.concatenate(columns.pop(0)) for _ in range(3))
     # a line brings in at most one new group and one new item, so first lines
     # ascend in dict order and locate each row's group row and item column;
     # bincount adds duplicate rows in file order, as 0.0 + a + b + ...
-    shape = (len(groups), len(item_lines))
     cells = np.searchsorted(list(group_lines.values()), row_groups) * shape[1]
     cells += np.searchsorted(list(item_lines.values()), row_items)
     values = np.bincount(cells, weights=amounts, minlength=shape[0] * shape[1]).reshape(shape)

@@ -9,6 +9,11 @@ Per-unit coefficients follow as A = Z x̂⁻¹ and the primary-input rows divide
 by x. A productive A (spectral radius < 1) admits the Leontief inverse
 L = (I − A)⁻¹, which converts final demand into gross output: x = L(f + e).
 
+The productivity gate, :func:`productivity_check`, changes no result; it is
+the check to run before trusting one. It decides whether the price system
+A'B̂ is productive by the rule of the solve kernel, :class:`_LiveBlock`, that
+solves it, so a table the gate passes is one the price model can solve.
+
 All containers are frozen dataclasses over read-only numpy arrays, so every
 operation is a pure function and instances can be shared across threads.
 Records that hold arrays compare by identity, as an array has no single
@@ -26,6 +31,7 @@ unpickled bundle keeps no extremes and is simply scanned.
 from __future__ import annotations
 
 import weakref
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -452,10 +458,51 @@ class _LiveBlock:
         return solution[:, :-1].reshape(rhs.shape).copy()  # C-contiguous, without the certificate
 
 
-def _solve_productive(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I − M) y = rhs, certifying ρ(M) < 1 − PRODUCTIVITY_EPSILON; see :class:`_LiveBlock`."""
-    M, ones = _system(M)
-    return _LiveBlock(M.T, ones).solve(rhs)
+@dataclass(frozen=True)
+class ProductivityReport:
+    """The solve kernel's productivity verdict and a Collatz–Wielandt bracket of the radius.
+
+    ``bracket`` is [lo, hi] with lo <= ρ(M) <= hi; ``converged`` says it
+    closed to POWER_TOLERANCE relative, so that ``spectral_radius`` (= lo)
+    is ρ(M) to that tolerance. ``iterations`` counts power steps.
+    """
+
+    spectral_radius: float
+    passed: bool
+    iterations: int
+    converged: bool
+    bracket: tuple[float, float]
+
+
+def productivity_check(A: np.ndarray, mask: np.ndarray | None = None) -> ProductivityReport:
+    """Decide by the solve kernel's rule whether M = A'B̂, the price system, is productive.
+
+    ``mask`` is the share vector b of n entries, the diagonal of B̂; without
+    one b = 1, so M = A' is the baseline price system, and the schedule's
+    shares give the reform's. Either is the system the price model solves.
+
+    Passes at once when M >= 0 and the bracket's first upper end, ‖M‖∞, is
+    below 1 − 1e-9: then x = (I − M)⁻¹1 <= 1/(1 − ‖M‖∞) < 1e9, which is the
+    kernel's certificate. Otherwise asks the kernel, :class:`_LiveBlock`,
+    itself, which raises :class:`DimensionMismatch` for entries below
+    −1e-12. A tighter upper end proves ρ(M) < 1 − 1e-9 but not the kernel's
+    bound on x (M = [[0.5, 1e10], [1e-12, 0.25]] has ρ ≈ 0.535 and
+    x₁ ≈ 2.7e10), so it decides nothing.
+
+    M is never formed: the bracket and the kernel both read A'B̂ from A and
+    the mask (see :func:`_perron_bracket`), and the bracket iterates only
+    over its core. Given a bundle's own A, both reuse the row extremes the
+    bundle took, so only the mask's live rows are read; any other array is
+    scanned for its extremes on each call.
+    """
+    A, m = _system(A, mask)
+    bracket = _perron_bracket(A, m)
+    passed = bracket.lowest >= 0.0 and bracket.row_bound < 1.0 - PRODUCTIVITY_EPSILON
+    if not passed:
+        with suppress(NonProductive):
+            _LiveBlock(A, m).solve(np.empty((len(A), 0)))
+            passed = True
+    return ProductivityReport(bracket.lo, passed, bracket.iterations, bracket.closed, (bracket.lo, bracket.hi))
 
 
 def leontief_inverse(A: np.ndarray) -> np.ndarray:

@@ -22,6 +22,10 @@ price equation (their columns vanish), which is what the worked
 fractional-mask example this model is checked against does. That behavior is
 the ``drop`` treatment; ``baseline`` instead re-charges masked inputs at
 their baseline price of 1.
+
+:func:`tax_to_va_ratio` gives the other side of that swap: the baseline's
+indirect tax per unit of value added, the effective rate the statutory one
+replaces.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSchedule
+from .errors import DimensionMismatch, InvalidSchedule, ZeroValueAdded
 from .io_model import CoefficientBundle, SectorSet, _frozen, _LiveBlock, _system
 
 
@@ -151,6 +155,19 @@ def gst_coefficients(bundle: CoefficientBundle, schedule: RateSchedule) -> np.nd
     if schedule.sectors.ids != bundle.sectors.ids:
         raise DimensionMismatch("schedule and bundle refer to different sector sets")
     return schedule.gst_rate * (schedule.standard_share * bundle.value_added)
+
+
+def tax_to_va_ratio(bundle: CoefficientBundle) -> np.ndarray:
+    """Baseline indirect tax per unit of value added, per sector.
+
+    This is the effective rate the reform replaces with the statutory one.
+    """
+    va = bundle.value_added
+    bad = np.nonzero(va <= 0)[0]
+    if bad.size:
+        ids = ", ".join(bundle.sectors.ids[i] for i in bad)
+        raise ZeroValueAdded(f"zero value added in sectors: {ids}")
+    return _frozen(bundle.indirect_tax / va)
 
 
 class _MaskTerms(NamedTuple):

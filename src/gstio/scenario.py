@@ -55,12 +55,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import ProductivityReport, productivity_check
 from .errors import DimensionMismatch, SchemaError, UnknownBaseGroup, UnmappedItem
 from .incidence import CategoryMap, ExpenditureMatrix, GroupDimension, category_report
 from .incidence import _refuse_overflow, expenditure_change_on_items, gap_ratios, purchasing_power_change
 from .ingest import _load_household, _text, load_category_map, load_concordance, load_io_table, load_rate_schedule
-from .io_model import BalanceReport, CoefficientBundle, derive_coefficients
+from .io_model import BalanceReport, CoefficientBundle, ProductivityReport, derive_coefficients, productivity_check
 from .price_model import MaskedInputTreatment, PriceChangeSummary, RateSchedule, baseline_prices, check_gst_rate
 from .price_model import price_change_summary, release_mask_terms, simulate_prices
 

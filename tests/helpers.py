@@ -9,6 +9,7 @@ iteration, and spectral radii against dense eigenvalues. Set-ups are built
 from __future__ import annotations
 
 import csv
+import os
 from pathlib import Path
 
 import numpy as np
@@ -225,3 +226,29 @@ def one_total_per_group(run_dir: Path) -> dict[str, str]:
             if category == "TOTAL":
                 assert [group_id, label, before, after, pct] == incidence[group_id], table
     return {group_id: row[2] for group_id, row in incidence.items()}
+
+
+def header_only_io_table(n: int) -> str:
+    """The text of an IO table whose header names ``n`` sectors, and which has no row."""
+    ids = (f"s{i}" for i in range(n))
+    return ",".join(["sector_id", "sector_name", *ids, "FINAL_DEMAND", "EXPORTS", "OUTPUT"]) + "\n"
+
+
+def write_expenditure_past_memory(monkeypatch, path: Path) -> None:
+    """Write 100,000 rows to ``path``, each bringing in a new group and a new item, so that they ask for an
+    80 GB dense matrix; report 8 GiB of physical memory, and make ``np.bincount``, which would fill that
+    matrix, fail if it is called, so a refusal never relies on the allocation failing."""
+
+    def no_bincount(*args, **kwargs):
+        raise AssertionError("the expenditure matrix was allocated")
+
+    monkeypatch.setattr(np, "bincount", no_bincount)
+    report_physical_memory(monkeypatch, 8 * 2**30)
+    rows = "".join(f"g{i},income,l,i{i},1\n" for i in range(100_000))
+    path.write_text("group_id,dimension,label,item_code,amount\n" + rows, encoding="utf-8")
+
+
+def report_physical_memory(monkeypatch, size: int) -> None:
+    """Make ``os.sysconf`` report ``size`` bytes of physical memory, in pages of one byte."""
+    sysconf, pages = os.sysconf, {"SC_PHYS_PAGES": size, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name] if name in pages else sysconf(name))

@@ -467,6 +467,41 @@ def test_overflowing_expenditure_is_one_located_error(data_dir, tmp_path, comman
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["run", "validate scenario", "validate"])
+@pytest.mark.parametrize("case", ["header-only table", "expenditure past memory", "loader out of memory"])
+def test_an_input_too_large_for_memory_is_one_error_line(data_dir, tmp_path, monkeypatch, capsys, command, case):
+    names = ["io_table.csv", "rate_schedule.csv", "expenditure.csv", "concordance.csv", "category_map.csv"]
+    for name in [*names, "scenario.cfg"]:
+        shutil.copy(data_dir / name, tmp_path)
+    located = None
+    if case == "header-only table":  # sized by its header, the cells took 80 GB before any row
+        located = tmp_path / "io_table.csv"
+        located.write_text(helpers.header_only_io_table(100_000), encoding="utf-8")
+    elif case == "expenditure past memory":
+        located = tmp_path / "expenditure.csv"
+        helpers.write_expenditure_past_memory(monkeypatch, located)
+    else:
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr("gstio.scenario.load_io_table", out_of_memory)
+    flags = ["--table", "--schedule", "--expenditure", "--concordance", "--category-map"]
+    argv = {
+        "run": ["run", str(tmp_path / "scenario.cfg"), "-o", str(tmp_path / "out")],
+        "validate scenario": ["validate", str(tmp_path / "scenario.cfg")],
+        "validate": ["validate", *(arg for flag, name in zip(flags, names) for arg in (flag, str(tmp_path / name)))],
+    }[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    if located is None:
+        assert err == "ERROR MemoryError: Unable to allocate 74.5 GiB\n"
+    else:
+        assert re.match(rf"ERROR (SchemaError|ParseError): {re.escape(str(located))}:\d+: ", err), err
+    assert not (tmp_path / "out").exists()
+
+
 # a table without expenditure whose price summary overflows: its case, then the exponent e of its
 # flows (1e{e}, OUTPUT 1e{e + 1}), the rate and the refusal
 SUMMARY_OVERFLOWS = {

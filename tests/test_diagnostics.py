@@ -1,4 +1,4 @@
-"""Tests for stability diagnostics: MAD, share drift, productivity, tax ratio."""
+"""Tests for the productivity gate and the baseline tax-to-value-added ratio."""
 
 import tracemalloc
 
@@ -10,111 +10,12 @@ from hypothesis import strategies as st
 import helpers
 from gstio import (
     DimensionMismatch,
-    ExpenditureBasis,
-    ExpenditureMatrix,
-    GroupDimension,
-    HouseholdGroup,
     NonProductive,
     ZeroValueAdded,
     leontief_inverse,
-    mad,
     productivity_check,
-    structure_drift,
     tax_to_va_ratio,
 )
-
-
-def _two_item_matrix(shares_by_group, total=100.0):
-    """One two-item group per (id, share) pair; share given in percent."""
-    groups = tuple(
-        HouseholdGroup(group_id=g, dimension=GroupDimension.INCOME_CLASS, label=g)
-        for g, _ in shares_by_group
-    )
-    values = np.array([[total * s / 100.0, total * (1 - s / 100.0)] for _, s in shares_by_group])
-    return ExpenditureMatrix(
-        groups=groups, items=("a", "b"), values=values, basis=ExpenditureBasis.ITEM_CODES
-    )
-
-
-class TestMad:
-    def test_identical_matrices_zero(self):
-        M = np.arange(9.0).reshape(3, 3)
-        assert mad(M, M) == 0.0
-
-    def test_all_cells_differ_by_one(self):
-        assert mad(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)) == 1.0
-
-    def test_injected_perturbation(self):
-        rng = np.random.default_rng(3)
-        n, k, eps = 7, 5, 0.013
-        base = rng.uniform(size=(n, n))
-        other = base.copy()
-        flat = rng.choice(n * n, size=k, replace=False)
-        other.flat[flat] += eps
-        assert mad(base, other) == pytest.approx(k * eps / n**2, abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mad(np.zeros((2, 2)), np.zeros((3, 3)))
-
-    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
-    def test_empty_matrices_refused(self, shape):
-        with pytest.raises(DimensionMismatch, match="nonempty matrices required"):
-            mad(np.zeros(shape), np.zeros(shape))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=0.1, max_value=10))
-    def test_symmetric_nonnegative_and_scales_linearly(self, seed, scale):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(size=(4, 4))
-        b = rng.uniform(size=(4, 4))
-        assert mad(a, b) == mad(b, a)
-        assert mad(a, b) >= 0.0
-        assert mad(a, a) == 0.0
-        uniform = mad(a, a + scale)
-        assert uniform == pytest.approx(scale, rel=1e-12)
-
-
-class TestStructureDrift:
-    def test_identical_snapshots_zero(self):
-        m = _two_item_matrix([("g1", 50.0)])
-        report = structure_drift(m, m)
-        assert report.max_pp == 0.0 and report.min_pp == 0.0
-
-    def test_two_point_shift(self):
-        before = _two_item_matrix([("g1", 50.0)])
-        after = _two_item_matrix([("g1", 52.0)])
-        report = structure_drift(before, after)
-        assert report.max_pp == pytest.approx(2.0)
-        assert report.min_pp == pytest.approx(2.0)
-
-    def test_dataset_extrema_across_groups(self):
-        # three groups with injected drifts of 0.21, 1.0 and 1.96 points
-        before = _two_item_matrix([("g1", 40.0), ("g2", 50.0), ("g3", 60.0)])
-        after = _two_item_matrix([("g1", 40.21), ("g2", 51.0), ("g3", 61.96)])
-        report = structure_drift(before, after)
-        assert report.max_pp == pytest.approx(1.96)
-        assert report.min_pp == pytest.approx(0.21)
-        assert [g.max_pp for g in report.groups] == pytest.approx([0.21, 1.0, 1.96])
-
-    def test_row_scaling_invariance(self):
-        before = _two_item_matrix([("g1", 35.0), ("g2", 60.0)])
-        after = _two_item_matrix([("g1", 36.0), ("g2", 58.0)], total=250.0)
-        base = structure_drift(before, after)
-        rescaled = structure_drift(before, _two_item_matrix([("g1", 36.0), ("g2", 58.0)], total=9.0))
-        assert base.max_pp == pytest.approx(rescaled.max_pp)
-        assert base.min_pp == pytest.approx(rescaled.min_pp)
-
-    def test_misaligned_items_rejected(self):
-        m = _two_item_matrix([("g1", 50.0)])
-        other = ExpenditureMatrix(
-            groups=m.groups,
-            items=("a", "c"),
-            values=m.values,
-            basis=ExpenditureBasis.ITEM_CODES,
-        )
-        with pytest.raises(DimensionMismatch):
-            structure_drift(m, other)
 
 
 def _drawn_matrix(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:

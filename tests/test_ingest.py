@@ -438,6 +438,19 @@ class TestLoadIOTable:
             load_io_table(path)
         assert (info.value.line, info.value.column) == (2, None)
 
+    def test_header_alone_allocates_nothing(self, tmp_path):
+        # the cells are sized by the rows read: sized by this header, they took 80 GB before any row
+        path = _write(tmp_path, "t.csv", helpers.header_only_io_table(100_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="expected 100000 sector rows, found 0") as info:
+                load_io_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.line, info.value.column) == (1, None)
+        assert peak < 32 * 2**20
+
     @settings(
         max_examples=40,
         deadline=None,
@@ -1070,6 +1083,32 @@ class TestLoadExpenditure:
         loaded = load_expenditure(path)
         assert (loaded.groups, loaded.items) == (saved.groups, saved.items)
         np.testing.assert_array_equal(loaded.values, saved.values)
+
+    @pytest.mark.parametrize(
+        ("rows", "line"),
+        [
+            ("g1,income,a,i1,1\ng2,income,b,i2,1\ng2,income,b,i3,1\ng1,income,a,i2,1\n", 4),  # the last item
+            ("g1,income,a,i1,1\ng1,income,a,i2,1\ng2,income,b,i1,1\n", 4),  # the last group
+        ],
+        ids=["item", "group"],
+    )
+    def test_matrix_larger_than_memory_refused_at_its_last_group_or_item(self, tmp_path, monkeypatch, rows, line):
+        path = _write(tmp_path, "e.csv", "group_id,dimension,label,item_code,amount\n" + rows)
+        size = load_expenditure(path).values.nbytes
+        helpers.report_physical_memory(monkeypatch, size)
+        load_expenditure(path)  # as large as memory is not too large
+        helpers.report_physical_memory(monkeypatch, size - 1)
+        with pytest.raises(ParseError, match="items need a 0.0 GiB expenditure matrix, more than the") as info:
+            load_expenditure(path)
+        assert (info.value.line, info.value.column) == (line, None)
+
+    def test_matrix_larger_than_memory_refused_before_it_is_allocated(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.csv"
+        helpers.write_expenditure_past_memory(monkeypatch, path)
+        message = "100000 groups x 100000 items need a 74.5 GiB expenditure matrix, more than the 8.0 GiB"
+        with pytest.raises(ParseError, match=message) as info:
+            load_expenditure(path)
+        assert (info.value.line, info.value.column) == (100_001, None)
 
     def test_load_memory_is_bounded_by_the_file(self, tmp_path):
         # holding the file's lines, or a view of the amounts that keeps a block's strings, costs more

@@ -30,7 +30,7 @@ from gstio import (
     spectral_radius,
 )
 from gstio import io_model
-from gstio.io_model import PRODUCTIVITY_EPSILON, _column_ends, _LiveBlock, _row_extremes, _solve_productive
+from gstio.io_model import PRODUCTIVITY_EPSILON, _column_ends, _LiveBlock, _row_extremes
 
 
 class TestSectorSet:
@@ -288,11 +288,10 @@ class TestLeontiefInverse:
         [
             leontief_inverse,
             lambda M: masked_inverse(M, np.ones(0)),
-            lambda M: _solve_productive(M, np.zeros(0)),
             spectral_radius,
             productivity_check,
         ],
-        ids=["leontief_inverse", "masked_inverse", "_solve_productive", "spectral_radius", "productivity_check"],
+        ids=["leontief_inverse", "masked_inverse", "spectral_radius", "productivity_check"],
     )
     def test_empty_matrix_is_a_dimension_mismatch(self, call):
         with pytest.raises(DimensionMismatch, match=r"got shape \(0, 0\)"):
@@ -319,7 +318,7 @@ def _productive(M) -> bool:
 
 def _verdict(M) -> bool:
     try:
-        _solve_productive(M, np.empty((len(M), 0)))
+        _LiveBlock(M.T, np.ones(len(M))).solve(np.empty((len(M), 0)))
     except NonProductive:
         return False
     return True
@@ -367,8 +366,8 @@ class TestReducedSolve:
             formed = C.T * m
             negative = bool(np.any(formed < -1e-12))
             for read, product in (
-                (lambda: _LiveBlock(C, m).solve(rhs), lambda: _solve_productive(formed, rhs)),
-                (lambda: masked_inverse(C, m), lambda: _solve_productive(formed, np.eye(n))),
+                (lambda: _LiveBlock(C, m).solve(rhs), lambda: _LiveBlock(formed.T, np.ones(n)).solve(rhs)),
+                (lambda: masked_inverse(C, m), lambda: _LiveBlock(formed.T, np.ones(n)).solve(np.eye(n))),
                 (lambda: productivity_check(C, m).passed, lambda: _verdict(formed)),
             ):
                 outcome = _outcome(read)
@@ -396,12 +395,12 @@ class TestReducedSolve:
             M *= target_radius / radius
         rhs = rng.uniform(0.1, 1.0, size=(n, columns) if columns else n)
         if _productive(M):
-            y = _solve_productive(M, rhs)
+            y = _LiveBlock(M.T, np.ones(len(M))).solve(rhs)
             assert y.shape == rhs.shape
             np.testing.assert_allclose(y, np.linalg.solve(np.eye(n) - M, rhs), rtol=1e-10)
         else:
             with pytest.raises(NonProductive):
-                _solve_productive(M, rhs)
+                _LiveBlock(M.T, np.ones(len(M))).solve(rhs)
 
     def test_factorises_only_the_live_block(self, monkeypatch):
         shapes = []
@@ -414,8 +413,8 @@ class TestReducedSolve:
         monkeypatch.setattr(np.linalg, "solve", recording)
         M = np.full((4, 4), 0.1)
         M[:, [0, 2]] = 0.0
-        _solve_productive(M, np.ones(4))
-        _solve_productive(np.full((4, 4), 0.1), np.ones(4))
+        _LiveBlock(M.T, np.ones(len(M))).solve(np.ones(4))
+        _LiveBlock(np.full((4, 4), 0.1), np.ones(4)).solve(np.ones(4))
         assert shapes == [(2, 2), (4, 4)]
 
     @pytest.mark.parametrize("n", [7, 150])
@@ -432,24 +431,24 @@ class TestReducedSolve:
 
     def test_all_columns_zero_returns_rhs(self):
         rhs = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(_solve_productive(np.zeros((3, 3)), rhs), rhs)
+        np.testing.assert_array_equal(_LiveBlock(np.zeros((3, 3)), np.ones(3)).solve(rhs), rhs)
 
     def test_one_live_column(self):
         M = np.zeros((4, 4))
         M[:, 2] = [0.1, 0.2, 0.5, 0.3]
         rhs = np.array([1.0, 2.0, 3.0, 4.0])
         # y_2 = 3 / (1 - 0.5) = 6, and every other row adds M[i, 2] * 6
-        np.testing.assert_allclose(_solve_productive(M, rhs), rhs + M[:, 2] * 6.0, rtol=1e-15)
+        np.testing.assert_allclose(_LiveBlock(M.T, np.ones(len(M))).solve(rhs), rhs + M[:, 2] * 6.0, rtol=1e-15)
         M[2, 2] = 1.0
         with pytest.raises(NonProductive):
-            _solve_productive(M, rhs)
+            _LiveBlock(M.T, np.ones(len(M))).solve(rhs)
 
     def test_one_sector(self):
-        np.testing.assert_array_equal(_solve_productive(np.array([[0.5]]), np.array([3.0])), [6.0])
-        np.testing.assert_array_equal(_solve_productive(np.zeros((1, 1)), np.array([[1.0, 2.0]])), [[1.0, 2.0]])
+        np.testing.assert_array_equal(_LiveBlock(np.array([[0.5]]), np.ones(1)).solve(np.array([3.0])), [6.0])
+        np.testing.assert_array_equal(_LiveBlock(np.zeros((1, 1)), np.ones(1)).solve(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
         for m in (1.0, 1.5):
             with pytest.raises(NonProductive):
-                _solve_productive(np.array([[m]]), np.array([1.0]))
+                _LiveBlock(np.array([[m]]), np.ones(1)).solve(np.array([1.0]))
 
     def test_bipartite_with_a_zeroed_column(self):
         verdicts = set()
